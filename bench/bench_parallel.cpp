@@ -114,8 +114,7 @@ void report(Table& table, bench::JsonReport& json, const PresetRun& run) {
       // Speedup is bounded by the physical cores of the bench host; a
       // 1-core CI runner reports ~1.0 at every thread count by design.
       // `oversubscribed` marks rows where threads > cores — consumers
-      // (and tools/bench_compare.py) must not read their speedup as an
-      // engine-scaling signal.
+      // must not read their speedup as an engine-scaling signal.
       .field("hardware_threads",
              static_cast<std::int64_t>(std::thread::hardware_concurrency()))
       .field("oversubscribed", run.oversubscribed)

@@ -6,6 +6,7 @@
 #include "core/universe.hpp"
 #include "decomp/tree_decomposition.hpp"
 #include "framework/lhs_tracker.hpp"
+#include "framework/two_phase.hpp"
 #include "util/check.hpp"
 
 namespace treesched {
@@ -53,7 +54,8 @@ SequentialTreeResult solveSequentialTree(const TreeProblem& problem) {
 
   DualState dual(universe);
   LhsTracker lhs(universe, RaiseRule::Unit);
-  std::vector<InstanceId> stack;
+  // One stack set per raise: the sequential order is the push order.
+  std::vector<std::vector<InstanceId>> stack;
   SequentialTreeResult result;
 
   // Phase 1: networks in rounds; within a network, raising an instance
@@ -92,7 +94,7 @@ SequentialTreeResult solveSequentialTree(const TreeProblem& problem) {
           wings, static_cast<std::size_t>(numWings));
       applyRaise(dual, universe, entry.instance, wingSpan, amounts);
       lhs.onRaise(entry.instance, wingSpan, amounts);
-      stack.push_back(entry.instance);
+      stack.push_back({entry.instance});
       ++result.iterations;
     }
   }
@@ -100,12 +102,7 @@ SequentialTreeResult solveSequentialTree(const TreeProblem& problem) {
   result.dualUpperBound = dual.objective();
 
   // Phase 2: pop in reverse, greedy feasibility.
-  FeasibilityOracle oracle(universe);
-  for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-    if (oracle.canAdd(*it)) {
-      oracle.add(*it);
-    }
-  }
+  const FeasibilityOracle oracle = popStack(universe, stack);
   for (const InstanceId i : oracle.solution().instances) {
     const InstanceRecord& rec = universe.instance(i);
     result.assignments.push_back({rec.demand, rec.network});

@@ -3,11 +3,12 @@
 // The protocol reports the events a distributed tracing facility would see:
 // epoch/stage boundaries, step starts (with participant counts), completed
 // MIS computations, dual raises, crash-stop faults taking effect, and
-// phase-2 pops — accepts AND rejects, so every raise is accounted for
-// exactly once (accepts + rejects == raises). Tests use the hooks to
-// cross-check the run-level counters; the examples use them for progress
-// traces; obs/observer_adapter.hpp turns them into tracer spans and
-// registry metrics. Silent steps (no unsatisfied instance in the
+// phase-2 pops — accepts AND rejects, so over a full run every raise is
+// accounted for exactly once (accepts + rejects == raises); a
+// phase-1-only run (the online epoch) reports no pops. Tests use the
+// hooks to cross-check the run-level counters; the examples use them for
+// progress traces; obs/observer_adapter.hpp turns them into tracer spans
+// and registry metrics. Silent steps (no unsatisfied instance in the
 // scheduled group) are not observed.
 #pragma once
 

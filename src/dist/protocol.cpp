@@ -252,18 +252,7 @@ class ProtocolEngine {
       }
     });
 
-    // Decision provenance (obs/ledger.hpp): with an ENABLED ledger the
-    // engine keeps the global certificate state phase 2 consults to name
-    // a rejection's blocker. Allocation is guarded — a null or disabled
-    // ledger leaves the hot loop exactly on the seed path (the
-    // zero-allocation gate in tests/provenance_test.cpp).
     ledgerOn_ = opt_.ledger != nullptr && opt_.ledger->enabled();
-    if (ledgerOn_) {
-      acceptedOfDemand_.assign(static_cast<std::size_t>(numProc_),
-                               kNoInstance);
-      firstLoaderOfEdge_.assign(groundDual_.numEdges(), kNoInstance);
-      ledgerEdgeLoad_.assign(groundDual_.numEdges(), 0.0);
-    }
 
     // Attach LAST: everything above can throw, and the destructor (which
     // detaches) only runs for fully constructed engines — attaching any
@@ -279,6 +268,7 @@ class ProtocolEngine {
     net_.attachTelemetry(nullptr, nullptr);
   }
 
+  /// The full one-shot run: both phases.
   DistributedResult run() {
     runPhase1();
     measureSlackness();
@@ -301,10 +291,21 @@ class ProtocolEngine {
     result.raises = raises_;
     result.crashedProcessors = crashedCount_;
     result.localViewsConsistent = localViewsConsistent_;
-    result.raiseLog = std::move(raiseLog_);
     result.engineClaims = runner_.claims();
     result.engineSteals = runner_.steals();
     requireFeasible(u_, result.solution);
+    return result;
+  }
+
+  /// Phase 1 alone (the online epoch): the raises and the audit.
+  Phase1Result runPhase1Only() {
+    runPhase1();
+    auditLocalViews();
+    Phase1Result result;
+    result.raiseLog = std::move(raiseLog_);
+    result.localViewsConsistent = localViewsConsistent_;
+    result.engineClaims = runner_.claims();
+    result.engineSteals = runner_.steals();
     return result;
   }
 
@@ -621,10 +622,8 @@ class ProtocolEngine {
           {MessageKind::DualRaise, p, i, amounts.betaIncrement});
       stepRaises_.push_back(
           {p, i, amounts.alphaIncrement, amounts.betaIncrement});
-      if (opt_.recordRaiseLog) {
-        raiseLog_.push_back(
-            {tuple, i, amounts.alphaIncrement, amounts.betaIncrement});
-      }
+      raiseLog_.push_back(
+          {tuple, i, amounts.alphaIncrement, amounts.betaIncrement});
       obs_->onRaise(tuple, i, amounts.alphaIncrement);
       if (ledgerOn_) {
         LedgerEvent ev;
@@ -642,10 +641,6 @@ class ProtocolEngine {
       groundLhs_.onRaise(i, critical, amounts);
     }
     net_.endRound();
-    if (!misMembers.empty()) {
-      stackTuples_.push_back(tuple);
-      stackSets_.push_back(misMembers);
-    }
 
     // Active processors: non-empty inbox or an own raise. Everyone else
     // would apply nothing — the serial engine's full-processor scan is
@@ -738,108 +733,77 @@ class ProtocolEngine {
     }
   }
 
-  /// Emits a Rejected ledger event carrying the blocking dual
-  /// certificate: the already-admitted instance whose load (or prior
-  /// admission of the same demand) blocks this pop. The blocker is
-  /// lambda-satisfied by phase 1, so its replayed LHS clears
-  /// lambdaMeasured * profit — the paper's dual explanation of the
-  /// rejection (tests/provenance_test.cpp replays and checks it).
-  void ledgerReject(std::int64_t tuple, InstanceId i, DemandId p,
-                    RejectReason reason) {
-    LedgerEvent ev;
-    ev.demand = p;
-    ev.kind = LedgerEventKind::Rejected;
-    ev.instance = i;
-    ev.tuple = tuple;
-    ev.reason = reason;
-    if (reason == RejectReason::DemandSatisfied) {
-      ev.certInstance = acceptedOfDemand_[static_cast<std::size_t>(p)];
-    } else if (reason == RejectReason::CapacityExceeded) {
-      // The global loads dominate the owner's local view (they include
-      // every accept, the view only the ones it has heard), so the
-      // locally blocking edge is saturated here too: the scan always
-      // finds a blocker.
-      const double h = u_.instance(i).height;
-      for (const GlobalEdgeId e : u_.path(i)) {
-        if (ledgerEdgeLoad_[static_cast<std::size_t>(e)] + h >
-            1.0 + kCapacityTolerance) {
-          ev.certInstance = firstLoaderOfEdge_[static_cast<std::size_t>(e)];
-          break;
-        }
-      }
-    }
-    if (ev.certInstance != kNoInstance) {
-      ev.certLhs = groundLhs_.lhs(ev.certInstance);
-      ev.certThreshold =
-          lambdaMeasured_ * u_.instance(ev.certInstance).profit;
-    }
-    opt_.ledger->record(ev);
-  }
-
-  /// Records an admission and maintains the certificate state: the
-  /// demand's admitted instance and the first loader of every path edge.
-  void ledgerAccept(std::int64_t tuple, InstanceId i, DemandId p) {
-    acceptedOfDemand_[static_cast<std::size_t>(p)] = i;
-    const double h = u_.instance(i).height;
-    for (const GlobalEdgeId e : u_.path(i)) {
-      if (firstLoaderOfEdge_[static_cast<std::size_t>(e)] == kNoInstance) {
-        firstLoaderOfEdge_[static_cast<std::size_t>(e)] = i;
-      }
-      ledgerEdgeLoad_[static_cast<std::size_t>(e)] += h;
-    }
-    LedgerEvent ev;
-    ev.demand = p;
-    ev.kind = LedgerEventKind::Admitted;
-    ev.instance = i;
-    ev.tuple = tuple;
-    opt_.ledger->record(ev);
-  }
-
   void runPhase2() {
     announceCrashes(scheduledSteps_, /*phase2=*/true);
     std::int64_t accepts = 0;
     std::int64_t rejects = 0;
     std::vector<std::uint8_t> demandUsed(static_cast<std::size_t>(numProc_),
                                          0);
-    std::size_t sp = stackTuples_.size();
-    for (std::int64_t t = scheduledSteps_ - 1; t >= 0; --t) {
-      if (sp > 0 && stackTuples_[sp - 1] == t) {
-        --sp;
-        for (const InstanceId i : stackSets_[sp]) {
-          const DemandId p = owner(i);
-          if (!aliveP2(p)) {
-            obs_->onReject(t, i, RejectReason::OwnerCrashed);
-            if (ledgerOn_) ledgerReject(t, i, p, RejectReason::OwnerCrashed);
-            ++rejects;
-            continue;
-          }
-          if (demandUsed[static_cast<std::size_t>(p)] != 0) {
-            obs_->onReject(t, i, RejectReason::DemandSatisfied);
-            if (ledgerOn_) {
-              ledgerReject(t, i, p, RejectReason::DemandSatisfied);
-            }
-            ++rejects;
-            continue;
-          }
-          ProcessorContext& context = contexts_[static_cast<std::size_t>(p)];
-          if (!context.capacityOk(u_, i)) {
-            obs_->onReject(t, i, RejectReason::CapacityExceeded);
-            if (ledgerOn_) {
-              ledgerReject(t, i, p, RejectReason::CapacityExceeded);
-            }
-            ++rejects;
-            continue;
-          }
-          demandUsed[static_cast<std::size_t>(p)] = 1;
-          context.addLoad(u_, i);
-          net_.broadcast({MessageKind::Accept, p, i, 0.0});
-          obs_->onAccept(t, i);
-          if (ledgerOn_) ledgerAccept(t, i, p);
-          ++accepts;
-          acceptOrder_.push_back(i);
-          profit_ += u_.instance(i).profit;
+    // Decision provenance: the certificate book exists only for an
+    // ENABLED ledger, so a null or disabled one keeps the pop on the
+    // allocation-free path (tests/provenance_test.cpp). Verdicts are
+    // recorded in pop order; slackness is already measured, so every
+    // rejection is certified as it happens.
+    CertificateBook book;
+    if (ledgerOn_) book.reset(u_);
+    const auto reject = [&](std::int64_t t, InstanceId i,
+                            RejectReason reason) {
+      obs_->onReject(t, i, reason);
+      ++rejects;
+      if (!ledgerOn_) return;
+      book.reject(u_, i, t, reason);
+      book.flush(
+          u_, [&](InstanceId k) { return groundLhs_.lhs(k); },
+          lambdaMeasured_, *opt_.ledger);
+    };
+
+    // The raise log is the phase-1 stack: one tuple's raises are
+    // contiguous, members ascending. A tuple nobody pushed at carries no
+    // Accept, and every processor heard its neighbours' pushes as phase-1
+    // DualRaise broadcasts — the argument phase 1 uses for its silent
+    // steps — so each run of such tuples is charged as one silent batch.
+    std::size_t top = raiseLog_.size();
+    std::int64_t unpopped = scheduledSteps_;  // tuples [0, unpopped) remain
+    while (top > 0) {
+      const std::int64_t t = raiseLog_[top - 1].tuple;
+      net_.endSilentRounds(unpopped - 1 - t);
+      std::size_t begin = top;
+      while (begin > 0 && raiseLog_[begin - 1].tuple == t) --begin;
+      for (std::size_t k = begin; k < top; ++k) {
+        const InstanceId i = raiseLog_[k].instance;
+        const DemandId p = owner(i);
+        if (!aliveP2(p)) {
+          reject(t, i, RejectReason::OwnerCrashed);
+          continue;
         }
+        if (demandUsed[static_cast<std::size_t>(p)] != 0) {
+          reject(t, i, RejectReason::DemandSatisfied);
+          continue;
+        }
+        ProcessorContext& context = contexts_[static_cast<std::size_t>(p)];
+        if (!context.capacityOk(u_, i)) {
+          reject(t, i, RejectReason::CapacityExceeded);
+          continue;
+        }
+        demandUsed[static_cast<std::size_t>(p)] = 1;
+        context.addLoad(u_, i);
+        net_.broadcast({MessageKind::Accept, p, i, 0.0});
+        obs_->onAccept(t, i);
+        if (ledgerOn_) {
+          book.admit(u_, i);
+          LedgerEvent ev;
+          ev.demand = p;
+          ev.kind = LedgerEventKind::Admitted;
+          ev.instance = i;
+          ev.tuple = t;
+          opt_.ledger->record(ev);
+        }
+        ++accepts;
+        acceptOrder_.push_back(i);
+        profit_ += u_.instance(i).profit;
       }
+      top = begin;
+      unpopped = t;
       net_.endRound();
       // Only processors that received an Accept have loads to update.
       activeProcs_.clear();
@@ -859,6 +823,7 @@ class ProtocolEngine {
             }
           });
     }
+    net_.endSilentRounds(unpopped);
     obs_->onPhase2Complete(accepts, rejects);
   }
 
@@ -885,12 +850,7 @@ class ProtocolEngine {
   std::vector<ProcessorContext> contexts_;
   std::vector<double> lhsLocal_;
 
-  // Decision provenance (enabled ledger only): global certificate state
-  // phase 2 consults to name a rejection's blocker. Empty otherwise.
-  bool ledgerOn_ = false;
-  std::vector<InstanceId> acceptedOfDemand_;
-  std::vector<InstanceId> firstLoaderOfEdge_;
-  std::vector<double> ledgerEdgeLoad_;
+  bool ledgerOn_ = false;  ///< decision provenance: enabled ledger set
 
   // Ground truth for the audit and the reported dual objective.
   DualState groundDual_;
@@ -918,10 +878,8 @@ class ProtocolEngine {
   std::vector<PendingRaise> stepRaises_;
   std::int32_t lastLubyRounds_ = 0;
 
-  // Phase-1 stack (push order == tuple order; sets sorted ascending).
-  std::vector<std::int64_t> stackTuples_;
-  std::vector<std::vector<InstanceId>> stackSets_;
-  std::vector<DualRaiseRecord> raiseLog_;  ///< under recordRaiseLog only
+  // Phase-1 stack: every raise in execution order (DualRaiseRecord).
+  std::vector<DualRaiseRecord> raiseLog_;
 
   // Run accounting.
   std::int64_t activeSteps_ = 0;
@@ -951,17 +909,17 @@ DistributedResult runDistributedWarmStart(const InstanceUniverse& universe,
   return engine.run();
 }
 
-DistributedResult runDistributedWarmStart(const DynamicUniverse& universe,
-                                          Transport& transport,
-                                          const DistributedOptions& options,
-                                          const WarmStart& warm) {
+Phase1Result runDistributedPhase1(const DynamicUniverse& universe,
+                                  Transport& transport,
+                                  const DistributedOptions& options,
+                                  const WarmStart& warm) {
   checkThat(!warm.activeInstances.empty(),
             "dynamic warm start names its live active set", __FILE__,
             __LINE__);
   const DynamicLayeringView layering = universe.layeringView();
   ProtocolEngine<DynamicUniverse, DynamicLayeringView> engine(
       universe, layering, transport, options, warm);
-  return engine.run();
+  return engine.runPhase1Only();
 }
 
 PreparedRun prepareUnitTreeRun(const TreeProblem& problem) {

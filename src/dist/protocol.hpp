@@ -11,6 +11,11 @@
 // rounds per step. Phase 2 pops the tuples in reverse, one communication
 // round each, greedily accepting pushed instances and broadcasting accepts.
 //
+// A one-shot run (runDistributedOverTransport and friends) executes both
+// phases; an online epoch (runDistributedPhase1) stops after phase 1 and
+// returns its raise log, because the online solver admits through the
+// centralized pop (popStack, framework/two_phase.hpp).
+//
 // Under the same seed, round budget and steps-per-stage the run is
 // bit-identical to the centralized `runTwoPhase` with
 // `FrameworkConfig::fixedSchedule` (see two_phase.hpp): priorities are
@@ -76,10 +81,6 @@ struct DistributedOptions {
   /// Empty list: no faults.
   std::vector<DemandId> crashProcessors;
   std::int64_t crashAtTuple = 0;
-  /// Records every phase-1 raise into DistributedResult::raiseLog (the
-  /// online incremental re-solver replays it into its persistent duals).
-  /// Off by default: the log grows with the raise count.
-  bool recordRaiseLog = false;
   /// Optional event hooks; nullptr observes nothing.
   ProtocolObserver* observer = nullptr;
   /// Telemetry plane (src/obs/): when set, the engine wraps `observer`
@@ -99,8 +100,8 @@ struct DistributedOptions {
 
 /// One phase-1 raise as executed, in raise order. Raises of one schedule
 /// tuple share the tuple index and form one stack set (members ascending),
-/// so the phase-1 stack is recoverable from the log by grouping on
-/// `tuple`.
+/// so the log IS the phase-1 stack: grouping on `tuple` recovers it, and
+/// phase 2 pops it from the back.
 struct DualRaiseRecord {
   std::int64_t tuple = 0;
   InstanceId instance = kNoInstance;
@@ -144,9 +145,6 @@ struct DistributedResult {
   /// True iff every surviving processor's local alpha/beta/lhs view is
   /// exactly equal to the ground-truth duals of the raises that happened.
   bool localViewsConsistent = false;
-  /// Every phase-1 raise in execution order; filled only under
-  /// DistributedOptions::recordRaiseLog.
-  std::vector<DualRaiseRecord> raiseLog;
   /// Shard-claim traffic from the run's ParallelRunner: shards executed
   /// by their owning participant vs. stolen from another participant's
   /// block. Accounting only — never feeds back into the schedule.
@@ -188,19 +186,32 @@ DistributedResult runDistributedWarmStart(const InstanceUniverse& universe,
                                           const DistributedOptions& options,
                                           const WarmStart& warm);
 
+/// What a phase-1-only run reports: its raises and the local-view audit.
+/// No pop happens, so there is no solution, profit or slackness; the
+/// transport's stats carry the rounds and messages.
+struct Phase1Result {
+  /// Every raise in execution order — the run's phase-1 stack.
+  std::vector<DualRaiseRecord> raiseLog;
+  /// The DistributedResult audit, over phase 1's raises.
+  bool localViewsConsistent = false;
+  std::int64_t engineClaims = 0;
+  std::int64_t engineSteals = 0;
+};
+
 class DynamicUniverse;
 
-/// Warm-started restricted run over a DynamicUniverse: the incremental
+/// Phase 1 alone, warm-started over a DynamicUniverse — the online
+/// epoch's protocol run (online/incremental.hpp). The incremental
 /// universe carries its own layering (DynamicLayeringView), so no
 /// pool-sized Layering is materialized. `warm.activeInstances` must be
 /// non-empty and name live instances only — a dynamic universe has no
-/// "every pool instance" enumeration to fall back to. Bit-identical to
-/// the static overload on the live restriction (the dynamic_universe
-/// equivalence gate).
-DistributedResult runDistributedWarmStart(const DynamicUniverse& universe,
-                                          Transport& transport,
-                                          const DistributedOptions& options,
-                                          const WarmStart& warm);
+/// "every pool instance" enumeration to fall back to. Its raise log
+/// equals the phase-1 stack of runTwoPhaseRestricted on the live
+/// restriction (tests/online_test.cpp).
+Phase1Result runDistributedPhase1(const DynamicUniverse& universe,
+                                  Transport& transport,
+                                  const DistributedOptions& options,
+                                  const WarmStart& warm);
 
 /// Everything a runner needs before choosing a transport: the validated
 /// universe (conflicts built), the layering and the communication graph.

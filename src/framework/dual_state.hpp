@@ -44,7 +44,6 @@ class DualState {
   double objective() const;
 
   std::size_t numDemands() const { return alpha_.size(); }
-  std::size_t numEdges() const { return beta_.size(); }
 
  private:
   std::vector<double> alpha_;

@@ -157,14 +157,7 @@ TwoPhaseResult runTwoPhaseRestricted(const InstanceUniverse& universe,
                          : std::numeric_limits<double>::infinity();
 
   // ---- Phase 2 ----
-  FeasibilityOracle oracle(universe);
-  for (auto it = result.stack.rbegin(); it != result.stack.rend(); ++it) {
-    for (const InstanceId i : *it) {
-      if (oracle.canAdd(i)) {
-        oracle.add(i);
-      }
-    }
-  }
+  const FeasibilityOracle oracle = popStack(universe, result.stack);
   result.solution = oracle.solution();
   result.profit = oracle.profit();
   return result;

@@ -28,6 +28,7 @@
 #include "decomp/layering.hpp"
 #include "framework/raise_policy.hpp"
 #include "framework/schedule.hpp"
+#include "obs/ledger.hpp"
 
 namespace treesched {
 
@@ -105,6 +106,32 @@ TwoPhaseResult runTwoPhaseRestricted(const InstanceUniverse& universe,
                                      const Layering& layering,
                                      const FrameworkConfig& config,
                                      std::span<const InstanceId> active);
+
+/// Phase 2, centralized — the library's one stack pop: newest set first,
+/// members in order, greedy admission through the feasibility oracle
+/// (returned, holding the admitted set in acceptance order). A `book` is
+/// reset, then gets every verdict; a refusal's tuple is its stack
+/// position. The distributed runPhase2 is the same pop over messages
+/// (tests/dist_equivalence_test.cpp pins the two together).
+template <class U>
+BasicFeasibilityOracle<U> popStack(
+    const U& universe, const std::vector<std::vector<InstanceId>>& stack,
+    CertificateBook* book = nullptr) {
+  BasicFeasibilityOracle<U> oracle(universe);
+  if (book != nullptr) book->reset(universe);
+  for (std::size_t s = stack.size(); s-- > 0;) {
+    for (const InstanceId i : stack[s]) {
+      if (oracle.canAdd(i)) {
+        oracle.add(i);
+        if (book != nullptr) book->admit(universe, i);
+      } else if (book != nullptr) {
+        book->reject(universe, i, static_cast<std::int64_t>(s),
+                     book->refusal(universe, i));
+      }
+    }
+  }
+  return oracle;
+}
 
 /// Worst-case approximation factor certified by Lemma 3.1 / Lemma 6.1 for
 /// the given rule, Delta and lambda.

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "core/demand.hpp"
+#include "core/tolerances.hpp"
 #include "dist/observer.hpp"
 
 namespace treesched {
@@ -106,6 +107,100 @@ class NullLedger final : public LedgerSink {
  public:
   bool enabled() const override { return false; }
   void record(const LedgerEvent& /*event*/) override {}
+};
+
+/// The one certificate book behind the ledger's phase-2 verdicts, used by
+/// the distributed one-shot pop and the centralized popStack alike. It
+/// mirrors the admissions (each demand's admitted instance, each edge's
+/// first loader and load) so a rejection can name its blocker, and holds
+/// rejections until the caller knows the lambda they are certified
+/// against. Templated on the universe type.
+class CertificateBook {
+ public:
+  /// Sizes the book for the universe's demand and edge id spaces and
+  /// forgets every booked verdict.
+  template <class U>
+  void reset(const U& universe) {
+    admittedOf_.assign(static_cast<std::size_t>(universe.numDemands()),
+                       kNoInstance);
+    firstLoaderOf_.assign(static_cast<std::size_t>(universe.numGlobalEdges()),
+                          kNoInstance);
+    load_.assign(firstLoaderOf_.size(), 0.0);
+    pending_.clear();
+  }
+
+  template <class U>
+  void admit(const U& universe, InstanceId i) {
+    const auto& rec = universe.instance(i);
+    admittedOf_[static_cast<std::size_t>(rec.demand)] = i;
+    for (const GlobalEdgeId e : universe.path(i)) {
+      if (firstLoaderOf_[static_cast<std::size_t>(e)] == kNoInstance) {
+        firstLoaderOf_[static_cast<std::size_t>(e)] = i;
+      }
+      load_[static_cast<std::size_t>(e)] += rec.height;
+    }
+  }
+
+  /// Why the feasibility oracle refused `i` (it checks the demand before
+  /// the capacity).
+  template <class U>
+  RejectReason refusal(const U& universe, InstanceId i) const {
+    const DemandId d = universe.instance(i).demand;
+    return admittedOf_[static_cast<std::size_t>(d)] != kNoInstance
+               ? RejectReason::DemandSatisfied
+               : RejectReason::CapacityExceeded;
+  }
+
+  /// Queues the Rejected event for popping `i` at `tuple`, naming its
+  /// blocker: the demand's admitted instance, or the first loader of the
+  /// first saturated edge on i's path (the booked loads are global, so
+  /// they dominate any local view and a blocker always exists). A
+  /// crashed owner has none.
+  template <class U>
+  void reject(const U& universe, InstanceId i, std::int64_t tuple,
+              RejectReason reason) {
+    const auto& rec = universe.instance(i);
+    LedgerEvent ev;
+    ev.demand = rec.demand;
+    ev.kind = LedgerEventKind::Rejected;
+    ev.instance = i;
+    ev.tuple = tuple;
+    ev.reason = reason;
+    if (reason == RejectReason::DemandSatisfied) {
+      ev.certInstance = admittedOf_[static_cast<std::size_t>(rec.demand)];
+    } else if (reason == RejectReason::CapacityExceeded) {
+      for (const GlobalEdgeId e : universe.path(i)) {
+        if (load_[static_cast<std::size_t>(e)] + rec.height >
+            1.0 + kCapacityTolerance) {
+          ev.certInstance = firstLoaderOf_[static_cast<std::size_t>(e)];
+          break;
+        }
+      }
+    }
+    pending_.push_back(ev);
+  }
+
+  /// Records the queued rejections into `sink`, certified against
+  /// `lambda`: the blocker's LHS `lhsOf(blocker)` clears lambda * profit
+  /// (tests/provenance_test.cpp replays both).
+  template <class U, class LhsOf>
+  void flush(const U& universe, LhsOf lhsOf, double lambda,
+             LedgerSink& sink) {
+    for (LedgerEvent& ev : pending_) {
+      if (ev.certInstance != kNoInstance) {
+        ev.certLhs = lhsOf(ev.certInstance);
+        ev.certThreshold = lambda * universe.instance(ev.certInstance).profit;
+      }
+      sink.record(ev);
+    }
+    pending_.clear();
+  }
+
+ private:
+  std::vector<InstanceId> admittedOf_;     ///< per demand
+  std::vector<InstanceId> firstLoaderOf_;  ///< per global edge
+  std::vector<double> load_;               ///< per global edge
+  std::vector<LedgerEvent> pending_;       ///< rejections awaiting lambda
 };
 
 /// Thresholds for the ledger's invariant monitors.

@@ -4,8 +4,8 @@
 #include <cmath>
 #include <limits>
 
-#include "core/tolerances.hpp"
 #include "framework/lhs_tracker.hpp"
+#include "framework/two_phase.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
@@ -68,9 +68,9 @@ IncrementalSolver::IncrementalSolver(DynamicUniverse& universe,
     gcInstancesCtr_ = &cfg_.metrics->counter("universe.gc_instances");
   }
   prevStats_ = u_.stats();
-  // Decision provenance: with an ENABLED ledger the solver mirrors the
-  // admission oracle into shadow certificate state and hands the sink
-  // to the transport (placement/migration events). All of it is guarded
+  // Decision provenance: with an ENABLED ledger the solver books every
+  // admission verdict (CertificateBook) and hands the sink to the
+  // transport (placement/migration events). All of it is guarded
   // so a null or disabled ledger leaves the epoch loop on the exact
   // seed path (the zero-allocation gate in tests/provenance_test.cpp).
   ledgerOn_ = cfg_.ledger != nullptr && cfg_.ledger->enabled();
@@ -260,75 +260,6 @@ void IncrementalSolver::compactStack() {
       idx = raiseRemap[static_cast<std::size_t>(idx)];
     }
   }
-}
-
-void IncrementalSolver::popPersistentStack() {
-  // Exactly runTwoPhase's phase 2 over the merged persistent stack:
-  // newest set first, members ascending, greedy feasibility-oracle
-  // admission. Every member is owned by an active demand (departed
-  // demands' raises were purged). With the ledger on, a shadow of the
-  // oracle's state (admitted instance per demand, first loader and load
-  // per edge) names every rejection's blocker; events buffer until the
-  // epoch's lambda is measured so the certificate threshold is final.
-  BasicFeasibilityOracle<DynamicUniverse> oracle(u_);
-  if (ledgerOn_) {
-    acceptedOfDemand_.assign(static_cast<std::size_t>(u_.numDemands()),
-                             kNoInstance);
-    firstLoaderOfEdge_.assign(dual_.numEdges(), kNoInstance);
-    ledgerEdgeLoad_.assign(dual_.numEdges(), 0.0);
-    rejectionBuffer_.clear();
-  }
-  for (std::size_t s = stack_.size(); s-- > 0;) {
-    for (const InstanceId i : stack_[s]) {
-      if (oracle.canAdd(i)) {
-        oracle.add(i);
-        if (ledgerOn_) ledgerShadowAdmit(i);
-      } else if (ledgerOn_) {
-        ledgerBufferRejection(i, static_cast<std::int64_t>(s));
-      }
-    }
-  }
-  solution_ = oracle.solution();
-  profit_ = oracle.profit();
-}
-
-void IncrementalSolver::ledgerShadowAdmit(InstanceId i) {
-  const InstanceRecord& rec = u_.instance(i);
-  acceptedOfDemand_[static_cast<std::size_t>(rec.demand)] = i;
-  for (const GlobalEdgeId e : u_.path(i)) {
-    if (firstLoaderOfEdge_[static_cast<std::size_t>(e)] == kNoInstance) {
-      firstLoaderOfEdge_[static_cast<std::size_t>(e)] = i;
-    }
-    ledgerEdgeLoad_[static_cast<std::size_t>(e)] += rec.height;
-  }
-}
-
-void IncrementalSolver::ledgerBufferRejection(InstanceId i,
-                                              std::int64_t stackSet) {
-  const InstanceRecord& rec = u_.instance(i);
-  LedgerEvent ev;
-  ev.demand = rec.demand;
-  ev.kind = LedgerEventKind::Rejected;
-  ev.instance = i;
-  ev.tuple = stackSet;
-  const InstanceId prior =
-      acceptedOfDemand_[static_cast<std::size_t>(rec.demand)];
-  if (prior != kNoInstance) {
-    // The oracle checks demand-satisfaction before capacity, so this is
-    // exactly why canAdd said no.
-    ev.reason = RejectReason::DemandSatisfied;
-    ev.certInstance = prior;
-  } else {
-    ev.reason = RejectReason::CapacityExceeded;
-    for (const GlobalEdgeId e : u_.path(i)) {
-      if (ledgerEdgeLoad_[static_cast<std::size_t>(e)] + rec.height >
-          1.0 + kCapacityTolerance) {
-        ev.certInstance = firstLoaderOfEdge_[static_cast<std::size_t>(e)];
-        break;
-      }
-    }
-  }
-  rejectionBuffer_.push_back(ev);
 }
 
 void IncrementalSolver::recordAdmissions(EpochOutcome& outcome) {
@@ -572,9 +503,9 @@ EpochOutcome IncrementalSolver::applyEpoch(
     options.threads = cfg_.threads;
     options.misRoundBudget = cfg_.misRoundBudget;
     options.stepsPerStage = cfg_.stepsPerStage;
-    options.recordRaiseLog = true;
     options.tracer = cfg_.tracer;
     options.metrics = cfg_.metrics;
+    options.ledger = cfg_.ledger;  // phase 1 records the dual raises
 
     WarmStart warm;
     warm.activeInstances = restricted_;
@@ -584,9 +515,11 @@ EpochOutcome IncrementalSolver::applyEpoch(
 
     const std::int64_t roundsBefore = bus_.stats().rounds;
     const std::int64_t messagesBefore = bus_.stats().messages;
-    const DistributedResult run =
-        runDistributedWarmStart(u_, bus_, options, warm);
-    outcome.raises = run.raises;
+    const Phase1Result run = runDistributedPhase1(u_, bus_, options, warm);
+    checkThat(run.localViewsConsistent,
+              "epoch phase-1 local dual views match the ground truth",
+              __FILE__, __LINE__);
+    outcome.raises = static_cast<std::int64_t>(run.raiseLog.size());
     outcome.rounds = bus_.stats().rounds - roundsBefore;
     outcome.messages = bus_.stats().messages - messagesBefore;
     outcome.engineClaims = run.engineClaims;
@@ -611,22 +544,18 @@ EpochOutcome IncrementalSolver::applyEpoch(
           .push_back(static_cast<std::int32_t>(raises_.size()));
       raises_.push_back(record);
       applyRaiseSigned(record, 1.0);
-      if (ledgerOn_) {
-        LedgerEvent ev;
-        ev.demand = u_.instance(entry.instance).demand;
-        ev.kind = LedgerEventKind::DualRaise;
-        ev.instance = entry.instance;
-        ev.tuple = entry.tuple;
-        ev.alphaIncrement = entry.alphaIncrement;
-        ev.betaIncrement = entry.betaIncrement;
-        cfg_.ledger->record(ev);
-      }
     }
   }
 
-  // Admission: phase 2 over the merged persistent stack.
+  // Admission: phase 2 over the merged persistent stack (old surviving
+  // sets + this epoch's), newest set first. Every member is owned by an
+  // active demand (departed demands' raises were purged). Rejections
+  // wait in the book until this epoch's lambda is measured below.
   const std::int64_t admitBegin = trace ? tracer->now() : 0;
-  popPersistentStack();
+  const BasicFeasibilityOracle<DynamicUniverse> admitted =
+      popStack(u_, stack_, ledgerOn_ ? &book_ : nullptr);
+  solution_ = admitted.solution();
+  profit_ = admitted.profit();
   outcome.solution = solution_;
   outcome.profit = profit_;
   recordAdmissions(outcome);
@@ -653,19 +582,11 @@ EpochOutcome IncrementalSolver::applyEpoch(
   }
   lambdaMeasured_ = any ? lambda : 1.0;
   dualObjective_ = dual_.objective();
-  // Certificates finalize against THIS epoch's measured lambda: the
-  // blocker is an admitted (hence lambda-satisfied) instance, so its
-  // LHS clears lambda * profit — the dual explanation replay checks.
+  // Certificates finalize against THIS epoch's measured lambda.
   if (ledgerOn_) {
-    for (LedgerEvent& ev : rejectionBuffer_) {
-      if (ev.certInstance != kNoInstance) {
-        ev.certLhs = lhs_[static_cast<std::size_t>(ev.certInstance)];
-        ev.certThreshold =
-            lambdaMeasured_ * u_.instance(ev.certInstance).profit;
-      }
-      cfg_.ledger->record(ev);
-    }
-    rejectionBuffer_.clear();
+    book_.flush(
+        u_, [&](InstanceId k) { return lhs_[static_cast<std::size_t>(k)]; },
+        lambdaMeasured_, *cfg_.ledger);
   }
   outcome.lambdaMeasured = lambdaMeasured_;
   outcome.dualObjective = dualObjective_;

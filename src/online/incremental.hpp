@@ -38,20 +38,22 @@
 //    critical edge of the departed demand, so only demands sharing one
 //    of its networks — the affected region by definition — can see
 //    their LHS move.
-//  * The distributed protocol then re-runs ONLY over the affected
-//    region (active demands whose accessible networks intersect the
-//    changed networks), warm-started from the surviving LHS
-//    (dist/protocol.hpp runDistributedWarmStart over the dynamic
-//    universe — no pool-sized layering is materialized). Unaffected
-//    instances keep their lambda-satisfaction from earlier epochs, so
-//    the slackness invariant holds over the whole active set after
-//    every epoch.
-//  * Phase 2 re-pops the persistent stack (old surviving sets + the
-//    epoch's new sets) with the centralized feasibility oracle — the
-//    admission step. Because every surviving raise's instance is popped
-//    and every active instance is lambda-satisfied, the paper's
-//    approximation argument goes through unchanged: epoch profit >=
-//    val(alpha, beta) / bound >= lambda * OPT(active) / bound.
+//  * Phase 1 of the distributed protocol then re-runs ONLY over the
+//    affected region (active demands whose accessible networks
+//    intersect the changed networks), warm-started from the surviving
+//    LHS (dist/protocol.hpp runDistributedPhase1 over the dynamic
+//    universe — no pool-sized layering is materialized). The protocol's
+//    own phase 2 does not run: the epoch's raise log joins the
+//    persistent stack instead, so an epoch's rounds and messages are
+//    phase 1's alone. Unaffected instances keep their
+//    lambda-satisfaction from earlier epochs, so the slackness
+//    invariant holds over the whole active set after every epoch.
+//  * Admission is the one centralized pop (popStack,
+//    framework/two_phase.hpp) over the persistent stack (old surviving
+//    sets + the epoch's new sets). Because every surviving raise's
+//    instance is popped and every active instance is lambda-satisfied,
+//    the paper's approximation argument goes through unchanged: epoch
+//    profit >= val(alpha, beta) / bound >= lambda * OPT(active) / bound.
 //
 // SLA accounting: the solver tracks, per demand, the number of epochs
 // from arrival to first admission (admissionSla()); a demand departing
@@ -97,22 +99,20 @@ struct OnlineSolverConfig {
   std::int32_t stepsPerStage = 2;
   std::int32_t threads = 1;
   /// Telemetry plane (src/obs/): passed through to every epoch's
-  /// protocol run and used for the solver's own online.* and universe.*
+  /// phase-1 run and used for the solver's own online.* and universe.*
   /// instruments and epoch/mutate/admit spans. Strictly read-only
   /// observation — attaching either never changes an epoch's outcome.
   Tracer* tracer = nullptr;
   MetricsRegistry* metrics = nullptr;
   /// Decision provenance ledger (obs/ledger.hpp). When set AND enabled
   /// the solver records the full per-demand lifecycle — arrival,
-  /// placement/migration (via Transport::attachLedger), every surviving
-  /// dual raise (replayed from the epoch's raise log), admission (first
-  /// only, with latency) and rejection (with the blocking dual
-  /// certificate finalized against the epoch's measured lambda), and
-  /// departure. Same read-only + disabled-path-allocation-free contract
-  /// as the tracer (tests/provenance_test.cpp gates both). Note the
-  /// ledger is NOT forwarded into the per-epoch protocol run: phase-2
-  /// verdicts there are provisional online — the persistent-stack
-  /// re-pop below is the authoritative admission.
+  /// placement/migration (via Transport::attachLedger), every dual raise
+  /// (recorded by the epoch's phase-1 run, which the ledger is forwarded
+  /// into), admission (first only, with latency) and rejection (from the
+  /// admission pop, with the blocking dual certificate finalized against
+  /// the epoch's measured lambda), and departure. Same read-only +
+  /// disabled-path-allocation-free contract as the tracer
+  /// (tests/provenance_test.cpp gates both).
   LedgerSink* ledger = nullptr;
   /// Per-epoch time-series sink (obs/timeseries.hpp): when set, the
   /// solver snapshots `metrics` into one JSONL row at the end of every
@@ -151,8 +151,10 @@ struct EpochOutcome {
   double dualUpperBound = 0;
   double lambdaMeasured = 0;
   std::int64_t raises = 0;
-  std::int64_t rounds = 0;    ///< protocol rounds spent by this epoch
-  std::int64_t messages = 0;  ///< messages delivered during this epoch
+  /// Protocol rounds and delivered messages of this epoch's phase-1 run.
+  /// Admission is the centralized pop and costs none.
+  std::int64_t rounds = 0;
+  std::int64_t messages = 0;
   /// Active demands first admitted by this epoch (their SLA clocks
   /// stop here).
   std::int32_t newlyAdmittedDemands = 0;
@@ -268,10 +270,7 @@ class IncrementalSolver {
   void applyRaiseSigned(const RaiseRecord& record, double sign);
   void resetDualState();
   void compactStack();
-  void popPersistentStack();
   void recordAdmissions(EpochOutcome& outcome);
-  void ledgerShadowAdmit(InstanceId i);
-  void ledgerBufferRejection(InstanceId i, std::int64_t stackSet);
   void publishEpochTelemetry();
 
   DynamicUniverse& u_;  ///< live universe, mutated by the epoch batches
@@ -341,16 +340,11 @@ class IncrementalSolver {
   std::vector<InstanceId> restricted_;
   std::vector<std::int32_t> newNeighbors_;
 
-  // Decision provenance (enabled ledger only; all empty otherwise).
-  // The admission re-pop mirrors the feasibility oracle into this
-  // shadow state so a rejection can name its blocker; rejection events
-  // buffer until the epoch's lambda is measured (the certificate
-  // threshold is lambda * profit of the blocker).
+  // Decision provenance (enabled ledger only; the book stays empty
+  // otherwise): the admission pop's verdicts, rejections held until the
+  // epoch's lambda is measured.
   bool ledgerOn_ = false;
-  std::vector<InstanceId> acceptedOfDemand_;
-  std::vector<InstanceId> firstLoaderOfEdge_;
-  std::vector<double> ledgerEdgeLoad_;
-  std::vector<LedgerEvent> rejectionBuffer_;
+  CertificateBook book_;
 };
 
 }  // namespace treesched

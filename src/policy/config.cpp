@@ -27,7 +27,6 @@ DistributedOptions SchedulerConfig::distributedOptions() const {
   options.stepsPerStage = core.stepsPerStage;
   options.crashProcessors = distributed.crashProcessors;
   options.crashAtTuple = distributed.crashAtTuple;
-  options.recordRaiseLog = distributed.recordRaiseLog;
   options.observer = distributed.observer;
   options.tracer = distributed.tracer;
   options.metrics = distributed.metrics;
@@ -106,7 +105,6 @@ SchedulerConfig SchedulerConfig::fromDistributedOptions(
   result.distributed.threads = options.threads;
   result.distributed.crashProcessors = options.crashProcessors;
   result.distributed.crashAtTuple = options.crashAtTuple;
-  result.distributed.recordRaiseLog = options.recordRaiseLog;
   result.distributed.observer = options.observer;
   result.distributed.tracer = options.tracer;
   result.distributed.metrics = options.metrics;

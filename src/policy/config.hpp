@@ -12,7 +12,7 @@
 // belong to:
 //   * core        — the algorithmic knobs every engine shares;
 //   * distributed — execution-engine extras (threads, crash injection,
-//                   raise log, observer);
+//                   observer, telemetry, ledger);
 //   * online      — churn-engine extras (epoch length, live transport).
 // The legacy structs remain as thin per-layer views so existing call
 // sites compile unchanged; new code (the registry, bench_tournament,
@@ -60,7 +60,6 @@ struct SchedulerDistributedConfig {
   /// Crash-stop fault injection (dist/protocol.hpp semantics).
   std::vector<DemandId> crashProcessors;
   std::int64_t crashAtTuple = 0;
-  bool recordRaiseLog = false;
   ProtocolObserver* observer = nullptr;
   /// Telemetry plane (src/obs/): one registry + tracer per run, shared
   /// by every layer the config reaches (protocol, transport, thread

@@ -255,7 +255,6 @@ TEST(WarmStartProtocol, RestrictedRunMatchesRestrictedCentralized) {
   dopt.seed = 29;
   dopt.misRoundBudget = 5;
   dopt.stepsPerStage = 3;
-  dopt.recordRaiseLog = true;
   WarmStart warm;
   warm.activeInstances = restriction;
   SimNetwork bus(prepared.adjacency);
@@ -279,16 +278,30 @@ TEST(WarmStartProtocol, RestrictedRunMatchesRestrictedCentralized) {
   EXPECT_EQ(dist.raises, central.stats.raises);
   EXPECT_TRUE(dist.localViewsConsistent);
 
-  // Only restricted instances were raised, and the log's per-tuple
-  // groups are the phase-1 stack (members ascending).
-  EXPECT_EQ(static_cast<std::int64_t>(dist.raiseLog.size()), dist.raises);
-  for (std::size_t r = 0; r < dist.raiseLog.size(); ++r) {
-    EXPECT_TRUE(std::binary_search(restriction.begin(), restriction.end(),
-                                   dist.raiseLog[r].instance));
-    if (r > 0 && dist.raiseLog[r - 1].tuple == dist.raiseLog[r].tuple) {
-      EXPECT_LT(dist.raiseLog[r - 1].instance, dist.raiseLog[r].instance);
-    }
+  // The phase-1 entry (the online epoch's run) over the same restriction
+  // as a live dynamic universe: only restricted instances were raised,
+  // and the log's per-tuple groups are the phase-1 stack (members
+  // ascending).
+  DynamicUniverse dynamic = makeDynamicTreeUniverse(problem);
+  for (DemandId d = 0; d < prepared.universe.numDemands(); d += 2) {
+    dynamic.addDemand(d);
   }
+  SimNetwork bus3(prepared.adjacency);
+  const Phase1Result phase1 = runDistributedPhase1(dynamic, bus3, dopt, warm);
+  EXPECT_TRUE(phase1.localViewsConsistent);
+  EXPECT_EQ(static_cast<std::int64_t>(phase1.raiseLog.size()), dist.raises);
+  std::vector<std::vector<InstanceId>> stack;
+  for (std::size_t r = 0; r < phase1.raiseLog.size(); ++r) {
+    EXPECT_TRUE(std::binary_search(restriction.begin(), restriction.end(),
+                                   phase1.raiseLog[r].instance));
+    if (r > 0 && phase1.raiseLog[r - 1].tuple == phase1.raiseLog[r].tuple) {
+      EXPECT_LT(phase1.raiseLog[r - 1].instance, phase1.raiseLog[r].instance);
+    } else {
+      stack.emplace_back();
+    }
+    stack.back().push_back(phase1.raiseLog[r].instance);
+  }
+  EXPECT_EQ(stack, central.stack);
 
   // An empty warm start is the classic full run.
   SimNetwork bus2(prepared.adjacency);

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <new>
 #include <string>
 #include <vector>
@@ -375,6 +376,49 @@ TEST(Telemetry, NullSinkZeroAllocationsCoversRebalanceInstruments) {
   // The new instruments actually recorded.
   EXPECT_GT(metrics.histogram("net.shard_hosted_demands", {}).count(), 0);
   EXPECT_GT(metrics.counter("engine.claims").value(), 0);
+}
+
+/// In-memory sink tallying complete spans by name.
+class SpanTally final : public TraceSink {
+ public:
+  void event(const TraceEvent& e) override {
+    if (e.ph == 'X') ++spans_[e.name];
+  }
+  std::int64_t spans(const std::string& name) const {
+    const auto it = spans_.find(name);
+    return it == spans_.end() ? 0 : it->second;
+  }
+
+ private:
+  std::map<std::string, std::int64_t> spans_;
+};
+
+TEST(Telemetry, OnlineEpochsRunPhase1Only) {
+  // Online admission is the centralized pop over the persistent stack,
+  // so an epoch's protocol run stops after phase 1: no phase-2 accept,
+  // reject or span is ever reported, yet demands are admitted.
+  const ChurnTreeScenario scenario = makeFlashCrowdTree50k(51, 96);
+  ArrivalConfig arrivals = scenario.arrivals;
+  arrivals.horizon = 48.0;
+  const ChurnTrace trace =
+      generateChurnTrace(arrivals, scenario.pool.numDemands());
+
+  SpanTally sink;
+  Tracer tracer(&sink);
+  MetricsRegistry metrics;
+  ChurnEngineConfig config;
+  config.epochLength = 8.0;
+  config.solver.seed = 52;
+  config.solver.tracer = &tracer;
+  config.solver.metrics = &metrics;
+  DynamicUniverse universe = makeDynamicTreeUniverse(scenario.pool);
+  runChurnOverTrace(universe, trace, config);
+
+  EXPECT_GT(sink.spans("phase1"), 0);
+  EXPECT_EQ(sink.spans("phase2"), 0);
+  EXPECT_EQ(metrics.counter("protocol.accepts").value(), 0);
+  EXPECT_EQ(metrics.counter("protocol.rejects").value(), 0);
+  EXPECT_GT(metrics.counter("online.admitted_demands").value(), 0);
 }
 
 TEST(Telemetry, DisabledTracerEmitsNothing) {
