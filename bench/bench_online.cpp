@@ -130,9 +130,8 @@ double scratchProfitOnSurvivors(const InstanceUniverse& universe,
                                 const ChurnEngineConfig& config,
                                 const ChurnRunResult& churn,
                                 std::span<const InstanceId> activeInstances) {
-  // Lift to the unified SchedulerConfig (policy/config.hpp) and project
-  // back instead of copying fields by hand; the lifting keeps the
-  // online path's fixed-schedule contract.
+  // The solver's knobs under the fixed schedule (the online path's
+  // contract), seeded like the last epoch.
   SchedulerConfig sched = SchedulerConfig::fromOnlineSolver(config.solver);
   sched.core.seed = churn.epochs.empty() ? config.solver.seed
                                          : churn.epochs.back().protocolSeed;

@@ -295,9 +295,8 @@ int main(int argc, char** argv) {
   StepPrinter printer;
 
   std::cout << "phase-1 trace (first steps):\n";
-  // One layered config, projected onto both engines — the unified
-  // SchedulerConfig (policy/config.hpp) replaces the hand-copied
-  // DistributedOptions/FrameworkConfig pair this demo used to carry.
+  // One layered config (policy/config.hpp) drives both engines, so the
+  // distributed run and its centralized reference share every knob.
   SchedulerConfig sched;
   sched.core.seed = 7;
   sched.core.epsilon = 0.1;
@@ -312,8 +311,8 @@ int main(int argc, char** argv) {
       runDistributedUnitTree(problem, sched.distributedOptions());
   std::cout << "\n";
 
-  // Centralized reference with the identical fixed schedule (the
-  // framework() projection keeps fixedSchedule on by contract).
+  // Centralized reference with the identical fixed schedule (a
+  // SchedulerConfig starts with core.fixedSchedule on by contract).
   InstanceUniverse universe = InstanceUniverse::fromTreeProblem(problem);
   universe.buildConflicts();
   const TreeLayeringResult layering = buildTreeLayering(problem, universe);

@@ -56,7 +56,7 @@ LineSolveResult runLineFramework(const LineProblem& problem,
 
   FrameworkConfig cfg;
   cfg.epsilon = options.epsilon;
-  cfg.raise = rule;
+  cfg.rule = rule;
   cfg.schedule = options.schedule;
   cfg.hmin = options.hmin > 0 ? options.hmin : derivedHmin;
   cfg.seed = options.seed;

@@ -14,7 +14,7 @@ FrameworkConfig toFrameworkConfig(const SolverOptions& options, RaiseRule rule,
                                   double derivedHmin) {
   FrameworkConfig cfg;
   cfg.epsilon = options.epsilon;
-  cfg.raise = rule;
+  cfg.rule = rule;
   cfg.schedule = options.schedule;
   cfg.hmin = options.hmin > 0 ? options.hmin : derivedHmin;
   cfg.seed = options.seed;

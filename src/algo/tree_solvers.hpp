@@ -25,11 +25,11 @@
 
 namespace treesched {
 
-/// Options shared by the distributed solvers.
-///
-/// Legacy per-layer view: new code builds a layered SchedulerConfig
-/// (policy/config.hpp) and projects with solverOptions(); the one
-/// field-by-field mapping lives there.
+/// Options of the problem-level solvers (trees here, lines in
+/// algo/line_solvers.hpp). Kept apart from FrameworkConfig because a
+/// solver derives what a two-phase run takes as given: `hmin` = 0 means
+/// "derive from the input heights", and the arbitrary-height solvers pick
+/// the raise rule per sub-run (wide: unit, narrow: §6).
 struct SolverOptions {
   double epsilon = 0.1;  ///< approximation slack (lambda = 1-eps staged)
   std::uint64_t seed = 1;

@@ -55,25 +55,17 @@ class Tracer;
 class MetricsRegistry;
 class LedgerSink;
 
-/// Legacy per-layer view: new code builds a layered SchedulerConfig
-/// (policy/config.hpp) and projects with distributedOptions(); the one
-/// field-by-field mapping lives there.
-struct DistributedOptions {
-  double epsilon = 0.1;  ///< staged plan: lambda target = 1 - eps
-  RaiseRule rule = RaiseRule::Unit;
-  double hmin = 1.0;       ///< min height, used by the narrow staged plan
-  std::uint64_t seed = 1;  ///< drives MIS priorities (deterministic)
+/// How a protocol run executes, apart from what it computes: threads,
+/// fault injection and the read-only observation hooks. Declared once:
+/// it is SchedulerConfig::distributed (policy/config.hpp) and the base
+/// of DistributedOptions (so of OnlineSolverConfig too).
+struct ExecutionConfig {
   /// Worker threads for the intra-round parallel sections (MIS decisions,
   /// raise/accept application, inbox delivery). The result is bit-identical
   /// at ANY value — shard merges are by shard id, never by thread
   /// completion order — so 1 (the serial engine) is the reference and
   /// higher values are pure wall-clock (tests/parallel_equivalence_test).
   std::int32_t threads = 1;
-  /// Luby rounds per step; <= 0 runs each MIS to completion (maximal).
-  std::int32_t misRoundBudget = 0;
-  /// Steps per stage; 0 derives c*log(pmax/pmin) exactly like the
-  /// centralized engine under fixedSchedule.
-  std::int32_t stepsPerStage = 0;
   /// Crash-stop fault injection: these processors (demand ids) fall silent
   /// at the start of schedule tuple `crashAtTuple` (0-based global step
   /// index) and remain dead for the rest of the run, including phase 2.
@@ -96,6 +88,23 @@ struct DistributedOptions {
   /// contract as the tracer; a disabled sink costs nothing
   /// (tests/provenance_test.cpp gates both).
   LedgerSink* ledger = nullptr;
+};
+
+/// A protocol run: its execution plus the six FrameworkConfig knobs the
+/// protocol reads. The protocol always walks the fixed global schedule
+/// of the staged plan, so `schedule` and `fixedSchedule` are not knobs
+/// here; SchedulerConfig::distributedOptions() builds one from the
+/// layered config.
+struct DistributedOptions : ExecutionConfig {
+  double epsilon = 0.1;  ///< staged plan: lambda target = 1 - eps
+  RaiseRule rule = RaiseRule::Unit;
+  double hmin = 1.0;       ///< min height, used by the narrow staged plan
+  std::uint64_t seed = 1;  ///< drives MIS priorities (deterministic)
+  /// Luby rounds per step; <= 0 runs each MIS to completion (maximal).
+  std::int32_t misRoundBudget = 0;
+  /// Steps per stage; 0 derives c*log(pmax/pmin) exactly like the
+  /// centralized engine under fixedSchedule.
+  std::int32_t stepsPerStage = 0;
 };
 
 /// One phase-1 raise as executed, in raise order. Raises of one schedule

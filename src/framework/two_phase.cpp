@@ -12,6 +12,13 @@
 
 namespace treesched {
 
+namespace {
+
+// Safety valve: a stage exceeding this many steps throws (logic bug).
+constexpr std::int32_t kStepCap = 100000;
+
+}  // namespace
+
 double approximationBound(RaiseRule rule, std::int32_t delta, double lambda) {
   checkThat(lambda > 0, "lambda positive", __FILE__, __LINE__);
   switch (rule) {
@@ -52,7 +59,7 @@ TwoPhaseResult runTwoPhaseRestricted(const InstanceUniverse& universe,
   }
 
   const StagePlan plan =
-      makeStagePlan(config.schedule, config.raise, config.epsilon,
+      makeStagePlan(config.schedule, config.rule, config.epsilon,
                     std::max<std::int32_t>(1, layering.maxCriticalSize),
                     config.hmin);
   result.stats.lambdaTarget = plan.lambdaTarget;
@@ -73,7 +80,7 @@ TwoPhaseResult runTwoPhaseRestricted(const InstanceUniverse& universe,
   }
 
   DualState dual(universe);
-  LhsTracker lhs(universe, config.raise);
+  LhsTracker lhs(universe, config.rule);
 
   std::int32_t stepsPerStage = config.stepsPerStage;
   if (config.fixedSchedule && stepsPerStage == 0) {
@@ -92,7 +99,7 @@ TwoPhaseResult runTwoPhaseRestricted(const InstanceUniverse& universe,
       std::int32_t stepsThisStage = 0;
       for (std::int32_t step = 1;; ++step) {
         if (config.fixedSchedule && step > stepsPerStage) break;
-        checkThat(step <= config.stepCap,
+        checkThat(step <= kStepCap,
                   "stage exceeded step cap (non-termination bug?)", __FILE__,
                   __LINE__);
         unsatisfied.clear();
@@ -124,7 +131,7 @@ TwoPhaseResult runTwoPhaseRestricted(const InstanceUniverse& universe,
                     __LINE__);
           const auto critical = layering.critical(i);
           const RaiseAmounts amounts =
-              computeRaise(config.raise, universe, i, critical, slack);
+              computeRaise(config.rule, universe, i, critical, slack);
           applyRaise(dual, universe, i, critical, amounts);
           lhs.onAlphaRaise(rec.demand, amounts.alphaIncrement);
           for (const GlobalEdgeId e : critical) {

@@ -32,15 +32,13 @@
 
 namespace treesched {
 
-/// Core algorithmic knobs of the two-phase engine (the "two-phase
-/// config").
-///
-/// Legacy per-layer view: new code builds a layered SchedulerConfig
-/// (policy/config.hpp) and projects with framework(); the one
-/// field-by-field mapping lives there.
+/// Core algorithmic knobs of the two-phase engine, shared by every
+/// engine that runs it: SchedulerConfig::core (policy/config.hpp) IS
+/// this struct, and the distributed protocol's options
+/// (dist/protocol.hpp) repeat the six knobs it reads.
 struct FrameworkConfig {
   double epsilon = 0.1;  ///< staged: lambda = 1-eps; threshold: 1/(5+eps)
-  RaiseRule raise = RaiseRule::Unit;
+  RaiseRule rule = RaiseRule::Unit;
   SchedulePolicy schedule = SchedulePolicy::Staged;
   double hmin = 1.0;       ///< min height, used by the narrow staged plan
   std::uint64_t seed = 1;  ///< drives MIS priorities (deterministic)
@@ -52,8 +50,6 @@ struct FrameworkConfig {
   bool fixedSchedule = false;
   /// Steps per stage under fixedSchedule; 0 derives c*log(pmax/pmin).
   std::int32_t stepsPerStage = 0;
-  /// Safety valve: a stage exceeding this many steps throws (logic bug).
-  std::int32_t stepCap = 100000;
 };
 
 struct TwoPhaseStats {

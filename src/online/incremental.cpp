@@ -85,6 +85,9 @@ IncrementalSolver::IncrementalSolver(DynamicUniverse& universe,
   checkThat(cfg_.stepsPerStage > 0,
             "online epochs run the fixed schedule (stepsPerStage > 0)",
             __FILE__, __LINE__);
+  checkThat(cfg_.crashProcessors.empty(),
+            "online epochs have no crash-stop fault injection", __FILE__,
+            __LINE__);
   checkThat(bus_.numProcessors() == u_.numDemands(),
             "transport exposes one endpoint per pool demand", __FILE__,
             __LINE__);
@@ -93,12 +96,6 @@ IncrementalSolver::IncrementalSolver(DynamicUniverse& universe,
               "pool demands start isolated on the live transport", __FILE__,
               __LINE__);
   }
-}
-
-std::uint64_t IncrementalSolver::pairKey(std::int32_t a, std::int32_t b) {
-  if (a > b) std::swap(a, b);
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a)) << 32) |
-         static_cast<std::uint64_t>(static_cast<std::uint32_t>(b));
 }
 
 void IncrementalSolver::activate(DemandId d) {
@@ -127,19 +124,17 @@ void IncrementalSolver::activate(DemandId d) {
       d, std::max<std::int64_t>(
              1, static_cast<std::int64_t>(newInstances.size())));
 
-  // New communication edges: one per active demand first found sharing a
-  // network with d; further shared networks only bump the edge's count.
+  // New communication edges: one per active demand sharing at least one
+  // network with d.
   newNeighbors_.clear();
   for (const std::int32_t t : u_.access()[static_cast<std::size_t>(d)]) {
     auto& members = networkMembers_[static_cast<std::size_t>(t)];
-    for (const DemandId m : members) {
-      if (++sharedNetworks_[pairKey(d, m)] == 1) {
-        newNeighbors_.push_back(m);
-      }
-    }
+    newNeighbors_.insert(newNeighbors_.end(), members.begin(), members.end());
     members.insert(std::lower_bound(members.begin(), members.end(), d), d);
   }
   std::sort(newNeighbors_.begin(), newNeighbors_.end());
+  newNeighbors_.erase(std::unique(newNeighbors_.begin(), newNeighbors_.end()),
+                      newNeighbors_.end());
   topo_.connectDemand(d, newNeighbors_);
 }
 
@@ -156,9 +151,6 @@ void IncrementalSolver::deactivate(DemandId d) {
     checkThat(pos != members.end() && *pos == d, "departing demand listed",
               __FILE__, __LINE__);
     members.erase(pos);
-  }
-  for (const std::int32_t m : topo_.currentNeighbors(d)) {
-    sharedNetworks_.erase(pairKey(d, m));
   }
   topo_.disconnectDemand(d);
 
@@ -495,17 +487,8 @@ EpochOutcome IncrementalSolver::applyEpoch(
           : 0.0;
 
   if (!restricted_.empty()) {
-    DistributedOptions options;
-    options.epsilon = cfg_.epsilon;
-    options.rule = cfg_.rule;
-    options.hmin = cfg_.hmin;
+    DistributedOptions options = cfg_;
     options.seed = outcome.protocolSeed;
-    options.threads = cfg_.threads;
-    options.misRoundBudget = cfg_.misRoundBudget;
-    options.stepsPerStage = cfg_.stepsPerStage;
-    options.tracer = cfg_.tracer;
-    options.metrics = cfg_.metrics;
-    options.ledger = cfg_.ledger;  // phase 1 records the dual raises
 
     WarmStart warm;
     warm.activeInstances = restricted_;

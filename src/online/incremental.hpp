@@ -14,11 +14,10 @@
 //    structure is ever built, so per-arrival cost is independent of
 //    pool size and steady-state memory tracks live demands.
 //  * The communication graph is extended incrementally — arrival of d
-//    adds node d plus edges to active demands sharing a network (via a
-//    shared-network edge count, so duplicated shared networks never
-//    duplicate edges); departure removes d's edges. Never a full
-//    rebuild, and the transport (with its warmed-up buffers and
-//    cumulative stats) persists across every epoch. The solver speaks
+//    adds node d plus one edge to each active demand sharing a network
+//    with it (however many they share); departure removes d's edges.
+//    Never a full rebuild, and the transport (with its warmed-up buffers
+//    and cumulative stats) persists across every epoch. The solver speaks
 //    only the Transport + MutableTopology contracts (net/transport.hpp):
 //    the same solver runs over the synchronous bus, the asynchronous
 //    lossy wire and the sharded wire (net/live_transport.hpp), and every
@@ -71,7 +70,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/dynamic_universe.hpp"
@@ -87,33 +85,35 @@ namespace treesched {
 
 class EpochSeries;
 
-struct OnlineSolverConfig {
-  double epsilon = 0.3;
-  RaiseRule rule = RaiseRule::Unit;
-  double hmin = 1.0;
-  std::uint64_t seed = 1;
-  std::int32_t misRoundBudget = 4;
-  /// Fixed-schedule steps per stage (> 0: the online path always runs
-  /// the fixed global schedule so epochs are comparable and the
+/// An epoch's protocol options plus the online extras. Every epoch runs
+/// phase 1 with these options under its own seed (epochProtocolSeed), so
+/// the inherited ExecutionConfig reaches phase 1 as is:
+///  * `tracer`/`metrics` also feed the solver's own online.* and
+///    universe.* instruments and its epoch/mutate/admit spans;
+///  * `observer` sees phase 1's events; admission is the centralized
+///    pop, which reports no accept or reject;
+///  * `ledger`, when set AND enabled, records the full per-demand
+///    lifecycle — arrival, placement/migration (via
+///    Transport::attachLedger), every dual raise (recorded by phase 1),
+///    admission (first only, with latency) and rejection (from the
+///    admission pop, with the blocking dual certificate finalized against
+///    the epoch's measured lambda), and departure;
+///  * `crashProcessors` must stay empty: the online path has no fault
+///    injection, and the constructor rejects a crash list.
+/// All hooks are strictly read-only: attaching any never changes an
+/// epoch's outcome, and a disabled ledger keeps the epoch loop
+/// allocation-free (tests/telemetry_test.cpp, tests/provenance_test.cpp).
+struct OnlineSolverConfig : DistributedOptions {
+  /// The online defaults: a looser slackness, 4 Luby rounds per step and
+  /// the fixed global schedule at 2 steps per stage (> 0: the online path
+  /// always runs the fixed schedule, so epochs are comparable and the
   /// full-region gate can be bit-identical).
-  std::int32_t stepsPerStage = 2;
-  std::int32_t threads = 1;
-  /// Telemetry plane (src/obs/): passed through to every epoch's
-  /// phase-1 run and used for the solver's own online.* and universe.*
-  /// instruments and epoch/mutate/admit spans. Strictly read-only
-  /// observation — attaching either never changes an epoch's outcome.
-  Tracer* tracer = nullptr;
-  MetricsRegistry* metrics = nullptr;
-  /// Decision provenance ledger (obs/ledger.hpp). When set AND enabled
-  /// the solver records the full per-demand lifecycle — arrival,
-  /// placement/migration (via Transport::attachLedger), every dual raise
-  /// (recorded by the epoch's phase-1 run, which the ledger is forwarded
-  /// into), admission (first only, with latency) and rejection (from the
-  /// admission pop, with the blocking dual certificate finalized against
-  /// the epoch's measured lambda), and departure. Same read-only +
-  /// disabled-path-allocation-free contract as the tracer
-  /// (tests/provenance_test.cpp gates both).
-  LedgerSink* ledger = nullptr;
+  OnlineSolverConfig() {
+    epsilon = 0.3;
+    misRoundBudget = 4;
+    stepsPerStage = 2;
+  }
+
   /// Per-epoch time-series sink (obs/timeseries.hpp): when set, the
   /// solver snapshots `metrics` into one JSONL row at the end of every
   /// applyEpoch call. Read-only.
@@ -262,8 +262,6 @@ class IncrementalSolver {
     bool live = false;
   };
 
-  static std::uint64_t pairKey(std::int32_t a, std::int32_t b);
-
   void activate(DemandId d);
   void deactivate(DemandId d);
   void purgeRaisesOf(DemandId d);
@@ -282,9 +280,6 @@ class IncrementalSolver {
   // Incremental communication-graph bookkeeping (the live set itself is
   // the universe's).
   std::vector<std::vector<DemandId>> networkMembers_;  ///< active, sorted
-  /// Shared-network count per unordered demand pair with >= 1 common
-  /// active network; an edge exists while the count is positive.
-  std::unordered_map<std::uint64_t, std::int32_t> sharedNetworks_;
 
   // Persistent primal-dual state: duals/LHS of the surviving raises, the
   // surviving raise log, and the phase-1 stack across epochs. lhs_ is

@@ -3,10 +3,31 @@
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/check.hpp"
 
 namespace treesched {
+
+namespace {
+
+/// Runs `convert` (std::stoll or std::stod over `value`) and keeps the
+/// result only when it consumed the whole value, so "40x", "abc", "" and
+/// out-of-range numbers are a CheckError naming the flag.
+template <class Convert>
+auto parseWhole(const std::string& flag, const std::string& value,
+                Convert convert) {
+  std::size_t used = 0;
+  try {
+    const auto parsed = convert(&used);
+    if (used == value.size()) return parsed;
+  } catch (const std::logic_error&) {
+    // std::invalid_argument or std::out_of_range: reported below.
+  }
+  throw CheckError("bad value for flag --" + flag + ": '" + value + "'");
+}
+
+}  // namespace
 
 CliFlags& CliFlags::intFlag(const std::string& name, std::int64_t def,
                             const std::string& help) {
@@ -78,10 +99,14 @@ bool CliFlags::parse(int argc, const char* const* argv) {
     }
     switch (flag.kind) {
       case Kind::Int:
-        flag.intValue = std::stoll(value);
+        flag.intValue = parseWhole(arg, value, [&](std::size_t* used) {
+          return std::stoll(value, used);
+        });
         break;
       case Kind::Double:
-        flag.doubleValue = std::stod(value);
+        flag.doubleValue = parseWhole(arg, value, [&](std::size_t* used) {
+          return std::stod(value, used);
+        });
         break;
       case Kind::Bool:
         flag.boolValue = !haveValue || value == "true" || value == "1";

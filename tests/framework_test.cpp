@@ -139,7 +139,7 @@ TEST(TwoPhase, StagedBeatsThresholdOnLambda) {
 TEST(TwoPhase, NarrowRuleFeasibleAndBounded) {
   Ctx s = makeSetup(10, 24, 40, 2, HeightMode::Narrow);
   FrameworkConfig cfg;
-  cfg.raise = RaiseRule::Narrow;
+  cfg.rule = RaiseRule::Narrow;
   cfg.hmin = 0.2;
   const TwoPhaseResult result = runTwoPhase(s.universe, s.layering, cfg);
   requireFeasible(s.universe, result.solution);

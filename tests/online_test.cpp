@@ -66,7 +66,7 @@ FrameworkConfig scratchConfig(const OnlineSolverConfig& solver,
                               std::uint64_t protocolSeed) {
   FrameworkConfig config;
   config.epsilon = solver.epsilon;
-  config.raise = solver.rule;
+  config.rule = solver.rule;
   config.hmin = solver.hmin;
   config.seed = protocolSeed;
   config.misRoundBudget = solver.misRoundBudget;

@@ -1,8 +1,9 @@
-// Gates for the policy registry (policy/registry.hpp): registry
-// sanity, the Scheduler contract on every preset x every registered
-// id, thread-count determinism, bit-identity of the registry reference
-// against the direct runTwoPhase entry point, and the scheduler-generic
-// online epoch loop.
+// Gates for the policy registry (policy/registry.hpp): the layered
+// config's defaults and conversions, registry sanity, the Scheduler
+// contract on every preset x every registered id, thread-count
+// determinism, bit-identity of the registry reference against the
+// direct runTwoPhase entry point, and the scheduler-generic online
+// epoch loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,8 +12,12 @@
 #include <vector>
 
 #include "decomp/layering.hpp"
+#include "dist/sim_network.hpp"
 #include "framework/two_phase.hpp"
 #include "gen/scenario.hpp"
+#include "obs/ledger.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "online/churn_engine.hpp"
 #include "policy/online_policy.hpp"
 #include "policy/registry.hpp"
@@ -33,6 +38,84 @@ SchedulerConfig testConfig(std::uint64_t seed) {
   config.core.misRoundBudget = 4;
   config.core.stepsPerStage = 2;
   return config;
+}
+
+// ---- Config layers (policy/config.hpp) --------------------------------
+
+TEST(SchedulerConfigLayers, RegistryRunsTheFixedSchedule) {
+  EXPECT_TRUE(SchedulerConfig{}.core.fixedSchedule);
+}
+
+TEST(SchedulerConfigLayers, OnlineSolverKeepsItsDefaults) {
+  const OnlineSolverConfig config{};
+  EXPECT_EQ(config.epsilon, 0.3);
+  EXPECT_EQ(config.misRoundBudget, 4);
+  EXPECT_EQ(config.stepsPerStage, 2);
+}
+
+TEST(SchedulerConfigLayers, DistributedOptionsRoundTripEveryField) {
+  NullObserver observer;
+  Tracer tracer;
+  MetricsRegistry metrics;
+  NullLedger ledger;
+  DistributedOptions options;
+  options.epsilon = 0.25;
+  options.rule = RaiseRule::Narrow;
+  options.hmin = 0.4;
+  options.seed = 77;
+  options.misRoundBudget = 3;
+  options.stepsPerStage = 5;
+  options.threads = 3;
+  options.crashProcessors = {2, 5};
+  options.crashAtTuple = 9;
+  options.observer = &observer;
+  options.tracer = &tracer;
+  options.metrics = &metrics;
+  options.ledger = &ledger;
+
+  const DistributedOptions back =
+      SchedulerConfig::fromDistributedOptions(options).distributedOptions();
+  EXPECT_EQ(back.epsilon, options.epsilon);
+  EXPECT_EQ(back.rule, options.rule);
+  EXPECT_EQ(back.hmin, options.hmin);
+  EXPECT_EQ(back.seed, options.seed);
+  EXPECT_EQ(back.misRoundBudget, options.misRoundBudget);
+  EXPECT_EQ(back.stepsPerStage, options.stepsPerStage);
+  EXPECT_EQ(back.threads, options.threads);
+  EXPECT_EQ(back.crashProcessors, options.crashProcessors);
+  EXPECT_EQ(back.crashAtTuple, options.crashAtTuple);
+  EXPECT_EQ(back.observer, options.observer);
+  EXPECT_EQ(back.tracer, options.tracer);
+  EXPECT_EQ(back.metrics, options.metrics);
+  EXPECT_EQ(back.ledger, options.ledger);
+}
+
+TEST(SchedulerConfigLayers, OnlineSolverLiftsToTheFixedScheduleFramework) {
+  OnlineSolverConfig config;
+  config.rule = RaiseRule::Narrow;
+  config.hmin = 0.5;
+  config.seed = 41;
+  const FrameworkConfig framework =
+      SchedulerConfig::fromOnlineSolver(config).framework();
+  EXPECT_EQ(framework.epsilon, config.epsilon);
+  EXPECT_EQ(framework.rule, config.rule);
+  EXPECT_EQ(framework.hmin, config.hmin);
+  EXPECT_EQ(framework.seed, config.seed);
+  EXPECT_EQ(framework.misRoundBudget, config.misRoundBudget);
+  EXPECT_EQ(framework.stepsPerStage, config.stepsPerStage);
+  EXPECT_EQ(framework.schedule, SchedulePolicy::Staged);
+  EXPECT_TRUE(framework.fixedSchedule);
+}
+
+TEST(SchedulerConfigLayers, OnlineSolverRejectsCrashInjection) {
+  const ChurnTreeScenario scenario = makeFlashCrowdTree50k(7, 40);
+  DynamicUniverse universe = makeDynamicTreeUniverse(scenario.pool);
+  SimNetwork bus(std::vector<std::vector<std::int32_t>>(
+      static_cast<std::size_t>(scenario.pool.numDemands())));
+  OnlineSolverConfig config;
+  config.crashProcessors = {0};
+  const auto build = [&] { IncrementalSolver solver(universe, config, bus); };
+  EXPECT_THROW(build(), CheckError);
 }
 
 TEST(SchedulerRegistry, SanityUniqueNonEmptyAndRegexFilter) {

@@ -393,10 +393,22 @@ class SpanTally final : public TraceSink {
   std::map<std::string, std::int64_t> spans_;
 };
 
+/// Counts the protocol's raises and phase-2 pops (accepts + rejects).
+class RaiseCounter final : public ProtocolObserver {
+ public:
+  void onRaise(std::int64_t, InstanceId, double) override { ++raises; }
+  void onAccept(std::int64_t, InstanceId) override { ++pops; }
+  void onReject(std::int64_t, InstanceId, RejectReason) override { ++pops; }
+
+  std::int64_t raises = 0;
+  std::int64_t pops = 0;
+};
+
 TEST(Telemetry, OnlineEpochsRunPhase1Only) {
   // Online admission is the centralized pop over the persistent stack,
   // so an epoch's protocol run stops after phase 1: no phase-2 accept,
-  // reject or span is ever reported, yet demands are admitted.
+  // reject or span is ever reported, yet demands are admitted. The
+  // solver's observer sees every epoch's phase-1 raises.
   const ChurnTreeScenario scenario = makeFlashCrowdTree50k(51, 96);
   ArrivalConfig arrivals = scenario.arrivals;
   arrivals.horizon = 48.0;
@@ -406,19 +418,26 @@ TEST(Telemetry, OnlineEpochsRunPhase1Only) {
   SpanTally sink;
   Tracer tracer(&sink);
   MetricsRegistry metrics;
+  RaiseCounter observer;
   ChurnEngineConfig config;
   config.epochLength = 8.0;
   config.solver.seed = 52;
   config.solver.tracer = &tracer;
   config.solver.metrics = &metrics;
+  config.solver.observer = &observer;
   DynamicUniverse universe = makeDynamicTreeUniverse(scenario.pool);
-  runChurnOverTrace(universe, trace, config);
+  const ChurnRunResult run = runChurnOverTrace(universe, trace, config);
 
   EXPECT_GT(sink.spans("phase1"), 0);
   EXPECT_EQ(sink.spans("phase2"), 0);
   EXPECT_EQ(metrics.counter("protocol.accepts").value(), 0);
   EXPECT_EQ(metrics.counter("protocol.rejects").value(), 0);
   EXPECT_GT(metrics.counter("online.admitted_demands").value(), 0);
+  std::int64_t raises = 0;
+  for (const EpochOutcome& epoch : run.epochs) raises += epoch.raises;
+  EXPECT_GT(raises, 0);
+  EXPECT_EQ(observer.raises, raises);
+  EXPECT_EQ(observer.pops, 0);
 }
 
 TEST(Telemetry, DisabledTracerEmitsNothing) {

@@ -166,6 +166,18 @@ TEST(Cli, UnknownFlagThrows) {
   EXPECT_THROW(flags.parse(2, argv), CheckError);
 }
 
+TEST(Cli, BadNumericValueThrows) {
+  // A value must parse completely: "40x" is not silently read as 40.
+  for (const char* value : {"40x", "abc", ""}) {
+    CliFlags flags;
+    flags.intFlag("demands", 1, "count").doubleFlag("eps", 0.5, "epsilon");
+    const char* intArgv[] = {"prog", "--demands", value};
+    EXPECT_THROW(flags.parse(3, intArgv), CheckError) << value;
+    const char* doubleArgv[] = {"prog", "--eps", value};
+    EXPECT_THROW(flags.parse(3, doubleArgv), CheckError) << value;
+  }
+}
+
 TEST(Cli, HelpReturnsFalse) {
   CliFlags flags;
   flags.intFlag("n", 1, "count");
