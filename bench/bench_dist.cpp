@@ -72,14 +72,13 @@ int main(int argc, char** argv) {
 
     InstanceUniverse universe = InstanceUniverse::fromTreeProblem(problem);
     universe.buildConflicts();
-    const TreeLayeringResult layering = buildTreeLayering(problem, universe);
+    const Layering layering = buildTreeLayering(problem, universe);
     FrameworkConfig copt;
     copt.seed = dopt.seed;
     copt.misRoundBudget = dopt.misRoundBudget;
     copt.fixedSchedule = true;
     copt.stepsPerStage = dopt.stepsPerStage;
-    const TwoPhaseResult central =
-        runTwoPhase(universe, layering.layering, copt);
+    const TwoPhaseResult central = runTwoPhase(universe, layering, copt);
     std::vector<InstanceId> centralSorted = central.solution.instances;
     std::sort(centralSorted.begin(), centralSorted.end());
 

@@ -45,8 +45,7 @@ int main(int argc, char** argv) {
     for (const DecompositionKind kind :
          {DecompositionKind::Ideal, DecompositionKind::Balancing,
           DecompositionKind::RootFixing}) {
-      const TreeLayeringResult result =
-          buildTreeLayering(problem, universe, kind);
+      const Layering layering = buildTreeLayering(problem, universe, kind);
       const std::string bound = kind == DecompositionKind::Ideal ? "6"
                                 : kind == DecompositionKind::RootFixing
                                     ? "4"
@@ -55,11 +54,11 @@ int main(int argc, char** argv) {
           .cell("tree n=" + std::to_string(n))
           .cell(decompositionKindName(kind))
           .cell(universe.numInstances())
-          .cell(result.layering.numGroups)
-          .cell(result.layering.maxCriticalSize)
+          .cell(layering.numGroups)
+          .cell(layering.maxCriticalSize)
           .cell(bound)
-          .cell(checkLayering(universe, result.layering).empty() ? "holds"
-                                                                 : "VIOLATED");
+          .cell(checkLayering(universe, layering).empty() ? "holds"
+                                                          : "VIOLATED");
     }
   }
 
@@ -76,7 +75,7 @@ int main(int argc, char** argv) {
       const LineProblem problem = makeLineScenario(cfg);
       const InstanceUniverse universe =
           InstanceUniverse::fromLineProblem(problem);
-      const Layering layering = buildLineLayering(universe);
+      const Layering layering = buildLineLayering(problem, universe);
       table.row()
           .cell("line slots=" + std::to_string(slots) + " slack=" +
                 formatDouble(slack, 1))

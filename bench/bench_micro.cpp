@@ -84,10 +84,10 @@ void BM_TwoPhaseEngine(benchmark::State& state) {
   const TreeProblem problem = microProblem(64, m);
   InstanceUniverse u = InstanceUniverse::fromTreeProblem(problem);
   u.buildConflicts();
-  const TreeLayeringResult layering = buildTreeLayering(problem, u);
+  const Layering layering = buildTreeLayering(problem, u);
   FrameworkConfig cfg;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(runTwoPhase(u, layering.layering, cfg));
+    benchmark::DoNotOptimize(runTwoPhase(u, layering, cfg));
   }
 }
 BENCHMARK(BM_TwoPhaseEngine)->Arg(128)->Arg(512);

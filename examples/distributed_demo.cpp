@@ -315,9 +315,9 @@ int main(int argc, char** argv) {
   // SchedulerConfig starts with core.fixedSchedule on by contract).
   InstanceUniverse universe = InstanceUniverse::fromTreeProblem(problem);
   universe.buildConflicts();
-  const TreeLayeringResult layering = buildTreeLayering(problem, universe);
+  const Layering layering = buildTreeLayering(problem, universe);
   const TwoPhaseResult central =
-      runTwoPhase(universe, layering.layering, sched.framework());
+      runTwoPhase(universe, layering, sched.framework());
 
   Table table({"metric", "value"});
   table.row().cell("profit (distributed)").cell(dist.profit, 2);

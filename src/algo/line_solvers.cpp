@@ -47,23 +47,13 @@ LineSolveResult runLineFramework(const LineProblem& problem,
                                  const SolverOptions& options, RaiseRule rule) {
   InstanceUniverse universe = InstanceUniverse::fromLineProblem(problem);
   universe.buildConflicts();
-  const Layering layering = buildLineLayering(universe);
+  const Layering layering = buildLineLayering(problem, universe);
 
   double derivedHmin = 1.0;
   for (const WindowDemand& d : problem.demands) {
     derivedHmin = std::min(derivedHmin, d.height);
   }
-
-  FrameworkConfig cfg;
-  cfg.epsilon = options.epsilon;
-  cfg.rule = rule;
-  cfg.schedule = options.schedule;
-  cfg.hmin = options.hmin > 0 ? options.hmin : derivedHmin;
-  cfg.seed = options.seed;
-  cfg.misRoundBudget = options.misRoundBudget;
-  cfg.fixedSchedule = options.fixedSchedule;
-  cfg.stepsPerStage = options.stepsPerStage;
-
+  const FrameworkConfig cfg = toFrameworkConfig(options, rule, derivedHmin);
   const TwoPhaseResult run = runTwoPhase(universe, layering, cfg);
 
   LineSolveResult result;

@@ -8,8 +8,6 @@
 
 namespace treesched {
 
-namespace {
-
 FrameworkConfig toFrameworkConfig(const SolverOptions& options, RaiseRule rule,
                                   double derivedHmin) {
   FrameworkConfig cfg;
@@ -23,6 +21,8 @@ FrameworkConfig toFrameworkConfig(const SolverOptions& options, RaiseRule rule,
   cfg.stepsPerStage = options.stepsPerStage;
   return cfg;
 }
+
+namespace {
 
 std::vector<TreeAssignment> toAssignments(const InstanceUniverse& universe,
                                           const Solution& solution) {
@@ -62,7 +62,7 @@ TreeSolveResult runTreeFramework(const TreeProblem& problem,
                                  const SolverOptions& options, RaiseRule rule) {
   InstanceUniverse universe = InstanceUniverse::fromTreeProblem(problem);
   universe.buildConflicts();
-  const TreeLayeringResult layering =
+  const Layering layering =
       buildTreeLayering(problem, universe, options.decomposition);
 
   double derivedHmin = 1.0;
@@ -70,7 +70,7 @@ TreeSolveResult runTreeFramework(const TreeProblem& problem,
     derivedHmin = std::min(derivedHmin, d.height);
   }
   const FrameworkConfig cfg = toFrameworkConfig(options, rule, derivedHmin);
-  const TwoPhaseResult run = runTwoPhase(universe, layering.layering, cfg);
+  const TwoPhaseResult run = runTwoPhase(universe, layering, cfg);
 
   TreeSolveResult result;
   result.assignments = toAssignments(universe, run.solution);

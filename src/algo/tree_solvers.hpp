@@ -46,6 +46,12 @@ struct SolverOptions {
   double hmin = 0;                  ///< 0 = derive from the input heights
 };
 
+/// The FrameworkConfig of one two-phase run under `options` (trees and
+/// lines alike) with raise rule `rule`; `derivedHmin` stands in for
+/// options.hmin = 0.
+FrameworkConfig toFrameworkConfig(const SolverOptions& options, RaiseRule rule,
+                                  double derivedHmin);
+
 struct TreeSolveResult {
   std::vector<TreeAssignment> assignments;
   double profit = 0;

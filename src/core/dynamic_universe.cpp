@@ -15,6 +15,20 @@ std::int64_t microsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+/// How many instances expandDemand creates for demand d: one per
+/// accessible network (trees), times the admissible start slots (lines).
+std::int32_t poolInstances(const TreeProblem& problem, DemandId d) {
+  return static_cast<std::int32_t>(
+      problem.access[static_cast<std::size_t>(d)].size());
+}
+
+std::int32_t poolInstances(const LineProblem& problem, DemandId d) {
+  const WindowDemand& dem = problem.demands[static_cast<std::size_t>(d)];
+  const auto& access = problem.access[static_cast<std::size_t>(d)];
+  return static_cast<std::int32_t>(access.size()) *
+         std::max(0, dem.deadline - dem.processing - dem.release + 2);
+}
+
 /// Inserts `x` into sorted `v`, checking it was absent: every live-index
 /// mutation is exact, never best-effort.
 void insertSorted(std::vector<InstanceId>& v, InstanceId x) {
@@ -34,71 +48,21 @@ void eraseSorted(std::vector<InstanceId>& v, InstanceId x) {
 
 }  // namespace
 
-DynamicUniverse::DynamicUniverse(std::shared_ptr<const TreeProblem> problem,
-                                 std::unique_ptr<InstanceLayerer> layerer)
-    : kind_(Kind::Tree),
-      tree_(std::move(problem)),
-      layerer_(std::move(layerer)) {
-  const auto start = std::chrono::steady_clock::now();
-  checkThat(tree_ != nullptr, "tree problem provided", __FILE__, __LINE__);
+template <class Problem>
+void DynamicUniverse::buildPoolIndexes(const Problem& problem) {
   checkThat(layerer_ != nullptr, "layerer provided", __FILE__, __LINE__);
-  tree_->validate();
-  numDemands_ = tree_->numDemands();
-  numNetworks_ = tree_->numNetworks();
-  edgeOffset_.resize(static_cast<std::size_t>(numNetworks_) + 1, 0);
-  for (TreeId t = 0; t < numNetworks_; ++t) {
-    edgeOffset_[static_cast<std::size_t>(t) + 1] =
-        edgeOffset_[static_cast<std::size_t>(t)] +
-        tree_->networks[static_cast<std::size_t>(t)].numEdges();
-  }
+  problem.validate();
+  numDemands_ = problem.numDemands();
+  edgeOffset_ = networkEdgeOffsets(problem);
+  numNetworks_ = static_cast<std::int32_t>(edgeOffset_.size()) - 1;
   numGlobalEdges_ = edgeOffset_.back();
 
   instanceOffset_.assign(static_cast<std::size_t>(numDemands_) + 1, 0);
   for (DemandId d = 0; d < numDemands_; ++d) {
     instanceOffset_[static_cast<std::size_t>(d) + 1] =
         instanceOffset_[static_cast<std::size_t>(d)] +
-        static_cast<std::int32_t>(tree_->access[static_cast<std::size_t>(d)]
-                                      .size());
+        poolInstances(problem, d);
   }
-  buildPoolIndexes();
-  stats_.buildMs = static_cast<double>(microsSince(start)) / 1000.0;
-}
-
-DynamicUniverse::DynamicUniverse(std::shared_ptr<const LineProblem> problem,
-                                 std::unique_ptr<InstanceLayerer> layerer)
-    : kind_(Kind::Line),
-      line_(std::move(problem)),
-      layerer_(std::move(layerer)) {
-  const auto start = std::chrono::steady_clock::now();
-  checkThat(line_ != nullptr, "line problem provided", __FILE__, __LINE__);
-  checkThat(layerer_ != nullptr, "layerer provided", __FILE__, __LINE__);
-  line_->validate();
-  numDemands_ = line_->numDemands();
-  numNetworks_ = line_->numResources;
-  lineSlots_ = line_->numSlots;
-  edgeOffset_.resize(static_cast<std::size_t>(numNetworks_) + 1, 0);
-  for (ResourceId r = 0; r < numNetworks_; ++r) {
-    edgeOffset_[static_cast<std::size_t>(r) + 1] =
-        edgeOffset_[static_cast<std::size_t>(r)] + line_->numSlots;
-  }
-  numGlobalEdges_ = edgeOffset_.back();
-
-  instanceOffset_.assign(static_cast<std::size_t>(numDemands_) + 1, 0);
-  for (DemandId d = 0; d < numDemands_; ++d) {
-    const WindowDemand& dem = line_->demands[static_cast<std::size_t>(d)];
-    const std::int32_t starts =
-        std::max(0, dem.deadline - dem.processing - dem.release + 2);
-    instanceOffset_[static_cast<std::size_t>(d) + 1] =
-        instanceOffset_[static_cast<std::size_t>(d)] +
-        static_cast<std::int32_t>(line_->access[static_cast<std::size_t>(d)]
-                                      .size()) *
-            starts;
-  }
-  buildPoolIndexes();
-  stats_.buildMs = static_cast<double>(microsSince(start)) / 1000.0;
-}
-
-void DynamicUniverse::buildPoolIndexes() {
   numInstances_ = instanceOffset_.back();
   idPool_.resize(static_cast<std::size_t>(numInstances_));
   for (InstanceId i = 0; i < numInstances_; ++i) {
@@ -115,23 +79,37 @@ void DynamicUniverse::buildPoolIndexes() {
   edgeLive_.resize(static_cast<std::size_t>(numGlobalEdges_));
 
   // Profit range over the pool, matching the from-scratch finalize():
-  // every instance of a demand shares the demand's profit, so demands
-  // with at least one pool instance determine the range.
-  bool any = false;
-  for (DemandId d = 0; d < numDemands_; ++d) {
-    if (poolInstanceCount(d) == 0) continue;
-    const double profit =
-        kind_ == Kind::Tree
-            ? tree_->demands[static_cast<std::size_t>(d)].profit
-            : line_->demands[static_cast<std::size_t>(d)].profit;
-    if (!any) {
-      profitMax_ = profitMin_ = profit;
-      any = true;
-    } else {
-      profitMax_ = std::max(profitMax_, profit);
-      profitMin_ = std::min(profitMin_, profit);
-    }
+  // every demand of a valid problem has instances, all at its profit.
+  if (!problem.demands.empty()) {
+    profitMax_ = profitMin_ = problem.demands.front().profit;
   }
+  for (const auto& dem : problem.demands) {
+    profitMax_ = std::max(profitMax_, dem.profit);
+    profitMin_ = std::min(profitMin_, dem.profit);
+  }
+
+  // Delta is a pool constant too; the layerer measures it only now that
+  // the problem is known to be valid.
+  maxCriticalSize_ = layerer_->poolMaxCriticalSize();
+}
+
+DynamicUniverse::DynamicUniverse(std::shared_ptr<const TreeProblem> problem,
+                                 std::unique_ptr<InstanceLayerer> layerer)
+    : kind_(Kind::Tree),
+      tree_(std::move(problem)),
+      layerer_(std::move(layerer)) {
+  checkThat(tree_ != nullptr, "tree problem provided", __FILE__, __LINE__);
+  buildPoolIndexes(*tree_);
+}
+
+DynamicUniverse::DynamicUniverse(std::shared_ptr<const LineProblem> problem,
+                                 std::unique_ptr<InstanceLayerer> layerer)
+    : kind_(Kind::Line),
+      line_(std::move(problem)),
+      layerer_(std::move(layerer)) {
+  checkThat(line_ != nullptr, "line problem provided", __FILE__, __LINE__);
+  lineSlots_ = line_->numSlots;
+  buildPoolIndexes(*line_);
 }
 
 GlobalEdgeId DynamicUniverse::globalEdge(TreeId network, EdgeId e) const {
@@ -167,65 +145,17 @@ std::int32_t DynamicUniverse::poolInstanceCount(DemandId d) const {
          instanceOffset_[static_cast<std::size_t>(d)];
 }
 
-void DynamicUniverse::expandTree(DemandId d, DemandSlab& slab) const {
-  const Demand& dem = tree_->demands[static_cast<std::size_t>(d)];
-  InstanceId id = instanceOffset_[static_cast<std::size_t>(d)];
-  for (const TreeId t : tree_->access[static_cast<std::size_t>(d)]) {
-    const TreeNetwork& net = tree_->networks[static_cast<std::size_t>(t)];
-    InstanceRecord rec;
-    rec.id = id++;
-    rec.demand = d;
-    rec.network = t;
-    rec.u = dem.u;
-    rec.v = dem.v;
-    rec.profit = dem.profit;
-    rec.height = dem.height;
-    rec.pathBegin = static_cast<std::int32_t>(slab.pathPool.size());
-    for (const EdgeId e : net.pathEdges(dem.u, dem.v)) {
-      slab.pathPool.push_back(edgeOffset_[static_cast<std::size_t>(t)] + e);
-    }
-    rec.pathEnd = static_cast<std::int32_t>(slab.pathPool.size());
-    checkThat(rec.pathLength() >= 1, "instance path non-empty", __FILE__,
-              __LINE__);
-    slab.records.push_back(rec);
-  }
-}
-
-void DynamicUniverse::expandLine(DemandId d, DemandSlab& slab) const {
-  const WindowDemand& dem = line_->demands[static_cast<std::size_t>(d)];
-  InstanceId id = instanceOffset_[static_cast<std::size_t>(d)];
-  for (const ResourceId r : line_->access[static_cast<std::size_t>(d)]) {
-    const std::int32_t lastStart = dem.deadline - dem.processing + 1;
-    for (std::int32_t start = dem.release; start <= lastStart; ++start) {
-      InstanceRecord rec;
-      rec.id = id++;
-      rec.demand = d;
-      rec.network = r;
-      rec.u = start;
-      rec.v = start + dem.processing - 1;
-      rec.profit = dem.profit;
-      rec.height = dem.height;
-      rec.pathBegin = static_cast<std::int32_t>(slab.pathPool.size());
-      for (std::int32_t slot = rec.u; slot <= rec.v; ++slot) {
-        slab.pathPool.push_back(edgeOffset_[static_cast<std::size_t>(r)] +
-                                slot);
-      }
-      rec.pathEnd = static_cast<std::int32_t>(slab.pathPool.size());
-      slab.records.push_back(rec);
-    }
-  }
-}
-
 void DynamicUniverse::addDemand(DemandId d) {
   checkIndex(d, numDemands_, "demand id");
   checkThat(slabs_[static_cast<std::size_t>(d)] == nullptr,
             "demand not already live", __FILE__, __LINE__);
   const auto start = std::chrono::steady_clock::now();
+  const InstanceId base = instanceOffset_[static_cast<std::size_t>(d)];
   auto slab = std::make_unique<DemandSlab>();
   if (kind_ == Kind::Tree) {
-    expandTree(d, *slab);
+    expandDemand(*tree_, d, edgeOffset_, base, slab->records, slab->pathPool);
   } else {
-    expandLine(d, *slab);
+    expandDemand(*line_, d, edgeOffset_, base, slab->records, slab->pathPool);
   }
   const std::size_t count = slab->records.size();
   checkThat(static_cast<std::int32_t>(count) == poolInstanceCount(d),
@@ -255,7 +185,6 @@ void DynamicUniverse::addDemand(DemandId d) {
                    rec.id);
     }
   }
-  const std::int32_t base = instanceOffset_[static_cast<std::size_t>(d)];
   slab->conflicts.resize(count);
   std::vector<InstanceId> row;
   for (std::size_t local = 0; local < count; ++local) {
@@ -375,28 +304,11 @@ std::span<const InstanceId> DynamicUniverse::instancesOnEdge(
 }
 
 bool DynamicUniverse::overlapping(InstanceId a, InstanceId b) const {
-  const InstanceRecord& ra = instance(a);
-  const InstanceRecord& rb = instance(b);
-  if (ra.network != rb.network) return false;
-  if (kind_ == Kind::Line) {
-    return ra.u <= rb.v && rb.u <= ra.v;
-  }
-  const auto pa = path(a);
-  const auto pb = path(b);
-  const auto& shorter = pa.size() <= pb.size() ? pa : pb;
-  const auto& longer = pa.size() <= pb.size() ? pb : pa;
-  for (const GlobalEdgeId e : shorter) {
-    if (std::find(longer.begin(), longer.end(), e) != longer.end()) {
-      return true;
-    }
-  }
-  return false;
+  return instancesOverlap(*this, a, b);
 }
 
 bool DynamicUniverse::conflicting(InstanceId a, InstanceId b) const {
-  if (a == b) return false;
-  if (instance(a).demand == instance(b).demand) return true;
-  return overlapping(a, b);
+  return instancesConflict(*this, a, b);
 }
 
 std::span<const InstanceId> DynamicUniverse::conflictsOf(InstanceId i) const {

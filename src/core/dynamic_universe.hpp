@@ -10,12 +10,14 @@
 // paths, the conflict relation and the layering only for demands that
 // are currently live:
 //
-//   * addDemand(d) expands d's instances exactly as the from-scratch
-//     builders would (same records, same paths, same ids), assigns each
-//     one its group + critical edges through the pluggable
-//     `InstanceLayerer` (per-instance-local by Lemma 4.2/4.3 and §7),
-//     and splices them into the live conflict adjacency — O(affected)
-//     work, independent of pool size.
+//   * addDemand(d) expands d's instances with expandDemand
+//     (core/universe.hpp), the function the from-scratch builders run
+//     over every demand (same records, same paths, same ids), assigns
+//     each one its group + critical edges through the pluggable
+//     `InstanceLayerer` whose layer() also produces every batch
+//     `Layering` (per-instance-local by Lemma 4.2/4.3 and §7), and
+//     splices them into the live conflict adjacency — O(affected) work,
+//     independent of pool size.
 //   * retireDemand(d) garbage-collects with the same exactness
 //     discipline as raise purging: every symmetric reference is removed
 //     (checked, not best-effort), the slab is freed, and a later
@@ -55,17 +57,20 @@ struct UniverseStats {
 /// Implementations own the persistent per-network structures (tree
 /// decompositions and pivot sets, pool length range) so that layer()
 /// depends only on the instance itself — the locality that makes
-/// layering maintenance O(arrival). numGroups() and maxCriticalSize()
-/// are pool constants, measured over every instance the pool can ever
-/// contain: group numbering and the protocol's stage plan never shift
-/// as demands come and go.
+/// layering maintenance O(arrival). numGroups() and
+/// poolMaxCriticalSize() are pool constants, taken over every instance
+/// the pool can ever contain: group numbering and the protocol's stage
+/// plan never shift as demands come and go.
 class InstanceLayerer {
  public:
   virtual ~InstanceLayerer() = default;
 
   virtual std::int32_t numGroups() const = 0;
 
-  virtual std::int32_t maxCriticalSize() const = 0;
+  /// Delta = max |pi(d)| over the whole pool, by one pass over it. Only
+  /// DynamicUniverse pays for the pass; the batch builders measure Delta
+  /// as they layer every instance.
+  virtual std::int32_t poolMaxCriticalSize() const = 0;
 
   /// Returns rec's group and fills `critical` (empty on entry) with its
   /// critical edges pi(d), sorted and duplicate-free.
@@ -106,6 +111,8 @@ class DynamicUniverse {
  public:
   using Kind = InstanceUniverse::Kind;
 
+  /// `layerer` layers `*problem`'s instances and may refer to it; the
+  /// universe keeps `problem` alive for as long as it owns the layerer.
   DynamicUniverse(std::shared_ptr<const TreeProblem> problem,
                   std::unique_ptr<InstanceLayerer> layerer);
   DynamicUniverse(std::shared_ptr<const LineProblem> problem,
@@ -181,7 +188,7 @@ class DynamicUniverse {
   std::int32_t groupOf(InstanceId i) const;
   std::span<const GlobalEdgeId> critical(InstanceId i) const;
   std::int32_t numGroups() const { return layerer_->numGroups(); }
-  std::int32_t maxCriticalSize() const { return layerer_->maxCriticalSize(); }
+  std::int32_t maxCriticalSize() const { return maxCriticalSize_; }
   DynamicLayeringView layeringView() const;
 
   // ---- Cost accounting ----
@@ -204,9 +211,9 @@ class DynamicUniverse {
     std::vector<std::vector<InstanceId>> conflicts;
   };
 
-  void buildPoolIndexes();
-  void expandTree(DemandId d, DemandSlab& slab) const;
-  void expandLine(DemandId d, DemandSlab& slab) const;
+  /// Validates the problem and fixes every pool-level constant.
+  template <class Problem>
+  void buildPoolIndexes(const Problem& problem);
   const DemandSlab& slabOf(InstanceId i, DemandId& demand,
                            std::int32_t& local) const;
   std::vector<InstanceId>& conflictListOf(InstanceId i);
@@ -221,6 +228,7 @@ class DynamicUniverse {
   std::int32_t numGlobalEdges_ = 0;
   std::int32_t numInstances_ = 0;
   std::int32_t lineSlots_ = 0;
+  std::int32_t maxCriticalSize_ = 0;
   double profitMax_ = 1.0;
   double profitMin_ = 1.0;
   std::vector<std::int32_t> edgeOffset_;  ///< per network, into global edges

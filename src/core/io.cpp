@@ -66,7 +66,6 @@ TreeProblem readTreeProblem(std::istream& is) {
   for (TreeId t = 0; t < r; ++t) {
     expectToken(is, "network");
     std::vector<std::pair<VertexId, VertexId>> edges;
-    edges.reserve(static_cast<std::size_t>(problem.numVertices - 1));
     for (std::int32_t e = 0; e < problem.numVertices - 1; ++e) {
       const auto u = readValue<VertexId>(is, "edge endpoint");
       const auto v = readValue<VertexId>(is, "edge endpoint");
@@ -85,7 +84,6 @@ TreeProblem readTreeProblem(std::istream& is) {
     dem.height = readValue<double>(is, "demand height");
     const auto k = readValue<std::int32_t>(is, "access count");
     std::vector<TreeId> acc;
-    acc.reserve(static_cast<std::size_t>(k));
     for (std::int32_t i = 0; i < k; ++i) {
       acc.push_back(readValue<TreeId>(is, "access entry"));
     }
@@ -135,7 +133,6 @@ LineProblem readLineProblem(std::istream& is) {
     dem.height = readValue<double>(is, "height");
     const auto k = readValue<std::int32_t>(is, "access count");
     std::vector<ResourceId> acc;
-    acc.reserve(static_cast<std::size_t>(k));
     for (std::int32_t i = 0; i < k; ++i) {
       acc.push_back(readValue<ResourceId>(is, "access entry"));
     }

@@ -6,84 +6,102 @@
 
 namespace treesched {
 
-InstanceUniverse InstanceUniverse::fromTreeProblem(const TreeProblem& problem) {
-  problem.validate();
-  InstanceUniverse u;
-  u.kind_ = Kind::Tree;
-  u.numDemands_ = problem.numDemands();
-  u.numNetworks_ = problem.numNetworks();
-  u.edgeOffset_.resize(static_cast<std::size_t>(u.numNetworks_) + 1, 0);
-  for (TreeId t = 0; t < u.numNetworks_; ++t) {
-    u.edgeOffset_[static_cast<std::size_t>(t) + 1] =
-        u.edgeOffset_[static_cast<std::size_t>(t)] +
-        problem.networks[static_cast<std::size_t>(t)].numEdges();
+std::vector<std::int32_t> networkEdgeOffsets(const TreeProblem& problem) {
+  std::vector<std::int32_t> offsets(1, 0);
+  for (const TreeNetwork& net : problem.networks) {
+    offsets.push_back(offsets.back() + net.numEdges());
   }
-  u.numGlobalEdges_ = u.edgeOffset_.back();
+  return offsets;
+}
 
-  for (DemandId d = 0; d < u.numDemands_; ++d) {
-    const Demand& dem = problem.demands[static_cast<std::size_t>(d)];
-    for (const TreeId t : problem.access[static_cast<std::size_t>(d)]) {
-      const TreeNetwork& net = problem.networks[static_cast<std::size_t>(t)];
+std::vector<std::int32_t> networkEdgeOffsets(const LineProblem& problem) {
+  std::vector<std::int32_t> offsets(1, 0);
+  for (ResourceId r = 0; r < problem.numResources; ++r) {
+    offsets.push_back(offsets.back() + problem.numSlots);
+  }
+  return offsets;
+}
+
+void expandDemand(const TreeProblem& problem, DemandId d,
+                  const std::vector<std::int32_t>& edgeOffset,
+                  InstanceId firstId, std::vector<InstanceRecord>& records,
+                  std::vector<GlobalEdgeId>& pathPool) {
+  const Demand& dem = problem.demands[static_cast<std::size_t>(d)];
+  InstanceId id = firstId;
+  for (const TreeId t : problem.access[static_cast<std::size_t>(d)]) {
+    const TreeNetwork& net = problem.networks[static_cast<std::size_t>(t)];
+    InstanceRecord rec;
+    rec.id = id++;
+    rec.demand = d;
+    rec.network = t;
+    rec.u = dem.u;
+    rec.v = dem.v;
+    rec.profit = dem.profit;
+    rec.height = dem.height;
+    rec.pathBegin = static_cast<std::int32_t>(pathPool.size());
+    for (const EdgeId e : net.pathEdges(dem.u, dem.v)) {
+      pathPool.push_back(edgeOffset[static_cast<std::size_t>(t)] + e);
+    }
+    rec.pathEnd = static_cast<std::int32_t>(pathPool.size());
+    checkThat(rec.pathLength() >= 1, "instance path non-empty", __FILE__,
+              __LINE__);
+    records.push_back(rec);
+  }
+}
+
+void expandDemand(const LineProblem& problem, DemandId d,
+                  const std::vector<std::int32_t>& edgeOffset,
+                  InstanceId firstId, std::vector<InstanceRecord>& records,
+                  std::vector<GlobalEdgeId>& pathPool) {
+  const WindowDemand& dem = problem.demands[static_cast<std::size_t>(d)];
+  InstanceId id = firstId;
+  for (const ResourceId r : problem.access[static_cast<std::size_t>(d)]) {
+    const std::int32_t lastStart = dem.deadline - dem.processing + 1;
+    for (std::int32_t start = dem.release; start <= lastStart; ++start) {
       InstanceRecord rec;
-      rec.id = static_cast<InstanceId>(u.instances_.size());
+      rec.id = id++;
       rec.demand = d;
-      rec.network = t;
-      rec.u = dem.u;
-      rec.v = dem.v;
+      rec.network = r;
+      rec.u = start;
+      rec.v = start + dem.processing - 1;
       rec.profit = dem.profit;
       rec.height = dem.height;
-      rec.pathBegin = static_cast<std::int32_t>(u.pathPool_.size());
-      for (const EdgeId e : net.pathEdges(dem.u, dem.v)) {
-        u.pathPool_.push_back(u.edgeOffset_[static_cast<std::size_t>(t)] + e);
+      rec.pathBegin = static_cast<std::int32_t>(pathPool.size());
+      for (std::int32_t slot = rec.u; slot <= rec.v; ++slot) {
+        pathPool.push_back(edgeOffset[static_cast<std::size_t>(r)] + slot);
       }
-      rec.pathEnd = static_cast<std::int32_t>(u.pathPool_.size());
-      checkThat(rec.pathLength() >= 1, "instance path non-empty", __FILE__,
-                __LINE__);
-      u.instances_.push_back(rec);
+      rec.pathEnd = static_cast<std::int32_t>(pathPool.size());
+      records.push_back(rec);
     }
   }
-  u.finalize();
+}
+
+template <class Problem>
+void InstanceUniverse::expandAll(const Problem& problem) {
+  problem.validate();
+  numDemands_ = problem.numDemands();
+  edgeOffset_ = networkEdgeOffsets(problem);
+  numNetworks_ = static_cast<std::int32_t>(edgeOffset_.size()) - 1;
+  numGlobalEdges_ = edgeOffset_.back();
+  for (DemandId d = 0; d < numDemands_; ++d) {
+    expandDemand(problem, d, edgeOffset_, numInstances(), instances_,
+                 pathPool_);
+  }
+  finalize();
+}
+
+InstanceUniverse InstanceUniverse::fromTreeProblem(const TreeProblem& problem) {
+  InstanceUniverse u;
+  u.kind_ = Kind::Tree;
+  u.expandAll(problem);
   return u;
 }
 
 InstanceUniverse InstanceUniverse::fromLineProblem(const LineProblem& problem) {
-  problem.validate();
   InstanceUniverse u;
   u.kind_ = Kind::Line;
-  u.numDemands_ = problem.numDemands();
-  u.numNetworks_ = problem.numResources;
   u.lineSlots_ = problem.numSlots;
-  u.edgeOffset_.resize(static_cast<std::size_t>(u.numNetworks_) + 1, 0);
-  for (ResourceId r = 0; r < u.numNetworks_; ++r) {
-    u.edgeOffset_[static_cast<std::size_t>(r) + 1] =
-        u.edgeOffset_[static_cast<std::size_t>(r)] + problem.numSlots;
-  }
-  u.numGlobalEdges_ = u.edgeOffset_.back();
-
-  for (DemandId d = 0; d < u.numDemands_; ++d) {
-    const WindowDemand& dem = problem.demands[static_cast<std::size_t>(d)];
-    for (const ResourceId r : problem.access[static_cast<std::size_t>(d)]) {
-      const std::int32_t lastStart = dem.deadline - dem.processing + 1;
-      for (std::int32_t start = dem.release; start <= lastStart; ++start) {
-        InstanceRecord rec;
-        rec.id = static_cast<InstanceId>(u.instances_.size());
-        rec.demand = d;
-        rec.network = r;
-        rec.u = start;
-        rec.v = start + dem.processing - 1;
-        rec.profit = dem.profit;
-        rec.height = dem.height;
-        rec.pathBegin = static_cast<std::int32_t>(u.pathPool_.size());
-        for (std::int32_t slot = rec.u; slot <= rec.v; ++slot) {
-          u.pathPool_.push_back(u.edgeOffset_[static_cast<std::size_t>(r)] +
-                                slot);
-        }
-        rec.pathEnd = static_cast<std::int32_t>(u.pathPool_.size());
-        u.instances_.push_back(rec);
-      }
-    }
-  }
-  u.finalize();
+  u.expandAll(problem);
   return u;
 }
 
@@ -174,30 +192,11 @@ std::span<const InstanceId> InstanceUniverse::instancesOnEdge(
 }
 
 bool InstanceUniverse::overlapping(InstanceId a, InstanceId b) const {
-  const InstanceRecord& ra = instance(a);
-  const InstanceRecord& rb = instance(b);
-  if (ra.network != rb.network) return false;
-  // Scan the shorter path against a membership test on the longer one.
-  // Line paths are contiguous slot ranges, so compare ranges directly.
-  if (kind_ == Kind::Line) {
-    return ra.u <= rb.v && rb.u <= ra.v;
-  }
-  const auto pa = path(a);
-  const auto pb = path(b);
-  const auto& shorter = pa.size() <= pb.size() ? pa : pb;
-  const auto& longer = pa.size() <= pb.size() ? pb : pa;
-  for (const GlobalEdgeId e : shorter) {
-    if (std::find(longer.begin(), longer.end(), e) != longer.end()) {
-      return true;
-    }
-  }
-  return false;
+  return instancesOverlap(*this, a, b);
 }
 
 bool InstanceUniverse::conflicting(InstanceId a, InstanceId b) const {
-  if (a == b) return false;
-  if (instance(a).demand == instance(b).demand) return true;
-  return overlapping(a, b);
+  return instancesConflict(*this, a, b);
 }
 
 void InstanceUniverse::buildConflicts() {

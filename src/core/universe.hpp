@@ -9,9 +9,12 @@
 //   * per-instance edge paths;
 //   * the conflict relation (same demand, or same network + shared edge);
 // The primal-dual framework and the distributed simulator operate purely on
-// this structure; tree-vs-line differences are confined to the builders.
+// this structure; tree-vs-line differences are confined to expandDemand.
+// `DynamicUniverse` (core/dynamic_universe.hpp) grows the same records one
+// demand at a time through the same expandDemand and overlap rule.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -38,6 +41,27 @@ struct InstanceRecord {
 
   std::int32_t pathLength() const { return pathEnd - pathBegin; }
 };
+
+/// Global edge index of a problem's networks: network t owns global edges
+/// [offsets[t], offsets[t + 1]); the last entry is the global edge count.
+std::vector<std::int32_t> networkEdgeOffsets(const TreeProblem& problem);
+std::vector<std::int32_t> networkEdgeOffsets(const LineProblem& problem);
+
+/// Appends demand d's instances, one per accessible network, to `records`
+/// with ids firstId, firstId + 1, ..., and their global-edge paths (in path
+/// order) to `pathPool`, which the records index into. `edgeOffset` is
+/// networkEdgeOffsets(problem).
+void expandDemand(const TreeProblem& problem, DemandId d,
+                  const std::vector<std::int32_t>& edgeOffset,
+                  InstanceId firstId, std::vector<InstanceRecord>& records,
+                  std::vector<GlobalEdgeId>& pathPool);
+
+/// Line counterpart: one instance per (accessible resource, admissible start
+/// slot), in that order; the path is the execution segment's slots.
+void expandDemand(const LineProblem& problem, DemandId d,
+                  const std::vector<std::int32_t>& edgeOffset,
+                  InstanceId firstId, std::vector<InstanceRecord>& records,
+                  std::vector<GlobalEdgeId>& pathPool);
 
 class InstanceUniverse {
  public:
@@ -102,6 +126,9 @@ class InstanceUniverse {
  private:
   InstanceUniverse() = default;
 
+  /// Validates `problem`, expands every demand, then finalize()s.
+  template <class Problem>
+  void expandAll(const Problem& problem);
   void finalize();  // builds demand and edge indexes + profit range
 
   Kind kind_ = Kind::Tree;
@@ -129,5 +156,34 @@ class InstanceUniverse {
   double profitMax_ = 1.0;
   double profitMin_ = 1.0;
 };
+
+/// §2 "overlapping" over either universe (InstanceUniverse or
+/// DynamicUniverse): a and b are on the same network and share an edge.
+template <class Universe>
+bool instancesOverlap(const Universe& universe, InstanceId a, InstanceId b) {
+  const InstanceRecord& ra = universe.instance(a);
+  const InstanceRecord& rb = universe.instance(b);
+  if (ra.network != rb.network) return false;
+  // Line paths are contiguous slot ranges, so compare ranges directly.
+  if (universe.kind() == InstanceUniverse::Kind::Line) {
+    return ra.u <= rb.v && rb.u <= ra.v;
+  }
+  // Scan the shorter path against a membership test on the longer one.
+  const auto pa = universe.path(a);
+  const auto pb = universe.path(b);
+  const auto& shorter = pa.size() <= pb.size() ? pa : pb;
+  const auto& longer = pa.size() <= pb.size() ? pb : pa;
+  return std::any_of(shorter.begin(), shorter.end(), [&](GlobalEdgeId e) {
+    return std::find(longer.begin(), longer.end(), e) != longer.end();
+  });
+}
+
+/// §2 "conflicting": a != b and they overlap or belong to the same demand.
+template <class Universe>
+bool instancesConflict(const Universe& universe, InstanceId a, InstanceId b) {
+  if (a == b) return false;
+  if (universe.instance(a).demand == universe.instance(b).demand) return true;
+  return instancesOverlap(universe, a, b);
+}
 
 }  // namespace treesched

@@ -27,13 +27,6 @@ void appendWingEdges(const TreeNetwork& tree, GlobalEdgeId base, VertexId y,
   }
 }
 
-/// appendWingEdges against a universe's global edge index.
-void appendWings(const TreeNetwork& tree, const InstanceUniverse& universe,
-                 TreeId network, VertexId y, VertexId u, VertexId v,
-                 std::vector<GlobalEdgeId>& out) {
-  appendWingEdges(tree, universe.globalEdge(network, 0), y, u, v, out);
-}
-
 double millisSince(std::chrono::steady_clock::time_point start) {
   return static_cast<double>(
              std::chrono::duration_cast<std::chrono::microseconds>(
@@ -42,61 +35,20 @@ double millisSince(std::chrono::steady_clock::time_point start) {
          1000.0;
 }
 
-}  // namespace
-
-TreeLayeringResult buildTreeLayering(const TreeProblem& problem,
-                                     const InstanceUniverse& universe,
-                                     DecompositionKind kind) {
-  checkThat(universe.kind() == InstanceUniverse::Kind::Tree, "tree universe",
-            __FILE__, __LINE__);
-  TreeLayeringResult result;
-  result.decompositions.reserve(
-      static_cast<std::size_t>(problem.numNetworks()));
-  std::vector<std::vector<std::vector<VertexId>>> pivotSets;
-  pivotSets.reserve(static_cast<std::size_t>(problem.numNetworks()));
-  std::int32_t maxLen = 0;
-  for (TreeId t = 0; t < problem.numNetworks(); ++t) {
-    const TreeNetwork& tree = problem.networks[static_cast<std::size_t>(t)];
-    result.decompositions.push_back(buildDecomposition(tree, kind));
-    pivotSets.push_back(computePivotSets(tree, result.decompositions.back()));
-    maxLen = std::max(maxLen, result.decompositions.back().maxDepth());
-  }
-
-  Layering& lay = result.layering;
-  lay.numGroups = maxLen;
+/// Runs every instance of `universe` through `layerer`, measuring Delta
+/// as it goes.
+Layering layerEveryInstance(const InstanceUniverse& universe,
+                            const InstanceLayerer& layerer) {
+  Layering lay;
+  lay.numGroups = layerer.numGroups();
   const std::int32_t numInst = universe.numInstances();
   lay.group.resize(static_cast<std::size_t>(numInst));
   lay.criticalOffset.assign(static_cast<std::size_t>(numInst) + 1, 0);
-  result.captureNodes.resize(static_cast<std::size_t>(numInst));
-
   std::vector<GlobalEdgeId> buffer;
   for (InstanceId i = 0; i < numInst; ++i) {
-    const InstanceRecord& rec = universe.instance(i);
-    const TreeNetwork& tree =
-        problem.networks[static_cast<std::size_t>(rec.network)];
-    const TreeDecomposition& h =
-        result.decompositions[static_cast<std::size_t>(rec.network)];
-
-    // Group: instances captured deepest go first (paper's sigma reverses
-    // the depth order, §4.4). 0-based: group = localDepth(max) - depth(mu).
-    const VertexId mu = captureNode(tree, h, rec.u, rec.v);
-    result.captureNodes[static_cast<std::size_t>(i)] = mu;
-    const std::int32_t localMax = h.maxDepth();
-    lay.group[static_cast<std::size_t>(i)] =
-        localMax - h.depth[static_cast<std::size_t>(mu)];
-
-    // Critical edges pi(d): wings of mu, plus wings of the bending point
-    // of path(d) with respect to every pivot of C(mu).
     buffer.clear();
-    appendWings(tree, universe, rec.network, mu, rec.u, rec.v, buffer);
-    for (const VertexId w :
-         pivotSets[static_cast<std::size_t>(rec.network)]
-                  [static_cast<std::size_t>(mu)]) {
-      const VertexId bend = tree.meetingPoint(rec.u, rec.v, w);
-      appendWings(tree, universe, rec.network, bend, rec.u, rec.v, buffer);
-    }
-    std::sort(buffer.begin(), buffer.end());
-    buffer.erase(std::unique(buffer.begin(), buffer.end()), buffer.end());
+    lay.group[static_cast<std::size_t>(i)] =
+        layerer.layer(universe.instance(i), buffer);
     lay.criticalPool.insert(lay.criticalPool.end(), buffer.begin(),
                             buffer.end());
     lay.criticalOffset[static_cast<std::size_t>(i) + 1] =
@@ -104,54 +56,24 @@ TreeLayeringResult buildTreeLayering(const TreeProblem& problem,
     lay.maxCriticalSize = std::max(lay.maxCriticalSize,
                                    static_cast<std::int32_t>(buffer.size()));
   }
-  return result;
+  return lay;
 }
 
-Layering buildLineLayering(const InstanceUniverse& universe) {
+}  // namespace
+
+Layering buildTreeLayering(const TreeProblem& problem,
+                           const InstanceUniverse& universe,
+                           DecompositionKind kind) {
+  checkThat(universe.kind() == InstanceUniverse::Kind::Tree, "tree universe",
+            __FILE__, __LINE__);
+  return layerEveryInstance(universe, TreeInstanceLayerer(problem, kind));
+}
+
+Layering buildLineLayering(const LineProblem& problem,
+                           const InstanceUniverse& universe) {
   checkThat(universe.kind() == InstanceUniverse::Kind::Line, "line universe",
             __FILE__, __LINE__);
-  Layering lay;
-  const std::int32_t numInst = universe.numInstances();
-  lay.group.resize(static_cast<std::size_t>(numInst));
-  lay.criticalOffset.assign(static_cast<std::size_t>(numInst) + 1, 0);
-  if (numInst == 0) {
-    lay.numGroups = 0;
-    return lay;
-  }
-
-  std::int32_t minLen = universe.instance(0).pathLength();
-  for (InstanceId i = 0; i < numInst; ++i) {
-    minLen = std::min(minLen, universe.instance(i).pathLength());
-  }
-
-  for (InstanceId i = 0; i < numInst; ++i) {
-    const InstanceRecord& rec = universe.instance(i);
-    // Factor-2 length buckets, shortest first: len in
-    // [2^g * Lmin, 2^(g+1) * Lmin).
-    const std::int32_t len = rec.pathLength();
-    std::int32_t g = 0;
-    while ((static_cast<std::int64_t>(minLen) << (g + 1)) <= len) ++g;
-    lay.group[static_cast<std::size_t>(i)] = g;
-    lay.numGroups = std::max(lay.numGroups, g + 1);
-
-    // pi(d) = slots {start, mid, end} of the execution segment.
-    const std::int32_t network = rec.network;
-    const std::int32_t mid = (rec.u + rec.v) / 2;
-    GlobalEdgeId wings[3] = {universe.globalEdge(network, rec.u),
-                             universe.globalEdge(network, mid),
-                             universe.globalEdge(network, rec.v)};
-    std::sort(std::begin(wings), std::end(wings));
-    const auto* end = std::unique(std::begin(wings), std::end(wings));
-    for (const auto* p = std::begin(wings); p != end; ++p) {
-      lay.criticalPool.push_back(*p);
-    }
-    lay.criticalOffset[static_cast<std::size_t>(i) + 1] =
-        static_cast<std::int32_t>(lay.criticalPool.size());
-    lay.maxCriticalSize =
-        std::max(lay.maxCriticalSize,
-                 static_cast<std::int32_t>(end - std::begin(wings)));
-  }
-  return lay;
+  return layerEveryInstance(universe, LineInstanceLayerer(problem));
 }
 
 std::string checkLayering(const InstanceUniverse& universe,
@@ -198,33 +120,27 @@ std::string checkLayering(const InstanceUniverse& universe,
   return {};
 }
 
-TreeInstanceLayerer::TreeInstanceLayerer(
-    std::shared_ptr<const TreeProblem> problem, DecompositionKind kind)
-    : problem_(std::move(problem)) {
-  checkThat(problem_ != nullptr, "tree problem provided", __FILE__, __LINE__);
-  const std::int32_t numNetworks = problem_->numNetworks();
+TreeInstanceLayerer::TreeInstanceLayerer(const TreeProblem& problem,
+                                         DecompositionKind kind)
+    : problem_(problem), edgeOffset_(networkEdgeOffsets(problem)) {
+  const std::int32_t numNetworks = problem_.numNetworks();
   decompositions_.reserve(static_cast<std::size_t>(numNetworks));
   pivotSets_.reserve(static_cast<std::size_t>(numNetworks));
   localMaxDepth_.reserve(static_cast<std::size_t>(numNetworks));
-  edgeOffset_.resize(static_cast<std::size_t>(numNetworks) + 1, 0);
-  for (TreeId t = 0; t < numNetworks; ++t) {
-    const TreeNetwork& tree = problem_->networks[static_cast<std::size_t>(t)];
+  for (const TreeNetwork& tree : problem_.networks) {
     decompositions_.push_back(buildDecomposition(tree, kind));
     pivotSets_.push_back(computePivotSets(tree, decompositions_.back()));
     localMaxDepth_.push_back(decompositions_.back().maxDepth());
     numGroups_ = std::max(numGroups_, localMaxDepth_.back());
-    edgeOffset_[static_cast<std::size_t>(t) + 1] =
-        edgeOffset_[static_cast<std::size_t>(t)] + tree.numEdges();
   }
+}
 
-  // One-time pool pass: maxCriticalSize is measured over every instance
-  // the pool can ever contain (exactly as buildTreeLayering measures
-  // it), so the protocol's stage plan is identical whichever demands
-  // happen to be live.
+std::int32_t TreeInstanceLayerer::poolMaxCriticalSize() const {
+  std::int32_t delta = 0;
   std::vector<GlobalEdgeId> buffer;
-  for (DemandId d = 0; d < problem_->numDemands(); ++d) {
-    const Demand& dem = problem_->demands[static_cast<std::size_t>(d)];
-    for (const TreeId t : problem_->access[static_cast<std::size_t>(d)]) {
+  for (DemandId d = 0; d < problem_.numDemands(); ++d) {
+    const Demand& dem = problem_.demands[static_cast<std::size_t>(d)];
+    for (const TreeId t : problem_.access[static_cast<std::size_t>(d)]) {
       InstanceRecord rec;
       rec.demand = d;
       rec.network = t;
@@ -232,21 +148,22 @@ TreeInstanceLayerer::TreeInstanceLayerer(
       rec.v = dem.v;
       buffer.clear();
       layer(rec, buffer);
-      maxCriticalSize_ = std::max(maxCriticalSize_,
-                                  static_cast<std::int32_t>(buffer.size()));
+      delta = std::max(delta, static_cast<std::int32_t>(buffer.size()));
     }
   }
+  return delta;
 }
 
 std::int32_t TreeInstanceLayerer::layer(
     const InstanceRecord& rec, std::vector<GlobalEdgeId>& critical) const {
   const auto network = static_cast<std::size_t>(rec.network);
-  const TreeNetwork& tree = problem_->networks[network];
+  const TreeNetwork& tree = problem_.networks[network];
   const TreeDecomposition& h = decompositions_[network];
   const GlobalEdgeId base = edgeOffset_[network];
 
-  // Group: instances captured deepest go first (§4.4); the group index
-  // depends only on mu's depth and the network's own depth range.
+  // Group: instances captured deepest go first (the paper's sigma
+  // reverses the depth order, §4.4); the group index depends only on
+  // mu's depth and the network's own depth range.
   const VertexId mu = captureNode(tree, h, rec.u, rec.v);
   const std::int32_t group =
       localMaxDepth_[network] - h.depth[static_cast<std::size_t>(mu)];
@@ -264,50 +181,40 @@ std::int32_t TreeInstanceLayerer::layer(
   return group;
 }
 
-LineInstanceLayerer::LineInstanceLayerer(
-    std::shared_ptr<const LineProblem> problem)
-    : problem_(std::move(problem)) {
-  checkThat(problem_ != nullptr, "line problem provided", __FILE__, __LINE__);
-  numSlots_ = problem_->numSlots;
-
-  // Pool constants: length range over demands that contribute at least
-  // one instance (an instance's length equals its demand's processing
-  // time), matching buildLineLayering's scan over the full pool.
-  bool any = false;
-  std::int32_t maxLen = 1;
-  for (DemandId d = 0; d < problem_->numDemands(); ++d) {
-    const WindowDemand& dem = problem_->demands[static_cast<std::size_t>(d)];
-    if (problem_->access[static_cast<std::size_t>(d)].empty()) continue;
-    if (dem.deadline - dem.processing + 1 < dem.release) continue;
-    if (!any) {
-      minLen_ = maxLen = dem.processing;
-      any = true;
-    } else {
-      minLen_ = std::min(minLen_, dem.processing);
-      maxLen = std::max(maxLen, dem.processing);
-    }
+LineInstanceLayerer::LineInstanceLayerer(const LineProblem& problem)
+    : problem_(problem) {
+  // Pool constants: the length range over every demand (an instance's
+  // length is its demand's processing time, and a valid demand has at
+  // least one instance).
+  if (problem_.demands.empty()) return;  // zero groups, layer() never called
+  minLen_ = problem_.demands.front().processing;
+  std::int32_t maxLen = minLen_;
+  for (const WindowDemand& dem : problem_.demands) {
+    minLen_ = std::min(minLen_, dem.processing);
+    maxLen = std::max(maxLen, dem.processing);
   }
-  if (!any) return;  // empty pool: zero groups, layer() never called
-
   std::int32_t g = 0;
   while ((static_cast<std::int64_t>(minLen_) << (g + 1)) <= maxLen) ++g;
   numGroups_ = g + 1;
+}
 
+std::int32_t LineInstanceLayerer::poolMaxCriticalSize() const {
+  // |pi(d)| depends only on the instance's length, so one instance per
+  // demand covers the pool.
+  std::int32_t delta = 0;
   std::vector<GlobalEdgeId> buffer;
-  for (DemandId d = 0; d < problem_->numDemands(); ++d) {
-    const WindowDemand& dem = problem_->demands[static_cast<std::size_t>(d)];
-    if (problem_->access[static_cast<std::size_t>(d)].empty()) continue;
-    if (dem.deadline - dem.processing + 1 < dem.release) continue;
+  for (DemandId d = 0; d < problem_.numDemands(); ++d) {
+    const WindowDemand& dem = problem_.demands[static_cast<std::size_t>(d)];
     InstanceRecord rec;
     rec.demand = d;
-    rec.network = problem_->access[static_cast<std::size_t>(d)].front();
+    rec.network = problem_.access[static_cast<std::size_t>(d)].front();
     rec.u = dem.release;
     rec.v = dem.release + dem.processing - 1;
     buffer.clear();
     layer(rec, buffer);
-    maxCriticalSize_ = std::max(maxCriticalSize_,
-                                static_cast<std::int32_t>(buffer.size()));
+    delta = std::max(delta, static_cast<std::int32_t>(buffer.size()));
   }
+  return delta;
 }
 
 std::int32_t LineInstanceLayerer::layer(
@@ -319,7 +226,7 @@ std::int32_t LineInstanceLayerer::layer(
   while ((static_cast<std::int64_t>(minLen_) << (g + 1)) <= len) ++g;
 
   // pi(d) = slots {start, mid, end} of the execution segment.
-  const GlobalEdgeId base = rec.network * numSlots_;
+  const GlobalEdgeId base = rec.network * problem_.numSlots;
   const std::int32_t mid = (rec.u + rec.v) / 2;
   critical.push_back(base + rec.u);
   critical.push_back(base + mid);
@@ -331,24 +238,24 @@ std::int32_t LineInstanceLayerer::layer(
 }
 
 DynamicUniverse makeDynamicTreeUniverse(
-    std::shared_ptr<const TreeProblem> problem, DecompositionKind kind) {
+    std::shared_ptr<const TreeProblem> problem) {
   const auto start = std::chrono::steady_clock::now();
-  auto layerer = std::make_unique<TreeInstanceLayerer>(problem, kind);
+  checkThat(problem != nullptr, "tree problem provided", __FILE__, __LINE__);
+  auto layerer = std::make_unique<TreeInstanceLayerer>(*problem);
   DynamicUniverse universe(std::move(problem), std::move(layerer));
   universe.setBuildMs(millisSince(start));
   return universe;
 }
 
-DynamicUniverse makeDynamicTreeUniverse(const TreeProblem& problem,
-                                        DecompositionKind kind) {
-  return makeDynamicTreeUniverse(std::make_shared<const TreeProblem>(problem),
-                                 kind);
+DynamicUniverse makeDynamicTreeUniverse(const TreeProblem& problem) {
+  return makeDynamicTreeUniverse(std::make_shared<const TreeProblem>(problem));
 }
 
 DynamicUniverse makeDynamicLineUniverse(
     std::shared_ptr<const LineProblem> problem) {
   const auto start = std::chrono::steady_clock::now();
-  auto layerer = std::make_unique<LineInstanceLayerer>(problem);
+  checkThat(problem != nullptr, "line problem provided", __FILE__, __LINE__);
+  auto layerer = std::make_unique<LineInstanceLayerer>(*problem);
   DynamicUniverse universe(std::move(problem), std::move(layerer));
   universe.setBuildMs(millisSince(start));
   return universe;

@@ -15,6 +15,11 @@
 //  * Lines (§7): groups by demand-instance length (factor-2 buckets,
 //    shortest first); pi(d) = {start, mid, end} slots, Delta = 3. This is
 //    the decomposition implicit in Panconesi-Sozio.
+//
+// Both rules are per-instance-local, so each lives in one InstanceLayerer
+// (TreeInstanceLayerer, LineInstanceLayerer): the batch builders run every
+// instance of an InstanceUniverse through layer(), and DynamicUniverse runs
+// each arriving demand's instances through the same layer().
 #pragma once
 
 #include <memory>
@@ -46,97 +51,76 @@ struct Layering {
   }
 };
 
-/// Tree layering plus the per-network decompositions it was derived from
-/// (the distributed runtime re-uses them).
-struct TreeLayeringResult {
-  Layering layering;
-  std::vector<TreeDecomposition> decompositions;
-  /// Capture node mu(d) per instance.
-  std::vector<VertexId> captureNodes;
-};
-
 /// Builds the layered decomposition of a tree universe via per-network
 /// tree decompositions of the given kind (Lemma 4.2). With
 /// DecompositionKind::Ideal this realizes Lemma 4.3: Delta <= 6 and
 /// numGroups <= 2*ceil(lg n)+1.
-TreeLayeringResult buildTreeLayering(
-    const TreeProblem& problem, const InstanceUniverse& universe,
-    DecompositionKind kind = DecompositionKind::Ideal);
+Layering buildTreeLayering(const TreeProblem& problem,
+                           const InstanceUniverse& universe,
+                           DecompositionKind kind = DecompositionKind::Ideal);
 
 /// Builds the §7 length-based layering of a line universe: Delta <= 3 and
 /// numGroups <= ceil(lg(Lmax/Lmin)) + 1.
-Layering buildLineLayering(const InstanceUniverse& universe);
+Layering buildLineLayering(const LineProblem& problem,
+                           const InstanceUniverse& universe);
 
 /// Exhaustive check of the interference property over all overlapping
 /// pairs (O(|D|^2 * pathlen); for tests). Empty string when valid.
 std::string checkLayering(const InstanceUniverse& universe,
                           const Layering& layering);
 
-/// Incremental tree layering (Lemma 4.2/4.3) for `DynamicUniverse`: the
+/// Tree layering (Lemma 4.2/4.3), one instance at a time: the
 /// per-network decompositions and pivot sets are built once; layer()
 /// then assigns any single instance its group + critical edges from its
-/// own path alone — bit-identical to buildTreeLayering's assignment.
-/// numGroups (max decomposition depth over all networks) and
-/// maxCriticalSize (measured once over the whole pool) are pool
-/// constants, so group numbering is stable under churn.
+/// own path alone. numGroups (max decomposition depth over all networks)
+/// is a pool constant, so group numbering is stable under churn.
+/// `problem` must outlive the layerer.
 class TreeInstanceLayerer final : public InstanceLayerer {
  public:
-  explicit TreeInstanceLayerer(std::shared_ptr<const TreeProblem> problem,
+  explicit TreeInstanceLayerer(const TreeProblem& problem,
                                DecompositionKind kind =
                                    DecompositionKind::Ideal);
 
   std::int32_t numGroups() const override { return numGroups_; }
-  std::int32_t maxCriticalSize() const override { return maxCriticalSize_; }
+  std::int32_t poolMaxCriticalSize() const override;
   std::int32_t layer(const InstanceRecord& rec,
                      std::vector<GlobalEdgeId>& critical) const override;
 
-  /// The persistent per-network decompositions (the distributed runtime
-  /// and tests reuse them).
-  const std::vector<TreeDecomposition>& decompositions() const {
-    return decompositions_;
-  }
-
  private:
-  std::shared_ptr<const TreeProblem> problem_;
+  const TreeProblem& problem_;
   std::vector<TreeDecomposition> decompositions_;
   std::vector<std::vector<std::vector<VertexId>>> pivotSets_;
   std::vector<std::int32_t> localMaxDepth_;  ///< cached per network
-  std::vector<GlobalEdgeId> edgeOffset_;
+  std::vector<std::int32_t> edgeOffset_;
   std::int32_t numGroups_ = 0;
-  std::int32_t maxCriticalSize_ = 0;
 };
 
-/// Incremental §7 line layering for `DynamicUniverse`: factor-2 length
-/// buckets against the pool-wide minimum length (a pool constant, so
-/// groups never renumber) and the {start, mid, end} critical slots —
-/// bit-identical to buildLineLayering's assignment.
+/// §7 line layering, one instance at a time: factor-2 length buckets
+/// against the pool-wide minimum length (a pool constant, so groups never
+/// renumber) and the {start, mid, end} critical slots. `problem` must
+/// outlive the layerer.
 class LineInstanceLayerer final : public InstanceLayerer {
  public:
-  explicit LineInstanceLayerer(std::shared_ptr<const LineProblem> problem);
+  explicit LineInstanceLayerer(const LineProblem& problem);
 
   std::int32_t numGroups() const override { return numGroups_; }
-  std::int32_t maxCriticalSize() const override { return maxCriticalSize_; }
+  std::int32_t poolMaxCriticalSize() const override;
   std::int32_t layer(const InstanceRecord& rec,
                      std::vector<GlobalEdgeId>& critical) const override;
 
  private:
-  std::shared_ptr<const LineProblem> problem_;
-  std::int32_t numSlots_ = 0;
+  const LineProblem& problem_;
   std::int32_t minLen_ = 1;  ///< pool-wide minimum instance length
   std::int32_t numGroups_ = 0;
-  std::int32_t maxCriticalSize_ = 0;
 };
 
-/// Builds a DynamicUniverse over a tree problem with its incremental
-/// layerer; stats().buildMs covers the full pool build (decompositions,
-/// pivot sets, pool indexes). The shared_ptr overloads avoid copying
-/// the problem.
+/// Builds a DynamicUniverse over a tree problem with its layerer (ideal
+/// decompositions); stats().buildMs covers the full pool build
+/// (decompositions, pivot sets, pool indexes, the Delta pass). The
+/// shared_ptr overloads avoid copying the problem.
 DynamicUniverse makeDynamicTreeUniverse(
-    std::shared_ptr<const TreeProblem> problem,
-    DecompositionKind kind = DecompositionKind::Ideal);
-DynamicUniverse makeDynamicTreeUniverse(
-    const TreeProblem& problem,
-    DecompositionKind kind = DecompositionKind::Ideal);
+    std::shared_ptr<const TreeProblem> problem);
+DynamicUniverse makeDynamicTreeUniverse(const TreeProblem& problem);
 
 /// Line counterpart of makeDynamicTreeUniverse.
 DynamicUniverse makeDynamicLineUniverse(

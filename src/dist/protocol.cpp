@@ -925,7 +925,7 @@ Phase1Result runDistributedPhase1(const DynamicUniverse& universe,
 PreparedRun prepareUnitTreeRun(const TreeProblem& problem) {
   InstanceUniverse universe = InstanceUniverse::fromTreeProblem(problem);
   universe.buildConflicts();
-  Layering layering = buildTreeLayering(problem, universe).layering;
+  Layering layering = buildTreeLayering(problem, universe);
   return {std::move(universe), std::move(layering),
           communicationGraph(problem.access, problem.numNetworks())};
 }
@@ -933,7 +933,7 @@ PreparedRun prepareUnitTreeRun(const TreeProblem& problem) {
 PreparedRun prepareUnitLineRun(const LineProblem& problem) {
   InstanceUniverse universe = InstanceUniverse::fromLineProblem(problem);
   universe.buildConflicts();
-  Layering layering = buildLineLayering(universe);
+  Layering layering = buildLineLayering(problem, universe);
   return {std::move(universe), std::move(layering),
           communicationGraph(problem.access, problem.numResources)};
 }

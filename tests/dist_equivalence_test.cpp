@@ -68,7 +68,7 @@ TEST_P(DistEquivalenceSweep, TreeBitIdentical) {
   const TreeProblem problem = sweepTree(seed);
   InstanceUniverse universe = InstanceUniverse::fromTreeProblem(problem);
   universe.buildConflicts();
-  const TreeLayeringResult layering = buildTreeLayering(problem, universe);
+  const Layering layering = buildTreeLayering(problem, universe);
 
   DistributedOptions dopt;
   dopt.seed = seed * 7 + 1;
@@ -81,7 +81,7 @@ TEST_P(DistEquivalenceSweep, TreeBitIdentical) {
   copt.misRoundBudget = dopt.misRoundBudget;
   copt.fixedSchedule = true;
   copt.stepsPerStage = dopt.stepsPerStage;
-  const TwoPhaseResult central = runTwoPhase(universe, layering.layering, copt);
+  const TwoPhaseResult central = runTwoPhase(universe, layering, copt);
 
   expectBitIdentical(dist, central);
 }
@@ -91,7 +91,7 @@ TEST_P(DistEquivalenceSweep, LineBitIdentical) {
   const LineProblem problem = sweepLine(seed);
   InstanceUniverse universe = InstanceUniverse::fromLineProblem(problem);
   universe.buildConflicts();
-  const Layering layering = buildLineLayering(universe);
+  const Layering layering = buildLineLayering(problem, universe);
 
   DistributedOptions dopt;
   dopt.seed = seed * 7 + 1;
@@ -118,7 +118,7 @@ TEST_P(DistEquivalenceSweep, TreeRoundsWithinLemma51StageBound) {
   const TreeProblem problem = sweepTree(seed);
   InstanceUniverse universe = InstanceUniverse::fromTreeProblem(problem);
   universe.buildConflicts();
-  const TreeLayeringResult layering = buildTreeLayering(problem, universe);
+  const Layering layering = buildTreeLayering(problem, universe);
 
   DistributedOptions opt;
   opt.seed = seed;
@@ -128,7 +128,7 @@ TEST_P(DistEquivalenceSweep, TreeRoundsWithinLemma51StageBound) {
 
   const StagePlan plan = makeStagePlan(
       SchedulePolicy::Staged, RaiseRule::Unit, opt.epsilon,
-      std::max<std::int32_t>(1, layering.layering.maxCriticalSize), opt.hmin);
+      std::max<std::int32_t>(1, layering.maxCriticalSize), opt.hmin);
   // O(log) stage bound: the shared derivation itself must stay
   // logarithmic in the profit spread...
   const double spread =
@@ -139,7 +139,7 @@ TEST_P(DistEquivalenceSweep, TreeRoundsWithinLemma51StageBound) {
             4 + 2 * static_cast<std::int32_t>(std::ceil(std::log2(spread))));
   // ...and the protocol must spend exactly numGroups * numStages of it.
   EXPECT_EQ(dist.scheduledSteps,
-            static_cast<std::int64_t>(layering.layering.numGroups) *
+            static_cast<std::int64_t>(layering.numGroups) *
                 plan.numStages * stepsPerStage);
   EXPECT_GT(dist.scheduledSteps, 0);
   // Schedule shape: phase 1 spends 2B+1 rounds per tuple, phase 2 one.

@@ -147,7 +147,7 @@ TEST_P(DistEquivalenceTest, BitIdenticalToCentralizedFixedSchedule) {
 
   InstanceUniverse universe = InstanceUniverse::fromTreeProblem(problem);
   universe.buildConflicts();
-  const TreeLayeringResult layering = buildTreeLayering(problem, universe);
+  const Layering layering = buildTreeLayering(problem, universe);
 
   DistributedOptions dopt;
   dopt.seed = 99 + param.seed;
@@ -160,7 +160,7 @@ TEST_P(DistEquivalenceTest, BitIdenticalToCentralizedFixedSchedule) {
   copt.misRoundBudget = dopt.misRoundBudget;
   copt.fixedSchedule = true;
   copt.stepsPerStage = dopt.stepsPerStage;
-  const TwoPhaseResult central = runTwoPhase(universe, layering.layering, copt);
+  const TwoPhaseResult central = runTwoPhase(universe, layering, copt);
 
   // The distributed result is collected sorted; acceptance order differs.
   std::vector<InstanceId> centralSorted = central.solution.instances;
@@ -199,7 +199,7 @@ TEST(DistProtocol, LineEquivalence) {
 
   InstanceUniverse universe = InstanceUniverse::fromLineProblem(problem);
   universe.buildConflicts();
-  const Layering layering = buildLineLayering(universe);
+  const Layering layering = buildLineLayering(problem, universe);
 
   DistributedOptions dopt;
   dopt.seed = 5;

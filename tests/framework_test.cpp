@@ -30,7 +30,7 @@ Ctx makeSetup(std::uint64_t seed, std::int32_t n, std::int32_t m,
   TreeProblem problem = makeTreeScenario(cfg);
   InstanceUniverse universe = InstanceUniverse::fromTreeProblem(problem);
   universe.buildConflicts();
-  Layering layering = buildTreeLayering(problem, universe).layering;
+  Layering layering = buildTreeLayering(problem, universe);
   return {std::move(problem), std::move(universe), std::move(layering)};
 }
 

@@ -115,6 +115,21 @@ TEST(Io, RejectsSemanticallyInvalid) {
   EXPECT_THROW(parseTreeProblem(text), CheckError);
 }
 
+TEST(Io, RejectsBadCounts) {
+  // Counts read from the file are checked before anything is sized by them.
+  const std::string zeroVertices =
+      "treesched-tree v1\nvertices 0\nnetworks 1\nnetwork\ndemands 0\n";
+  EXPECT_THROW(parseTreeProblem(zeroVertices), CheckError);
+  const std::string negativeTreeAccess =
+      "treesched-tree v1\nvertices 3\nnetworks 1\nnetwork\n0 1\n1 2\n"
+      "demands 1\n0 2 1.0 1.0 -1\n";
+  EXPECT_THROW(parseTreeProblem(negativeTreeAccess), CheckError);
+  const std::string negativeLineAccess =
+      "treesched-line v1\nslots 4\nresources 1\n"
+      "demands 1\n0 3 2 1.0 1.0 -1\n";
+  EXPECT_THROW(parseLineProblem(negativeLineAccess), CheckError);
+}
+
 TEST(Io, FileRoundTrip) {
   TreeScenarioConfig cfg;
   cfg.seed = 11;

@@ -28,16 +28,16 @@ TEST(TreeLayering, InterferencePropertyHolds) {
   const TreeProblem problem = smallTreeProblem(1, 24, 30, 3,
                                                TreeShape::UniformRandom);
   const InstanceUniverse universe = InstanceUniverse::fromTreeProblem(problem);
-  const TreeLayeringResult result = buildTreeLayering(problem, universe);
-  EXPECT_EQ(checkLayering(universe, result.layering), "");
+  const Layering layering = buildTreeLayering(problem, universe);
+  EXPECT_EQ(checkLayering(universe, layering), "");
 }
 
 TEST(TreeLayering, DeltaAtMostSixWithIdeal) {
   const TreeProblem problem = smallTreeProblem(2, 40, 60, 2,
                                                TreeShape::UniformRandom);
   const InstanceUniverse universe = InstanceUniverse::fromTreeProblem(problem);
-  const TreeLayeringResult result = buildTreeLayering(problem, universe);
-  EXPECT_LE(result.layering.maxCriticalSize, 6)
+  const Layering layering = buildTreeLayering(problem, universe);
+  EXPECT_LE(layering.maxCriticalSize, 6)
       << "Lemma 4.3: Delta = 2*(theta+1) <= 6 for the ideal decomposition";
 }
 
@@ -45,10 +45,10 @@ TEST(TreeLayering, GroupCountLogarithmic) {
   const TreeProblem problem = smallTreeProblem(3, 128, 20, 1,
                                                TreeShape::UniformRandom);
   const InstanceUniverse universe = InstanceUniverse::fromTreeProblem(problem);
-  const TreeLayeringResult result = buildTreeLayering(problem, universe);
+  const Layering layering = buildTreeLayering(problem, universe);
   std::int32_t lg = 0;
   while ((1 << lg) < 128) ++lg;
-  EXPECT_LE(result.layering.numGroups, 2 * lg + 1);
+  EXPECT_LE(layering.numGroups, 2 * lg + 1);
 }
 
 TEST(TreeLayering, RootFixingGivesDeltaFour) {
@@ -56,19 +56,19 @@ TEST(TreeLayering, RootFixingGivesDeltaFour) {
   const TreeProblem problem = smallTreeProblem(4, 32, 40, 2,
                                                TreeShape::UniformRandom);
   const InstanceUniverse universe = InstanceUniverse::fromTreeProblem(problem);
-  const TreeLayeringResult result =
+  const Layering layering =
       buildTreeLayering(problem, universe, DecompositionKind::RootFixing);
-  EXPECT_LE(result.layering.maxCriticalSize, 4);
-  EXPECT_EQ(checkLayering(universe, result.layering), "");
+  EXPECT_LE(layering.maxCriticalSize, 4);
+  EXPECT_EQ(checkLayering(universe, layering), "");
 }
 
 TEST(TreeLayering, BalancingInterferenceHolds) {
   const TreeProblem problem = smallTreeProblem(5, 32, 40, 2,
                                                TreeShape::UniformRandom);
   const InstanceUniverse universe = InstanceUniverse::fromTreeProblem(problem);
-  const TreeLayeringResult result =
+  const Layering layering =
       buildTreeLayering(problem, universe, DecompositionKind::Balancing);
-  EXPECT_EQ(checkLayering(universe, result.layering), "");
+  EXPECT_EQ(checkLayering(universe, layering), "");
 }
 
 // Property sweep across shapes and seeds: the interference property is the
@@ -87,11 +87,10 @@ TEST_P(TreeLayeringPropertyTest, InterferenceAndDeltaBounds) {
   const TreeProblem problem = smallTreeProblem(param.seed, 20, 25, 2,
                                                param.shape);
   const InstanceUniverse universe = InstanceUniverse::fromTreeProblem(problem);
-  const TreeLayeringResult result =
-      buildTreeLayering(problem, universe, param.kind);
-  EXPECT_EQ(checkLayering(universe, result.layering), "");
+  const Layering layering = buildTreeLayering(problem, universe, param.kind);
+  EXPECT_EQ(checkLayering(universe, layering), "");
   if (param.kind == DecompositionKind::Ideal) {
-    EXPECT_LE(result.layering.maxCriticalSize, 6);
+    EXPECT_LE(layering.maxCriticalSize, 6);
   }
 }
 
@@ -133,28 +132,28 @@ LineProblem smallLineProblem(std::uint64_t seed, double slack) {
 TEST(LineLayering, InterferencePropertyHolds) {
   const LineProblem problem = smallLineProblem(21, 0.0);
   const InstanceUniverse universe = InstanceUniverse::fromLineProblem(problem);
-  const Layering layering = buildLineLayering(universe);
+  const Layering layering = buildLineLayering(problem, universe);
   EXPECT_EQ(checkLayering(universe, layering), "");
 }
 
 TEST(LineLayering, InterferenceWithWindows) {
   const LineProblem problem = smallLineProblem(22, 1.5);
   const InstanceUniverse universe = InstanceUniverse::fromLineProblem(problem);
-  const Layering layering = buildLineLayering(universe);
+  const Layering layering = buildLineLayering(problem, universe);
   EXPECT_EQ(checkLayering(universe, layering), "");
 }
 
 TEST(LineLayering, DeltaAtMostThree) {
   const LineProblem problem = smallLineProblem(23, 1.0);
   const InstanceUniverse universe = InstanceUniverse::fromLineProblem(problem);
-  const Layering layering = buildLineLayering(universe);
+  const Layering layering = buildLineLayering(problem, universe);
   EXPECT_LE(layering.maxCriticalSize, 3);
 }
 
 TEST(LineLayering, GroupCountMatchesLengthSpread) {
   const LineProblem problem = smallLineProblem(24, 0.0);
   const InstanceUniverse universe = InstanceUniverse::fromLineProblem(problem);
-  const Layering layering = buildLineLayering(universe);
+  const Layering layering = buildLineLayering(problem, universe);
   // numGroups <= ceil(lg(Lmax/Lmin)) + 1.
   std::int32_t lg = 0;
   while ((1 << lg) < 12) ++lg;
@@ -164,7 +163,7 @@ TEST(LineLayering, GroupCountMatchesLengthSpread) {
 TEST(LineLayering, ShortInstancesComeFirst) {
   const LineProblem problem = smallLineProblem(25, 0.5);
   const InstanceUniverse universe = InstanceUniverse::fromLineProblem(problem);
-  const Layering layering = buildLineLayering(universe);
+  const Layering layering = buildLineLayering(problem, universe);
   for (InstanceId a = 0; a < universe.numInstances(); ++a) {
     for (InstanceId b = 0; b < universe.numInstances(); ++b) {
       if (universe.instance(a).pathLength() * 2 <=
@@ -184,7 +183,7 @@ TEST(LineLayering, SingleSlotInstances) {
                      makeIntervalDemand(1, 0, 3, 2.0)};
   problem.access = fullLineAccess(2, 1);
   const InstanceUniverse universe = InstanceUniverse::fromLineProblem(problem);
-  const Layering layering = buildLineLayering(universe);
+  const Layering layering = buildLineLayering(problem, universe);
   EXPECT_EQ(checkLayering(universe, layering), "");
   // One-slot instance: all three wings coincide.
   EXPECT_EQ(layering.critical(0).size(), 1u);

@@ -186,9 +186,9 @@ TEST(PaperExample, LayeringOnExampleTreeSatisfiesInterference) {
   add(3, 9);
   problem.validate();
   const InstanceUniverse u = InstanceUniverse::fromTreeProblem(problem);
-  const TreeLayeringResult lay = buildTreeLayering(problem, u);
-  EXPECT_EQ(checkLayering(u, lay.layering), "");
-  EXPECT_LE(lay.layering.maxCriticalSize, 6);
+  const Layering lay = buildTreeLayering(problem, u);
+  EXPECT_EQ(checkLayering(u, lay), "");
+  EXPECT_LE(lay.maxCriticalSize, 6);
 }
 
 TEST(PaperExample, AllSolversAgreeOnFeasibilityAndBounds) {

@@ -55,8 +55,12 @@ void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
   return ::operator new(size, std::nothrow);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Out of line: once gcc inlines these, it sees free() on a pointer from
+// operator new and reports -Wmismatched-new-delete.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 void operator delete(void* p, const std::nothrow_t&) noexcept {
   std::free(p);
 }
