@@ -71,7 +71,6 @@ int main(int argc, char** argv) {
     }
 
     InstanceUniverse universe = InstanceUniverse::fromTreeProblem(problem);
-    universe.buildConflicts();
     const Layering layering = buildTreeLayering(problem, universe);
     FrameworkConfig copt;
     copt.seed = dopt.seed;

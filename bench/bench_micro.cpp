@@ -58,17 +58,6 @@ TreeProblem microProblem(std::int32_t n, std::int32_t m) {
   return makeTreeScenario(cfg);
 }
 
-void BM_ConflictGraphBuild(benchmark::State& state) {
-  const auto m = static_cast<std::int32_t>(state.range(0));
-  const TreeProblem problem = microProblem(64, m);
-  for (auto _ : state) {
-    InstanceUniverse u = InstanceUniverse::fromTreeProblem(problem);
-    u.buildConflicts();
-    benchmark::DoNotOptimize(u.maxConflictDegree());
-  }
-}
-BENCHMARK(BM_ConflictGraphBuild)->Arg(128)->Arg(512)->Arg(2048);
-
 void BM_TreeLayering(benchmark::State& state) {
   const auto m = static_cast<std::int32_t>(state.range(0));
   const TreeProblem problem = microProblem(128, m);
@@ -82,8 +71,7 @@ BENCHMARK(BM_TreeLayering)->Arg(128)->Arg(512);
 void BM_TwoPhaseEngine(benchmark::State& state) {
   const auto m = static_cast<std::int32_t>(state.range(0));
   const TreeProblem problem = microProblem(64, m);
-  InstanceUniverse u = InstanceUniverse::fromTreeProblem(problem);
-  u.buildConflicts();
+  const InstanceUniverse u = InstanceUniverse::fromTreeProblem(problem);
   const Layering layering = buildTreeLayering(problem, u);
   FrameworkConfig cfg;
   for (auto _ : state) {

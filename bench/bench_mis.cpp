@@ -4,8 +4,11 @@
 // randomized algorithm finishes in O(log N) rounds w.h.p.; this harness
 // measures rounds on conflict graphs of growing size and reports
 // rounds / lg N, which must stay roughly constant.
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <iostream>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "core/universe.hpp"
@@ -16,6 +19,32 @@
 #include "util/table.hpp"
 
 using namespace treesched;
+
+namespace {
+
+/// Largest number of distinct instances anyConflict visits from one
+/// instance: the conflict graph's maximum degree.
+std::int32_t maxDegree(const InstanceUniverse& universe) {
+  std::vector<std::uint8_t> seen(
+      static_cast<std::size_t>(universe.numInstances()), 0);
+  std::vector<InstanceId> visited;
+  std::int32_t best = 0;
+  for (InstanceId i = 0; i < universe.numInstances(); ++i) {
+    visited.clear();
+    anyConflict(universe, i, [&](InstanceId w) {
+      if (seen[static_cast<std::size_t>(w)] == 0) {
+        seen[static_cast<std::size_t>(w)] = 1;
+        visited.push_back(w);
+      }
+      return false;
+    });
+    best = std::max(best, static_cast<std::int32_t>(visited.size()));
+    for (const InstanceId w : visited) seen[static_cast<std::size_t>(w)] = 0;
+  }
+  return best;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   CliFlags flags;
@@ -43,8 +72,8 @@ int main(int argc, char** argv) {
     cfg.demands.numDemands = m;
     cfg.demands.accessProbability = 0.7;
     const TreeProblem problem = makeTreeScenario(cfg);
-    InstanceUniverse universe = InstanceUniverse::fromTreeProblem(problem);
-    universe.buildConflicts();
+    const InstanceUniverse universe =
+        InstanceUniverse::fromTreeProblem(problem);
 
     std::vector<InstanceId> active(
         static_cast<std::size_t>(universe.numInstances()));
@@ -60,7 +89,7 @@ int main(int argc, char** argv) {
     const double lg = std::log2(static_cast<double>(universe.numInstances()));
     table.row()
         .cell(universe.numInstances())
-        .cell(universe.maxConflictDegree())
+        .cell(maxDegree(universe))
         .cell(rounds.mean(), 2)
         .cell(static_cast<std::int64_t>(rounds.max()))
         .cell(rounds.mean() / lg, 3)

@@ -314,7 +314,6 @@ int main(int argc, char** argv) {
   // Centralized reference with the identical fixed schedule (a
   // SchedulerConfig starts with core.fixedSchedule on by contract).
   InstanceUniverse universe = InstanceUniverse::fromTreeProblem(problem);
-  universe.buildConflicts();
   const Layering layering = buildTreeLayering(problem, universe);
   const TwoPhaseResult central =
       runTwoPhase(universe, layering, sched.framework());

@@ -45,8 +45,7 @@ LineProblem subProblem(const LineProblem& problem,
 
 LineSolveResult runLineFramework(const LineProblem& problem,
                                  const SolverOptions& options, RaiseRule rule) {
-  InstanceUniverse universe = InstanceUniverse::fromLineProblem(problem);
-  universe.buildConflicts();
+  const InstanceUniverse universe = InstanceUniverse::fromLineProblem(problem);
   const Layering layering = buildLineLayering(problem, universe);
 
   double derivedHmin = 1.0;

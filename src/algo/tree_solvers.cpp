@@ -60,8 +60,7 @@ TreeProblem subProblem(const TreeProblem& problem,
 
 TreeSolveResult runTreeFramework(const TreeProblem& problem,
                                  const SolverOptions& options, RaiseRule rule) {
-  InstanceUniverse universe = InstanceUniverse::fromTreeProblem(problem);
-  universe.buildConflicts();
+  const InstanceUniverse universe = InstanceUniverse::fromTreeProblem(problem);
   const Layering layering =
       buildTreeLayering(problem, universe, options.decomposition);
 

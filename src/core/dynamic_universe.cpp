@@ -174,42 +174,12 @@ void DynamicUniverse::addDemand(DemandId d) {
         static_cast<std::int32_t>(slab->criticalPool.size());
   }
 
-  // Splice into the live edge index first, then derive each new
-  // instance's conflict row exactly as the from-scratch build does:
-  // union of on-edge instances over the path, plus all siblings, sorted
-  // unique minus self — restricted to live ids by construction.
+  // Splice into the live edge index; conflicts are derived from it.
   for (const InstanceRecord& rec : slab->records) {
     for (std::int32_t p = rec.pathBegin; p < rec.pathEnd; ++p) {
       insertSorted(edgeLive_[static_cast<std::size_t>(slab->pathPool[
                        static_cast<std::size_t>(p)])],
                    rec.id);
-    }
-  }
-  slab->conflicts.resize(count);
-  std::vector<InstanceId> row;
-  for (std::size_t local = 0; local < count; ++local) {
-    const InstanceRecord& rec = slab->records[local];
-    row.clear();
-    for (std::int32_t p = rec.pathBegin; p < rec.pathEnd; ++p) {
-      const auto& onEdge = edgeLive_[static_cast<std::size_t>(
-          slab->pathPool[static_cast<std::size_t>(p)])];
-      row.insert(row.end(), onEdge.begin(), onEdge.end());
-    }
-    for (std::size_t s = 0; s < count; ++s) {
-      row.push_back(base + static_cast<InstanceId>(s));
-    }
-    std::sort(row.begin(), row.end());
-    row.erase(std::unique(row.begin(), row.end()), row.end());
-    row.erase(std::remove(row.begin(), row.end(), rec.id), row.end());
-    slab->conflicts[local] = row;
-  }
-  // Mirror the new rows into the other live demands' rows.
-  for (std::size_t local = 0; local < count; ++local) {
-    const InstanceId id = base + static_cast<InstanceId>(local);
-    for (const InstanceId w : slab->conflicts[local]) {
-      if (demandOf_[static_cast<std::size_t>(w)] != d) {
-        insertSorted(conflictListOf(w), id);
-      }
     }
   }
 
@@ -227,13 +197,7 @@ void DynamicUniverse::retireDemand(DemandId d) {
   const auto start = std::chrono::steady_clock::now();
   DemandSlab& slab = *slabs_[static_cast<std::size_t>(d)];
   const std::size_t count = slab.records.size();
-  for (std::size_t local = 0; local < count; ++local) {
-    const InstanceRecord& rec = slab.records[local];
-    for (const InstanceId w : slab.conflicts[local]) {
-      if (demandOf_[static_cast<std::size_t>(w)] != d) {
-        eraseSorted(conflictListOf(w), rec.id);
-      }
-    }
+  for (const InstanceRecord& rec : slab.records) {
     for (std::int32_t p = rec.pathBegin; p < rec.pathEnd; ++p) {
       eraseSorted(edgeLive_[static_cast<std::size_t>(
                       slab.pathPool[static_cast<std::size_t>(p)])],
@@ -261,14 +225,6 @@ const DynamicUniverse::DemandSlab& DynamicUniverse::slabOf(
   checkThat(slab != nullptr, "instance's demand live", __FILE__, __LINE__);
   local = i - instanceOffset_[static_cast<std::size_t>(demand)];
   return *slab;
-}
-
-std::vector<InstanceId>& DynamicUniverse::conflictListOf(InstanceId i) {
-  DemandId demand = 0;
-  std::int32_t local = 0;
-  const DemandSlab& slab = slabOf(i, demand, local);
-  return const_cast<DemandSlab&>(slab).conflicts[static_cast<std::size_t>(
-      local)];
 }
 
 const InstanceRecord& DynamicUniverse::instance(InstanceId i) const {
@@ -309,14 +265,6 @@ bool DynamicUniverse::overlapping(InstanceId a, InstanceId b) const {
 
 bool DynamicUniverse::conflicting(InstanceId a, InstanceId b) const {
   return instancesConflict(*this, a, b);
-}
-
-std::span<const InstanceId> DynamicUniverse::conflictsOf(InstanceId i) const {
-  DemandId demand = 0;
-  std::int32_t local = 0;
-  const DemandSlab& slab = slabOf(i, demand, local);
-  const auto& row = slab.conflicts[static_cast<std::size_t>(local)];
-  return {row.data(), row.size()};
 }
 
 std::int32_t DynamicUniverse::groupOf(InstanceId i) const {

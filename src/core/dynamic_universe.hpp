@@ -7,8 +7,8 @@
 // *id space* (instance ids, global edge ids and group numbers are
 // pool-stable, so surviving instances never renumber and every
 // hash-keyed decision is reproducible), but materializes records, edge
-// paths, the conflict relation and the layering only for demands that
-// are currently live:
+// paths, the per-edge instance lists and the layering only for demands
+// that are currently live:
 //
 //   * addDemand(d) expands d's instances with expandDemand
 //     (core/universe.hpp), the function the from-scratch builders run
@@ -16,18 +16,22 @@
 //     each one its group + critical edges through the pluggable
 //     `InstanceLayerer` whose layer() also produces every batch
 //     `Layering` (per-instance-local by Lemma 4.2/4.3 and §7), and
-//     splices them into the live conflict adjacency — O(affected) work,
-//     independent of pool size.
+//     splices them into the live per-edge lists — O(demand's path
+//     length) list insertions, independent of pool size.
 //   * retireDemand(d) garbage-collects with the same exactness
-//     discipline as raise purging: every symmetric reference is removed
+//     discipline as raise purging: every per-edge reference is removed
 //     (checked, not best-effort), the slab is freed, and a later
 //     re-arrival rebuilds bit-identical state.
+//
+// Conflicts are never stored: instancesConflict and anyConflict
+// (core/universe.hpp) derive them from the live per-demand and per-edge
+// indexes, so they see live instances only.
 //
 // The live view equals the from-scratch build restricted to live
 // demands — `tests/dynamic_universe_test.cpp` gates that equivalence on
 // every scenario preset, per epoch. Heavy per-instance state (records,
-// paths, conflicts, critical edges) tracks live demands; only flat id
-// indexes (a few bytes per pool id) stay pool-dense.
+// paths, critical edges) tracks live demands; only flat id indexes (a
+// few bytes per pool id) stay pool-dense.
 #pragma once
 
 #include <memory>
@@ -40,9 +44,11 @@
 
 namespace treesched {
 
-/// Cumulative cost accounting of one DynamicUniverse. Published by the
-/// online solver as `universe.*` metrics; `bench_online` derives its
-/// `universe_build_ms` / `mean_extend_us_per_arrival` columns from it.
+/// Cumulative cost accounting of one DynamicUniverse. The online solver
+/// publishes the GC counts as `universe.gc_*` metrics; the wall-clock
+/// fields stay out of the registry, which reproduces bit for bit.
+/// `bench_online` derives its `universe_build_ms` /
+/// `mean_extend_us_per_arrival` columns from them.
 struct UniverseStats {
   double buildMs = 0;            ///< one-time pool build (layerer + indexes)
   std::int64_t arrivals = 0;     ///< addDemand calls
@@ -106,7 +112,8 @@ struct DynamicLayeringView {
 /// `InstanceUniverse` exactly — templated framework/protocol code runs
 /// on either — with live-restricted semantics: instance(i)/path(i)
 /// require i live, instancesOfDemand(d) is empty for non-live d, and
-/// instancesOnEdge/conflictsOf enumerate live instances only.
+/// instancesOnEdge enumerates live instances only (so anyConflict does
+/// too).
 class DynamicUniverse {
  public:
   using Kind = InstanceUniverse::Kind;
@@ -146,13 +153,13 @@ class DynamicUniverse {
   // ---- Live mutation ----
 
   /// Materializes demand d's instances, layers them and splices them
-  /// into the live conflict relation. O(affected): proportional to the
-  /// demand's own paths plus the live instances they touch, independent
-  /// of pool size. d must not be live.
+  /// into the live per-edge lists. Proportional to the demand's own
+  /// paths and the lists they touch, independent of pool size. d must
+  /// not be live.
   void addDemand(DemandId d);
 
-  /// Garbage-collects demand d: every symmetric conflict/edge reference
-  /// is removed (checked) and the slab is freed. d must be live.
+  /// Garbage-collects demand d: every per-edge reference is removed
+  /// (checked) and the slab is freed. d must be live.
   void retireDemand(DemandId d);
 
   bool isLive(DemandId d) const;
@@ -175,13 +182,6 @@ class DynamicUniverse {
 
   bool overlapping(InstanceId a, InstanceId b) const;
   bool conflicting(InstanceId a, InstanceId b) const;
-
-  /// The conflict relation is maintained incrementally — always built.
-  bool conflictsBuilt() const { return true; }
-
-  /// Live conflict neighbours of live instance i, ascending: exactly
-  /// the from-scratch conflict adjacency intersected with live ids.
-  std::span<const InstanceId> conflictsOf(InstanceId i) const;
 
   // ---- Layering ----
 
@@ -207,8 +207,6 @@ class DynamicUniverse {
     std::vector<std::int32_t> group;          ///< per local instance
     std::vector<std::int32_t> criticalOffset;  ///< local CSR
     std::vector<GlobalEdgeId> criticalPool;
-    /// Live conflict neighbours per local instance, sorted ascending.
-    std::vector<std::vector<InstanceId>> conflicts;
   };
 
   /// Validates the problem and fixes every pool-level constant.
@@ -216,7 +214,6 @@ class DynamicUniverse {
   void buildPoolIndexes(const Problem& problem);
   const DemandSlab& slabOf(InstanceId i, DemandId& demand,
                            std::int32_t& local) const;
-  std::vector<InstanceId>& conflictListOf(InstanceId i);
 
   Kind kind_ = Kind::Tree;
   std::shared_ptr<const TreeProblem> tree_;

@@ -199,61 +199,6 @@ bool InstanceUniverse::conflicting(InstanceId a, InstanceId b) const {
   return instancesConflict(*this, a, b);
 }
 
-void InstanceUniverse::buildConflicts() {
-  if (conflictsBuilt_) return;
-  conflictOffset_.assign(static_cast<std::size_t>(numInstances()) + 1, 0);
-  std::vector<InstanceId> buffer;
-  // Two passes: count then fill, so conflictAdj_ is allocated exactly once.
-  std::vector<std::vector<InstanceId>> rows(
-      static_cast<std::size_t>(numInstances()));
-  for (InstanceId i = 0; i < numInstances(); ++i) {
-    buffer.clear();
-    for (const GlobalEdgeId e : path(i)) {
-      const auto onEdge = instancesOnEdge(e);
-      buffer.insert(buffer.end(), onEdge.begin(), onEdge.end());
-    }
-    const auto sameDemand = instancesOfDemand(instance(i).demand);
-    buffer.insert(buffer.end(), sameDemand.begin(), sameDemand.end());
-    std::sort(buffer.begin(), buffer.end());
-    buffer.erase(std::unique(buffer.begin(), buffer.end()), buffer.end());
-    buffer.erase(std::remove(buffer.begin(), buffer.end(), i), buffer.end());
-    rows[static_cast<std::size_t>(i)] = buffer;
-  }
-  std::int64_t total = 0;
-  for (InstanceId i = 0; i < numInstances(); ++i) {
-    conflictOffset_[static_cast<std::size_t>(i)] = total;
-    total +=
-        static_cast<std::int64_t>(rows[static_cast<std::size_t>(i)].size());
-  }
-  conflictOffset_[static_cast<std::size_t>(numInstances())] = total;
-  conflictAdj_.resize(static_cast<std::size_t>(total));
-  for (InstanceId i = 0; i < numInstances(); ++i) {
-    std::copy(rows[static_cast<std::size_t>(i)].begin(),
-              rows[static_cast<std::size_t>(i)].end(),
-              conflictAdj_.begin() +
-                  conflictOffset_[static_cast<std::size_t>(i)]);
-  }
-  conflictsBuilt_ = true;
-}
-
-std::span<const InstanceId> InstanceUniverse::conflictsOf(InstanceId i) const {
-  checkThat(conflictsBuilt_, "buildConflicts() called", __FILE__, __LINE__);
-  checkIndex(i, numInstances(), "instance id");
-  const auto begin = conflictOffset_[static_cast<std::size_t>(i)];
-  const auto end = conflictOffset_[static_cast<std::size_t>(i) + 1];
-  return {conflictAdj_.data() + begin, static_cast<std::size_t>(end - begin)};
-}
-
-std::int32_t InstanceUniverse::maxConflictDegree() const {
-  checkThat(conflictsBuilt_, "buildConflicts() called", __FILE__, __LINE__);
-  std::int64_t best = 0;
-  for (InstanceId i = 0; i < numInstances(); ++i) {
-    best = std::max(best, conflictOffset_[static_cast<std::size_t>(i) + 1] -
-                              conflictOffset_[static_cast<std::size_t>(i)]);
-  }
-  return static_cast<std::int32_t>(best);
-}
-
 std::int32_t InstanceUniverse::lineSlots() const {
   checkThat(kind_ == Kind::Line, "line universe", __FILE__, __LINE__);
   return lineSlots_;

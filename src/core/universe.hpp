@@ -7,7 +7,10 @@
 //   * a global edge index space across all networks (dual variables beta
 //     live on it);
 //   * per-instance edge paths;
-//   * the conflict relation (same demand, or same network + shared edge);
+//   * instances indexed by demand and by global edge.
+// The conflict relation (same demand, or same network + shared edge) is
+// never stored: instancesConflict decides one pair and anyConflict
+// enumerates one instance's conflicts from the two indexes above.
 // The primal-dual framework and the distributed simulator operate purely on
 // this structure; tree-vs-line differences are confined to expandDemand.
 // `DynamicUniverse` (core/dynamic_universe.hpp) grows the same records one
@@ -105,18 +108,6 @@ class InstanceUniverse {
   /// "conflicting"); a pair is schedulable together iff NOT conflicting.
   bool conflicting(InstanceId a, InstanceId b) const;
 
-  /// Builds the conflict adjacency (idempotent). Cost is
-  /// sum over edges e of |instancesOnEdge(e)|^2; fine at simulation scale.
-  void buildConflicts();
-  bool conflictsBuilt() const { return conflictsBuilt_; }
-
-  /// Conflict neighbours of `i` (excluding `i`), ascending. Requires
-  /// buildConflicts() to have run.
-  std::span<const InstanceId> conflictsOf(InstanceId i) const;
-
-  /// Max conflict degree (requires buildConflicts()).
-  std::int32_t maxConflictDegree() const;
-
   double profitMax() const { return profitMax_; }
   double profitMin() const { return profitMin_; }
 
@@ -147,11 +138,6 @@ class InstanceUniverse {
   // CSR: instances grouped by global edge.
   std::vector<std::int32_t> edgeInstOffset_;
   std::vector<InstanceId> edgeInstances_;
-
-  // CSR conflict adjacency.
-  bool conflictsBuilt_ = false;
-  std::vector<std::int64_t> conflictOffset_;
-  std::vector<InstanceId> conflictAdj_;
 
   double profitMax_ = 1.0;
   double profitMin_ = 1.0;
@@ -184,6 +170,24 @@ bool instancesConflict(const Universe& universe, InstanceId a, InstanceId b) {
   if (a == b) return false;
   if (universe.instance(a).demand == universe.instance(b).demand) return true;
   return instancesOverlap(universe, a, b);
+}
+
+/// Visits the instances conflicting with i: the other instances of i's
+/// demand, then every instance on each edge of i's path. A w may be
+/// visited more than once, i never. Returns true at the first w where
+/// pred(w) holds, false when there is none.
+template <class Universe, class Pred>
+bool anyConflict(const Universe& universe, InstanceId i, Pred pred) {
+  const DemandId d = universe.instance(i).demand;
+  for (const InstanceId w : universe.instancesOfDemand(d)) {
+    if (w != i && pred(w)) return true;
+  }
+  for (const GlobalEdgeId e : universe.path(i)) {
+    for (const InstanceId w : universe.instancesOnEdge(e)) {
+      if (w != i && pred(w)) return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace treesched

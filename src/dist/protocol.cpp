@@ -172,8 +172,6 @@ class ProtocolEngine {
     if (tracing_.active()) {
       obs_ = &tracing_;
     }
-    checkThat(u_.conflictsBuilt(), "conflicts built before protocol run",
-              __FILE__, __LINE__);
     checkThat(net_.numProcessors() == numProc_,
               "one processor per demand", __FILE__, __LINE__);
 
@@ -311,13 +309,6 @@ class ProtocolEngine {
 
  private:
   DemandId owner(InstanceId i) const { return u_.instance(i).demand; }
-
-  /// Same answer as InstanceUniverse::conflicting(v, w) for v != w, but
-  /// O(log deg) via the prebuilt sorted adjacency instead of a path scan.
-  bool conflictsWith(InstanceId v, InstanceId w) const {
-    const auto adj = u_.conflictsOf(v);
-    return std::binary_search(adj.begin(), adj.end(), w);
-  }
 
   /// Alive during phase-1 tuple `tuple` (crashes hit at tuple start).
   bool aliveAt(DemandId p, std::int64_t tuple) const {
@@ -545,12 +536,14 @@ class ProtocolEngine {
             return false;
           }
         }
+        // Inbox messages come from other demands, so for them
+        // conflicting is overlapping; the cheap priority test goes first.
         for (const Message& m : net_.inbox(p)) {
           if (m.kind != MessageKind::MisActive) continue;
-          if (!conflictsWith(v, m.instance)) continue;
           const std::uint64_t pw =
               priority_[static_cast<std::size_t>(m.instance)];
-          if (pw > pv || (pw == pv && m.instance > v)) {
+          if ((pw > pv || (pw == pv && m.instance > v)) &&
+              u_.overlapping(v, m.instance)) {
             return false;
           }
         }
@@ -581,7 +574,7 @@ class ProtocolEngine {
         }
         for (const Message& m : net_.inbox(owner(v))) {
           if (m.kind != MessageKind::MisJoin) continue;
-          if (conflictsWith(v, m.instance)) {
+          if (u_.overlapping(v, m.instance)) {
             misStatus_[static_cast<std::size_t>(v)] = MisStatus::Out;
             return;
           }
@@ -924,7 +917,6 @@ Phase1Result runDistributedPhase1(const DynamicUniverse& universe,
 
 PreparedRun prepareUnitTreeRun(const TreeProblem& problem) {
   InstanceUniverse universe = InstanceUniverse::fromTreeProblem(problem);
-  universe.buildConflicts();
   Layering layering = buildTreeLayering(problem, universe);
   return {std::move(universe), std::move(layering),
           communicationGraph(problem.access, problem.numNetworks())};
@@ -932,7 +924,6 @@ PreparedRun prepareUnitTreeRun(const TreeProblem& problem) {
 
 PreparedRun prepareUnitLineRun(const LineProblem& problem) {
   InstanceUniverse universe = InstanceUniverse::fromLineProblem(problem);
-  universe.buildConflicts();
   Layering layering = buildLineLayering(problem, universe);
   return {std::move(universe), std::move(layering),
           communicationGraph(problem.access, problem.numResources)};

@@ -223,7 +223,7 @@ Phase1Result runDistributedPhase1(const DynamicUniverse& universe,
                                   const WarmStart& warm);
 
 /// Everything a runner needs before choosing a transport: the validated
-/// universe (conflicts built), the layering and the communication graph.
+/// universe, the layering and the communication graph.
 /// Shared by the synchronous and asynchronous entry points so their
 /// setups can never diverge.
 struct PreparedRun {

@@ -184,13 +184,10 @@ void ParallelRunner::attachTelemetry(Tracer* tracer, MetricsRegistry* metrics) {
   trace_ = tracer != nullptr && tracer->enabled();
   if (metrics != nullptr) {
     claimsCounter_ = &metrics->counter("engine.claims");
-    stealsCounter_ = &metrics->counter("engine.steals");
     // Count from attach time: pre-attach traffic is not this run's.
     flushedClaims_ = claimsTotal_.load(std::memory_order_relaxed);
-    flushedSteals_ = stealsTotal_.load(std::memory_order_relaxed);
   } else {
     claimsCounter_ = nullptr;
-    stealsCounter_ = nullptr;
   }
 }
 
@@ -199,11 +196,8 @@ void ParallelRunner::publishCounters() {
     return;
   }
   const std::int64_t c = claimsTotal_.load(std::memory_order_relaxed);
-  const std::int64_t s = stealsTotal_.load(std::memory_order_relaxed);
   claimsCounter_->add(c - flushedClaims_);
-  stealsCounter_->add(s - flushedSteals_);
   flushedClaims_ = c;
-  flushedSteals_ = s;
 }
 
 void ParallelRunner::forShards(const ShardPlan& plan, ShardFn fn) {

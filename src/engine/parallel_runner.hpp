@@ -133,10 +133,12 @@ class ParallelRunner {
   /// calling thread emits them AFTER the barrier, in shard-id order —
   /// the same merge discipline as every other shard output, so tracing
   /// cannot perturb execution or determinism. With a live registry the
-  /// calling thread flushes `engine.claims` / `engine.steals` counter
-  /// deltas after each barrier (a serial section, per the metrics
-  /// discipline). Timing slots are grow-only; steady-state sections
-  /// allocate nothing.
+  /// calling thread flushes the `engine.claims` counter delta after each
+  /// barrier (a serial section, per the metrics discipline). Claims
+  /// total the shard count at any thread count; steals depend on which
+  /// thread wins each race, so they stay out of the registry (which
+  /// reproduces bit for bit) and are read through steals() alone.
+  /// Timing slots are grow-only; steady-state sections allocate nothing.
   void attachTelemetry(Tracer* tracer, MetricsRegistry* metrics = nullptr);
 
  private:
@@ -171,9 +173,7 @@ class ParallelRunner {
   Tracer* tracer_ = nullptr;
   bool trace_ = false;  ///< tracer present and enabled
   Counter* claimsCounter_ = nullptr;
-  Counter* stealsCounter_ = nullptr;
-  std::int64_t flushedClaims_ = 0;  ///< counter totals already published
-  std::int64_t flushedSteals_ = 0;
+  std::int64_t flushedClaims_ = 0;  ///< counter total already published
   std::vector<std::int64_t> shardBegin_;  ///< shard-owned timing slots
   std::vector<std::int64_t> shardEnd_;
 };

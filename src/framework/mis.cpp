@@ -24,8 +24,6 @@ enum class Status : std::uint8_t { Inactive, Undecided, In, Out };
 MisResult lubyMis(const InstanceUniverse& universe,
                   std::span<const InstanceId> active, std::uint64_t seed,
                   std::int32_t roundBudget) {
-  checkThat(universe.conflictsBuilt(), "conflicts built before MIS", __FILE__,
-            __LINE__);
   MisResult result;
   if (active.empty()) return result;
 
@@ -43,29 +41,28 @@ MisResult lubyMis(const InstanceUniverse& universe,
     joiners.clear();
     for (const InstanceId v : undecided) {
       const std::uint64_t pv = misPriority(seed, result.rounds, v);
-      bool isLocalMax = true;
-      for (const InstanceId w : universe.conflictsOf(v)) {
-        if (status[static_cast<std::size_t>(w)] != Status::Undecided) continue;
-        const std::uint64_t pw = misPriority(seed, result.rounds, w);
-        // Lexicographic (priority, id) comparison; ids differ, so there
-        // are no ties and exactly one of each conflicting pair can win.
-        if (pw > pv || (pw == pv && w > v)) {
-          isLocalMax = false;
-          break;
+      // Lexicographic (priority, id) comparison; ids differ, so there
+      // are no ties and exactly one of each conflicting pair can win.
+      const bool beaten = anyConflict(universe, v, [&](InstanceId w) {
+        if (status[static_cast<std::size_t>(w)] != Status::Undecided) {
+          return false;
         }
-      }
-      if (isLocalMax) {
+        const std::uint64_t pw = misPriority(seed, result.rounds, w);
+        return pw > pv || (pw == pv && w > v);
+      });
+      if (!beaten) {
         joiners.push_back(v);
       }
     }
     for (const InstanceId v : joiners) {
       status[static_cast<std::size_t>(v)] = Status::In;
       result.independent.push_back(v);
-      for (const InstanceId w : universe.conflictsOf(v)) {
+      anyConflict(universe, v, [&](InstanceId w) {
         if (status[static_cast<std::size_t>(w)] == Status::Undecided) {
           status[static_cast<std::size_t>(w)] = Status::Out;
         }
-      }
+        return false;
+      });
     }
     std::erase_if(undecided, [&](InstanceId v) {
       return status[static_cast<std::size_t>(v)] != Status::Undecided;
@@ -95,13 +92,9 @@ std::string checkMis(const InstanceUniverse& universe,
   }
   for (const InstanceId v : active) {
     if (inMis[static_cast<std::size_t>(v)]) continue;
-    bool dominated = false;
-    for (const InstanceId w : universe.conflictsOf(v)) {
-      if (inMis[static_cast<std::size_t>(w)]) {
-        dominated = true;
-        break;
-      }
-    }
+    const bool dominated = anyConflict(universe, v, [&](InstanceId w) -> bool {
+      return inMis[static_cast<std::size_t>(w)];
+    });
     if (!dominated) {
       std::ostringstream os;
       os << "MIS not maximal: active " << v << " undominated";

@@ -29,9 +29,9 @@ struct MisResult {
 /// instance id (compare (priority, id) lexicographically).
 std::uint64_t misPriority(std::uint64_t seed, std::int32_t round, InstanceId i);
 
-/// Runs Luby's MIS on the conflict subgraph induced by `active`.
-/// `universe.buildConflicts()` must have been called. `roundBudget <= 0`
-/// runs to completion (always maximal).
+/// Runs Luby's MIS on the conflict subgraph induced by `active`, with
+/// conflicts enumerated by anyConflict. `roundBudget <= 0` runs to
+/// completion (always maximal).
 MisResult lubyMis(const InstanceUniverse& universe,
                   std::span<const InstanceId> active, std::uint64_t seed,
                   std::int32_t roundBudget = 0);

@@ -47,8 +47,6 @@ TwoPhaseResult runTwoPhaseRestricted(const InstanceUniverse& universe,
                                      const Layering& layering,
                                      const FrameworkConfig& config,
                                      std::span<const InstanceId> active) {
-  checkThat(universe.conflictsBuilt(), "conflicts built before runTwoPhase",
-            __FILE__, __LINE__);
   TwoPhaseResult result;
   const std::int32_t numInst = universe.numInstances();
   result.stats.delta = layering.maxCriticalSize;

@@ -75,8 +75,8 @@ struct TwoPhaseResult {
   std::vector<std::vector<InstanceId>> stack;
 };
 
-/// Runs both phases. `universe` must have conflicts built; `layering`
-/// must satisfy the interference property for the guarantees to hold.
+/// Runs both phases. `layering` must satisfy the interference property
+/// for the guarantees to hold.
 ///
 /// This is, by definition, a one-line wrapper over runTwoPhaseRestricted
 /// with `active` = every instance of the universe (ascending). The

@@ -169,7 +169,7 @@ std::vector<ScenarioPresetInfo> scenarioPresets();
 // ---- Uniform preset instantiation --------------------------------------
 
 /// A named preset instantiated as a solver-ready problem: the instance
-/// universe (conflicts built), the unit-demand layering and the
+/// universe, the unit-demand layering and the
 /// accessibility lists every Scheduler consumes (policy/scheduler.hpp).
 /// Churn presets additionally carry their generated trace and epoch
 /// length so online consumers replay the same time-varying workload.

@@ -62,8 +62,6 @@ IncrementalSolver::IncrementalSolver(DynamicUniverse& universe,
     latencyRegHist_ = &cfg_.metrics->histogram(
         "online.admission_latency_epochs", latencyBuckets());
     instancesLiveGauge_ = &cfg_.metrics->gauge("universe.instances_live");
-    extendUsCtr_ = &cfg_.metrics->counter("universe.extend_us");
-    gcUsCtr_ = &cfg_.metrics->counter("universe.gc_us");
     gcDemandsCtr_ = &cfg_.metrics->counter("universe.gc_demands");
     gcInstancesCtr_ = &cfg_.metrics->counter("universe.gc_instances");
   }
@@ -304,7 +302,6 @@ std::vector<InstanceId> IncrementalSolver::activeInstanceIds() const {
     const auto span = u_.instancesOfDemand(d);
     ids.insert(ids.end(), span.begin(), span.end());
   }
-  std::sort(ids.begin(), ids.end());
   return ids;
 }
 
@@ -321,8 +318,6 @@ void IncrementalSolver::publishEpochTelemetry() {
   if (cfg_.metrics == nullptr) return;
   const UniverseStats stats = u_.stats();
   instancesLiveGauge_->set(static_cast<double>(u_.numLiveInstances()));
-  extendUsCtr_->add(stats.extendUs - prevStats_.extendUs);
-  gcUsCtr_->add(stats.gcUs - prevStats_.gcUs);
   gcDemandsCtr_->add(stats.gcDemands - prevStats_.gcDemands);
   gcInstancesCtr_->add(stats.gcInstances - prevStats_.gcInstances);
   prevStats_ = stats;
@@ -473,12 +468,13 @@ EpochOutcome IncrementalSolver::applyEpoch(
     // bit against runTwoPhaseRestricted on the active set.
     resetDualState();
   }
+  // Instance ids are numbered demand by demand, so the id ranges of
+  // ascending demands join into an ascending list.
   restricted_.clear();
   for (const DemandId d : affected_) {
     const auto span = u_.instancesOfDemand(d);
     restricted_.insert(restricted_.end(), span.begin(), span.end());
   }
-  std::sort(restricted_.begin(), restricted_.end());
   outcome.affectedInstances = static_cast<std::int64_t>(restricted_.size());
   outcome.resolveFraction =
       outcome.activeInstances > 0

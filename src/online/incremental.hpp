@@ -1,14 +1,14 @@
 // Warm-started incremental epoch re-solver (the online tentpole).
 //
 // The solver owns a *dynamic* universe (core/dynamic_universe.hpp):
-// the pool id space is fixed, but instances, edge paths, conflicts and
-// layering are materialized only for live demands. Demands arrive and
+// the pool id space is fixed, but instances, edge paths, per-edge lists
+// and layering are materialized only for live demands. Demands arrive and
 // depart in epoch batches; each batch triggers an incremental re-solve
 // instead of a from-scratch run:
 //
 //  * Arrival of d extends the universe in O(affected) — addDemand
 //    materializes d's instances with their pool-stable ids, layers them
-//    and splices them into the live conflict relation — and warm-starts
+//    and splices them into the live per-edge lists — and warm-starts
 //    each new instance's dual-constraint LHS from the persistent duals
 //    (alpha(d) + the surviving beta along its path). No pool-sized
 //    structure is ever built, so per-arrival cost is independent of
@@ -215,7 +215,8 @@ class IncrementalSolver {
   std::int32_t numEpochs() const { return epoch_; }
   std::int32_t activeDemands() const { return u_.numLiveDemands(); }
   bool isActive(DemandId d) const { return u_.isLive(d); }
-  /// Active instances, ascending (rebuilt on demand).
+  /// Active instances, ascending (rebuilt on demand; ids are numbered
+  /// demand by demand, so the live demands' ranges join in order).
   std::vector<InstanceId> activeInstanceIds() const;
   const Solution& solution() const { return solution_; }
   double profit() const { return profit_; }
@@ -321,8 +322,6 @@ class IncrementalSolver {
   Histogram* latencyRegHist_ = nullptr;
   // Universe cost instruments (dynamic-universe maintenance telemetry).
   Gauge* instancesLiveGauge_ = nullptr;
-  Counter* extendUsCtr_ = nullptr;
-  Counter* gcUsCtr_ = nullptr;
   Counter* gcDemandsCtr_ = nullptr;
   Counter* gcInstancesCtr_ = nullptr;
   /// Universe stats at the last publish — the per-epoch deltas feed the

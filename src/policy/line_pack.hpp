@@ -42,7 +42,7 @@ struct LinePackResult {
 };
 
 /// Packs the restricted active set (sorted ascending; empty = whole
-/// universe). Requires no conflict adjacency — only paths and profits.
+/// universe). Reads only paths and profits.
 LinePackResult emrLinePack(const InstanceUniverse& universe,
                            std::span<const InstanceId> active);
 

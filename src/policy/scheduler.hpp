@@ -43,7 +43,7 @@ namespace treesched {
 /// Everything a scheduler may read during one solve. The referenced
 /// structures must outlive the call.
 struct ScheduleContext {
-  const InstanceUniverse& universe;  ///< conflicts must be built
+  const InstanceUniverse& universe;
   const Layering& layering;
   /// Accessibility lists of the underlying problem (access[d] = network
   /// ids demand d may use) — the communication-graph signal for

@@ -73,8 +73,6 @@ class TwoPhaseScheduler : public SchedulerBase {
   }
 
   ScheduleOutcome solve(const ScheduleContext& context) override {
-    checkThat(context.universe.conflictsBuilt(),
-              "conflicts built before scheduler solve", __FILE__, __LINE__);
     std::vector<InstanceId> storage;
     const std::span<const InstanceId> active =
         resolveActiveSet(context, storage);

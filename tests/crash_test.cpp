@@ -26,7 +26,6 @@ TreeProblem crashProblem(std::uint64_t seed) {
 TEST(CrashFaults, SurvivorsProduceFeasibleSchedule) {
   const TreeProblem problem = crashProblem(1);
   InstanceUniverse universe = InstanceUniverse::fromTreeProblem(problem);
-  universe.buildConflicts();
 
   DistributedOptions opt;
   opt.crashProcessors = {0, 5, 9};
@@ -47,7 +46,6 @@ TEST(CrashFaults, SurvivorsProduceFeasibleSchedule) {
 TEST(CrashFaults, CrashBeforeStartLosesOnlyThoseDemands) {
   const TreeProblem problem = crashProblem(2);
   InstanceUniverse universe = InstanceUniverse::fromTreeProblem(problem);
-  universe.buildConflicts();
 
   DistributedOptions opt;
   opt.crashProcessors = {2};
@@ -63,7 +61,6 @@ TEST(CrashFaults, CrashBeforeStartLosesOnlyThoseDemands) {
 TEST(CrashFaults, CrashAtPhaseTwoDropsOnlyTheirAccepts) {
   const TreeProblem problem = crashProblem(3);
   InstanceUniverse universe = InstanceUniverse::fromTreeProblem(problem);
-  universe.buildConflicts();
 
   const DistributedResult clean = runDistributedUnitTree(problem);
 
@@ -109,7 +106,6 @@ TEST(CrashFaults, ProfitNeverNegativeAndBounded) {
   for (std::uint64_t seed = 10; seed <= 14; ++seed) {
     const TreeProblem problem = crashProblem(seed);
     InstanceUniverse universe = InstanceUniverse::fromTreeProblem(problem);
-    universe.buildConflicts();
     DistributedOptions opt;
     opt.crashProcessors = {static_cast<DemandId>(seed % 18),
                            static_cast<DemandId>((seed * 7) % 18)};

@@ -67,7 +67,6 @@ TEST_P(DistEquivalenceSweep, TreeBitIdentical) {
   const std::uint64_t seed = GetParam();
   const TreeProblem problem = sweepTree(seed);
   InstanceUniverse universe = InstanceUniverse::fromTreeProblem(problem);
-  universe.buildConflicts();
   const Layering layering = buildTreeLayering(problem, universe);
 
   DistributedOptions dopt;
@@ -90,7 +89,6 @@ TEST_P(DistEquivalenceSweep, LineBitIdentical) {
   const std::uint64_t seed = GetParam();
   const LineProblem problem = sweepLine(seed);
   InstanceUniverse universe = InstanceUniverse::fromLineProblem(problem);
-  universe.buildConflicts();
   const Layering layering = buildLineLayering(problem, universe);
 
   DistributedOptions dopt;
@@ -117,7 +115,6 @@ TEST_P(DistEquivalenceSweep, TreeRoundsWithinLemma51StageBound) {
   const std::uint64_t seed = GetParam();
   const TreeProblem problem = sweepTree(seed);
   InstanceUniverse universe = InstanceUniverse::fromTreeProblem(problem);
-  universe.buildConflicts();
   const Layering layering = buildTreeLayering(problem, universe);
 
   DistributedOptions opt;

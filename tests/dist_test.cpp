@@ -146,7 +146,6 @@ TEST_P(DistEquivalenceTest, BitIdenticalToCentralizedFixedSchedule) {
   const TreeProblem problem = treeCase(param.seed, param.n, param.m, param.r);
 
   InstanceUniverse universe = InstanceUniverse::fromTreeProblem(problem);
-  universe.buildConflicts();
   const Layering layering = buildTreeLayering(problem, universe);
 
   DistributedOptions dopt;
@@ -198,7 +197,6 @@ TEST(DistProtocol, LineEquivalence) {
   const LineProblem problem = makeLineScenario(cfg);
 
   InstanceUniverse universe = InstanceUniverse::fromLineProblem(problem);
-  universe.buildConflicts();
   const Layering layering = buildLineLayering(problem, universe);
 
   DistributedOptions dopt;
@@ -226,7 +224,6 @@ TEST(DistProtocol, LineEquivalence) {
 TEST(DistProtocol, SolutionFeasibleAndLambdaReached) {
   const TreeProblem problem = treeCase(11, 24, 20, 2);
   InstanceUniverse universe = InstanceUniverse::fromTreeProblem(problem);
-  universe.buildConflicts();
   DistributedOptions opt;
   opt.epsilon = 0.2;
   const DistributedResult result = runDistributedUnitTree(problem, opt);
@@ -301,7 +298,6 @@ TEST(DistProtocol, NarrowRuleRuns) {
   cfg.demands.hmin = 0.25;
   const TreeProblem problem = makeTreeScenario(cfg);
   InstanceUniverse universe = InstanceUniverse::fromTreeProblem(problem);
-  universe.buildConflicts();
   DistributedOptions opt;
   opt.rule = RaiseRule::Narrow;
   opt.hmin = 0.25;

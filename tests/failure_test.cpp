@@ -191,7 +191,6 @@ TEST(ConfigValidation, UniverseGuardsIndexing) {
   EXPECT_THROW(u.instance(99), CheckError);
   EXPECT_THROW(u.instancesOfDemand(5), CheckError);
   EXPECT_THROW(u.instancesOnEdge(99), CheckError);
-  EXPECT_THROW(u.conflictsOf(0), CheckError);  // conflicts not built yet
   EXPECT_THROW(u.lineSlots(), CheckError);     // tree universe
 }
 

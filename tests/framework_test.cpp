@@ -29,7 +29,6 @@ Ctx makeSetup(std::uint64_t seed, std::int32_t n, std::int32_t m,
   cfg.demands.accessProbability = 0.8;
   TreeProblem problem = makeTreeScenario(cfg);
   InstanceUniverse universe = InstanceUniverse::fromTreeProblem(problem);
-  universe.buildConflicts();
   Layering layering = buildTreeLayering(problem, universe);
   return {std::move(problem), std::move(universe), std::move(layering)};
 }
@@ -157,7 +156,6 @@ TEST(TwoPhase, EmptyUniverse) {
   problem.demands = {};
   problem.access = {};
   InstanceUniverse universe = InstanceUniverse::fromTreeProblem(problem);
-  universe.buildConflicts();
   Layering layering;
   layering.numGroups = 0;
   FrameworkConfig cfg;

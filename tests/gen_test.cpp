@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "core/universe.hpp"
 #include "gen/scenario.hpp"
 
@@ -187,6 +190,53 @@ TEST(Universe, LineInstanceCountsMatchWindows) {
   EXPECT_EQ(static_cast<std::size_t>(u.numInstances()), expected);
 }
 
+/// A windowed line universe: several start slots per resource. The
+/// pairwise rule compares slot ranges there, while anyConflict
+/// enumerates shared slots, so the two rules must agree on lines too.
+InstanceUniverse windowedLineUniverse(std::uint64_t seed) {
+  LineScenarioConfig cfg;
+  cfg.seed = seed;
+  cfg.numSlots = 24;
+  cfg.numResources = 2;
+  cfg.demands.numDemands = 12;
+  cfg.demands.processingMax = 5;
+  cfg.demands.windowSlack = 1.5;
+  return InstanceUniverse::fromLineProblem(makeLineScenario(cfg));
+}
+
+/// Membership mask of the instances anyConflict visits from i.
+std::vector<std::uint8_t> visitedConflicts(const InstanceUniverse& u,
+                                           InstanceId i) {
+  std::vector<std::uint8_t> seen(static_cast<std::size_t>(u.numInstances()), 0);
+  anyConflict(u, i, [&](InstanceId w) {
+    seen[static_cast<std::size_t>(w)] = 1;
+    return false;
+  });
+  return seen;
+}
+
+void expectConflictSymmetry(const InstanceUniverse& u) {
+  for (InstanceId i = 0; i < u.numInstances(); ++i) {
+    const auto seen = visitedConflicts(u, i);
+    for (InstanceId j = 0; j < u.numInstances(); ++j) {
+      if (seen[static_cast<std::size_t>(j)] == 0) continue;
+      EXPECT_TRUE(u.conflicting(i, j)) << "(" << i << "," << j << ")";
+      EXPECT_TRUE(anyConflict(u, j, [&](InstanceId w) { return w == i; }))
+          << "(" << j << "," << i << ")";
+    }
+  }
+}
+
+void expectConflictsMatchDefinition(const InstanceUniverse& u) {
+  for (InstanceId i = 0; i < u.numInstances(); ++i) {
+    const auto seen = visitedConflicts(u, i);
+    for (InstanceId j = 0; j < u.numInstances(); ++j) {
+      EXPECT_EQ(seen[static_cast<std::size_t>(j)] != 0, u.conflicting(i, j))
+          << "enumeration mismatch for (" << i << "," << j << ")";
+    }
+  }
+}
+
 TEST(Universe, ConflictSymmetry) {
   TreeScenarioConfig cfg;
   cfg.seed = 16;
@@ -194,15 +244,11 @@ TEST(Universe, ConflictSymmetry) {
   cfg.numNetworks = 2;
   cfg.demands.numDemands = 12;
   const TreeProblem problem = makeTreeScenario(cfg);
-  InstanceUniverse u = InstanceUniverse::fromTreeProblem(problem);
-  u.buildConflicts();
-  for (InstanceId i = 0; i < u.numInstances(); ++i) {
-    for (const InstanceId j : u.conflictsOf(i)) {
-      EXPECT_TRUE(u.conflicting(i, j));
-      const auto back = u.conflictsOf(j);
-      EXPECT_NE(std::find(back.begin(), back.end(), i), back.end());
-    }
-  }
+  expectConflictSymmetry(InstanceUniverse::fromTreeProblem(problem));
+
+  const InstanceUniverse line = windowedLineUniverse(18);
+  EXPECT_GT(line.numInstances(), 2 * line.numDemands());
+  expectConflictSymmetry(line);
 }
 
 TEST(Universe, ConflictsMatchDefinition) {
@@ -212,17 +258,11 @@ TEST(Universe, ConflictsMatchDefinition) {
   cfg.numNetworks = 2;
   cfg.demands.numDemands = 8;
   const TreeProblem problem = makeTreeScenario(cfg);
-  InstanceUniverse u = InstanceUniverse::fromTreeProblem(problem);
-  u.buildConflicts();
-  for (InstanceId i = 0; i < u.numInstances(); ++i) {
-    const auto adjacency = u.conflictsOf(i);
-    for (InstanceId j = 0; j < u.numInstances(); ++j) {
-      const bool listed =
-          std::find(adjacency.begin(), adjacency.end(), j) != adjacency.end();
-      EXPECT_EQ(listed, u.conflicting(i, j))
-          << "adjacency mismatch for (" << i << "," << j << ")";
-    }
-  }
+  expectConflictsMatchDefinition(InstanceUniverse::fromTreeProblem(problem));
+
+  const InstanceUniverse line = windowedLineUniverse(19);
+  EXPECT_GT(line.numInstances(), 2 * line.numDemands());
+  expectConflictsMatchDefinition(line);
 }
 
 }  // namespace

@@ -17,7 +17,6 @@ InstanceUniverse denseUniverse(std::uint64_t seed, std::int32_t m) {
   cfg.demands.numDemands = m;
   TreeProblem problem = makeTreeScenario(cfg);
   InstanceUniverse u = InstanceUniverse::fromTreeProblem(problem);
-  u.buildConflicts();
   return u;
 }
 
@@ -132,9 +131,13 @@ TEST(MisChecker, DetectsNonIndependence) {
   const InstanceUniverse u = denseUniverse(10, 20);
   // Find a conflicting pair.
   for (InstanceId i = 0; i < u.numInstances(); ++i) {
-    const auto conflicts = u.conflictsOf(i);
-    if (!conflicts.empty()) {
-      const std::vector<InstanceId> bogus{i, conflicts[0]};
+    InstanceId partner = kNoInstance;
+    anyConflict(u, i, [&](InstanceId w) {
+      partner = w;
+      return true;
+    });
+    if (partner != kNoInstance) {
+      const std::vector<InstanceId> bogus{i, partner};
       const std::vector<InstanceId> active = bogus;
       EXPECT_NE(checkMis(u, active, bogus), "");
       return;

@@ -20,6 +20,7 @@
 #include "dist/protocol.hpp"
 #include "gen/scenario.hpp"
 #include "obs/metrics.hpp"
+#include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "online/churn_engine.hpp"
 
@@ -329,7 +330,7 @@ TEST(Telemetry, NullSinkZeroAllocationsCoversRebalanceInstruments) {
   // Same gate as above, over the surface PR 8 added: a sharded churn run
   // with epoch-boundary rebalancing enabled exercises
   // net.shard_hosted_demands + net.shard_load_variance (synchronizer)
-  // and engine.claims + engine.steals (parallel runner) every epoch.
+  // and engine.claims (parallel runner) every epoch.
   // After one warm instrumented run, the instrumented replay must be
   // exactly allocation-neutral against the plain replay.
   const ChurnTreeScenario scenario = makeHotspotTree50k(41, 72);
@@ -380,6 +381,36 @@ TEST(Telemetry, NullSinkZeroAllocationsCoversRebalanceInstruments) {
   // The new instruments actually recorded.
   EXPECT_GT(metrics.histogram("net.shard_hosted_demands", {}).count(), 0);
   EXPECT_GT(metrics.counter("engine.claims").value(), 0);
+}
+
+TEST(Telemetry, EpochSeriesIsByteIdenticalAcrossRuns) {
+  // The registry reproduces bit for bit: two runs of one churn trace at
+  // 2 threads write byte-identical per-epoch series. So it holds no
+  // wall-clock time and no steal count, which depends on which thread
+  // wins each race.
+  const ChurnTreeScenario scenario = makeHotspotTree50k(61, 96);
+  ArrivalConfig arrivals = scenario.arrivals;
+  arrivals.horizon = 48.0;
+  const ChurnTrace trace = generateChurnTrace(arrivals, scenario.pool.access);
+
+  const auto seriesOf = [&] {
+    MetricsRegistry metrics;
+    EpochSeries series(metrics);
+    ChurnEngineConfig config;
+    config.epochLength = 8.0;
+    config.solver.seed = 62;
+    config.solver.threads = 2;
+    config.solver.metrics = &metrics;
+    config.solver.series = &series;
+    config.transport.kind = LiveTransportKind::Sharded;
+    config.transport.async.shardProcessors = 6;
+    DynamicUniverse universe = makeDynamicTreeUniverse(scenario.pool);
+    runChurnOverTrace(universe, trace, config);
+    EXPECT_GT(series.snapshots(), 1);
+    return series.jsonl();
+  };
+  const std::string first = seriesOf();
+  EXPECT_EQ(seriesOf(), first);
 }
 
 /// In-memory sink tallying complete spans by name.
