@@ -45,6 +45,9 @@ struct PatternRun {
   std::int32_t demands = 0;
   std::int32_t epochs = 0;
   double wallMs = 0;
+  /// Wall time per epoch, without the one-off dynamic-universe shell
+  /// build (universe_build_ms).
+  double meanEpochMs = 0;
   ChurnRunResult churn;
   /// Per-run MetricsRegistry snapshot (obs/), embedded verbatim in the
   /// JSON row so every row stays self-contained.
@@ -71,6 +74,7 @@ void report(Table& table, bench::JsonReport& json, const PatternRun& run) {
       .cell(run.epochs)
       .cell(run.wallMs, 1)
       .cell(epochsPerSec, 1)
+      .cell(run.meanEpochMs, 2)
       .cell(run.churn.universeBuildMs, 1)
       .cell(run.churn.meanExtendUsPerArrival, 2)
       .cell(run.churn.meanResolveFraction, 3)
@@ -93,6 +97,7 @@ void report(Table& table, bench::JsonReport& json, const PatternRun& run) {
       .field("epochs", run.epochs)
       .field("wall_ms", run.wallMs)
       .field("epochs_per_sec", epochsPerSec)
+      .field("mean_epoch_ms", run.meanEpochMs)
       .field("universe_build_ms", run.churn.universeBuildMs)
       .field("mean_extend_us_per_arrival", run.churn.meanExtendUsPerArrival)
       .field("mean_resolve_fraction", run.churn.meanResolveFraction)
@@ -147,10 +152,22 @@ DynamicUniverse makeDynamicUniverse(const LineProblem& pool) {
   return makeDynamicLineUniverse(pool);
 }
 
+/// The pool's first `numDemands` demands over the same networks: the
+/// demand ids, and so any trace over them, mean the same in both pools.
+TreeProblem prefixPool(const TreeProblem& pool, std::int32_t numDemands) {
+  TreeProblem prefix;
+  prefix.numVertices = pool.numVertices;
+  prefix.networks = pool.networks;
+  prefix.demands.assign(pool.demands.begin(),
+                        pool.demands.begin() + numDemands);
+  prefix.access.assign(pool.access.begin(), pool.access.begin() + numDemands);
+  return prefix;
+}
+
 template <typename Pool>
 PatternRun runPattern(const std::string& preset, const std::string& pattern,
                       const Pool& pool, const PreparedRun& prepared,
-                      const ArrivalConfig& arrivals, double epochLength,
+                      const ChurnTrace& trace, double epochLength,
                       std::uint64_t seed, std::int32_t threads,
                       bench::Telemetry& telemetry, std::string* seriesOut,
                       const LiveTransportConfig& transport = {},
@@ -180,8 +197,6 @@ PatternRun runPattern(const std::string& preset, const std::string& pattern,
     config.solver.series = &series;
   }
 
-  const ChurnTrace trace = generateChurnTrace(arrivals, pool.access);
-
   PatternRun run;
   run.preset = preset;
   run.pattern = pattern;
@@ -190,9 +205,10 @@ PatternRun runPattern(const std::string& preset, const std::string& pattern,
   run.demands = pool.numDemands();
 
   // The engine (with its live transport and dynamic universe) is
-  // rebuilt per pattern; trace generation happens outside the measured
-  // window, the dynamic-universe shell build inside it (its own cost is
-  // reported separately as universe_build_ms).
+  // rebuilt per pattern; the caller generates the trace outside the
+  // measured window, the dynamic-universe shell build runs inside it (its
+  // own cost is reported separately as universe_build_ms, and
+  // mean_epoch_ms leaves it out).
   const auto begin = std::chrono::steady_clock::now();
   DynamicUniverse universe = makeDynamicUniverse(pool);
   ChurnRunResult churn = runChurnOverTrace(universe, trace, config);
@@ -200,6 +216,9 @@ PatternRun runPattern(const std::string& preset, const std::string& pattern,
 
   run.epochs = static_cast<std::int32_t>(churn.epochs.size());
   run.wallMs = std::chrono::duration<double, std::milli>(end - begin).count();
+  run.meanEpochMs = run.epochs > 0 ? (run.wallMs - churn.universeBuildMs) /
+                                         static_cast<double>(run.epochs)
+                                   : 0.0;
   run.churn = std::move(churn);
   if (telemetry.printMetrics()) {
     std::cout << metrics.describe();
@@ -261,7 +280,7 @@ int main(int argc, char** argv) {
       "per-transport epochs identical, only wire accounting moves");
 
   Table table({"preset", "pattern", "transport", "demands", "epochs",
-               "wall ms", "epochs/s", "build ms", "ext us/arr",
+               "wall ms", "epochs/s", "epoch ms", "build ms", "ext us/arr",
                "resolve frac", "full", "rev ratio",
                "sla mean", "sla p99", "sla max", "rounds", "wire tx",
                "migrated", "var before", "var after"});
@@ -274,30 +293,38 @@ int main(int argc, char** argv) {
     const ChurnTreeScenario scenario = makeFlashCrowdTree50k(seed,
                                                              treeDemands);
     const PreparedRun prepared = prepareUnitTreeRun(scenario.pool);
+    const ChurnTrace trace =
+        generateChurnTrace(scenario.arrivals, scenario.pool.access);
     report(table, json,
            runPattern("flash_crowd_50k", "flash_crowd", scenario.pool,
-                      prepared, scenario.arrivals, scenario.epochLength,
-                      seed, threads, telemetry, seriesOut));
+                      prepared, trace, scenario.epochLength, seed, threads,
+                      telemetry, seriesOut));
     ArrivalConfig poisson = scenario.arrivals;
     poisson.model = ArrivalModel::Poisson;
+    const ChurnTrace poissonTrace =
+        generateChurnTrace(poisson, scenario.pool.access);
     report(table, json,
            runPattern("flash_crowd_50k", "poisson", scenario.pool, prepared,
-                      poisson, scenario.epochLength, seed, threads,
+                      poissonTrace, scenario.epochLength, seed, threads,
                       telemetry, seriesOut));
   }
   {
     const ChurnLineScenario scenario =
         makeDiurnalMetroLine100k(seed, lineDemands);
     const PreparedRun prepared = prepareUnitLineRun(scenario.pool);
+    const ChurnTrace trace =
+        generateChurnTrace(scenario.arrivals, scenario.pool.access);
     report(table, json,
            runPattern("diurnal_metro_100k", "diurnal", scenario.pool,
-                      prepared, scenario.arrivals, scenario.epochLength,
-                      seed, threads, telemetry, seriesOut));
+                      prepared, trace, scenario.epochLength, seed, threads,
+                      telemetry, seriesOut));
     ArrivalConfig poisson = scenario.arrivals;
     poisson.model = ArrivalModel::Poisson;
+    const ChurnTrace poissonTrace =
+        generateChurnTrace(poisson, scenario.pool.access);
     report(table, json,
            runPattern("diurnal_metro_100k", "poisson", scenario.pool,
-                      prepared, poisson, scenario.epochLength, seed,
+                      prepared, poissonTrace, scenario.epochLength, seed,
                       threads, telemetry, seriesOut));
   }
   {
@@ -306,18 +333,28 @@ int main(int argc, char** argv) {
     const ChurnTreeScenario scenario = makeHotspotTree50k(seed,
                                                           hotspotDemands);
     const PreparedRun prepared = prepareUnitTreeRun(scenario.pool);
+    const ChurnTrace trace =
+        generateChurnTrace(scenario.arrivals, scenario.pool.access);
     report(table, json,
            runPattern("hotspot_tree_50k", "targeted_burst", scenario.pool,
-                      prepared, scenario.arrivals, scenario.epochLength,
-                      seed, threads, telemetry, seriesOut));
+                      prepared, trace, scenario.epochLength, seed, threads,
+                      telemetry, seriesOut));
   }
   {
     // Pool-size sweep — the dynamic universe's O(arrival) claim made
-    // visible: the same flash-crowd arrival process over pools of
-    // growing size. mean_extend_us_per_arrival must stay flat across
-    // these rows while any from-scratch rebuild would scale with the
-    // pool (universe_build_ms of the one-off shell build tracks pool
-    // size; the per-arrival column must not).
+    // visible: one flash-crowd pool, and its quarter and half as
+    // prefixes of its demands (same networks, same ids), all driven by
+    // ONE trace over the quarter pool's demand ids. Only the pool grows,
+    // so the per-arrival (mean_extend_us_per_arrival) and per-epoch
+    // (mean_epoch_ms) columns must stay flat across these rows, while the
+    // one-off shell build (universe_build_ms) tracks pool size.
+    const ChurnTreeScenario scenario = makeFlashCrowdTree50k(seed,
+                                                             treeDemands);
+    const auto poolSize = [&](std::int32_t divisor) {
+      return std::min(treeDemands, std::max(64, treeDemands / divisor));
+    };
+    const ChurnTrace trace = generateChurnTrace(
+        scenario.arrivals, prefixPool(scenario.pool, poolSize(4)).access);
     const struct {
       const char* pattern;
       std::int32_t divisor;
@@ -325,13 +362,13 @@ int main(int argc, char** argv) {
                  {"pool_sweep_half", 2},
                  {"pool_sweep_full", 1}};
     for (const auto& point : sweep) {
-      const std::int32_t poolSize = std::max(64, treeDemands / point.divisor);
-      const ChurnTreeScenario scenario = makeFlashCrowdTree50k(seed, poolSize);
-      const PreparedRun prepared = prepareUnitTreeRun(scenario.pool);
+      const TreeProblem pool =
+          prefixPool(scenario.pool, poolSize(point.divisor));
+      const PreparedRun prepared = prepareUnitTreeRun(pool);
       report(table, json,
-             runPattern("flash_crowd_50k", point.pattern, scenario.pool,
-                        prepared, scenario.arrivals, scenario.epochLength,
-                        seed, threads, telemetry, seriesOut));
+             runPattern("flash_crowd_50k", point.pattern, pool, prepared,
+                        trace, scenario.epochLength, seed, threads,
+                        telemetry, seriesOut));
     }
   }
   {
@@ -340,6 +377,8 @@ int main(int argc, char** argv) {
     const ChurnTreeScenario scenario =
         makeHotspotTree50k(seed, transportDemands);
     const PreparedRun prepared = prepareUnitTreeRun(scenario.pool);
+    const ChurnTrace trace =
+        generateChurnTrace(scenario.arrivals, scenario.pool.access);
     AsyncConfig wire;
     wire.seed = seed ^ 0x3b9ULL;
     wire.link.latency.model = LatencyModel::HeavyTail;
@@ -357,8 +396,8 @@ int main(int argc, char** argv) {
       transport.async.shardProcessors = std::max(2, transportDemands / 64);
       report(table, json,
              runPattern("hotspot_tree_50k", "targeted_burst", scenario.pool,
-                        prepared, scenario.arrivals, scenario.epochLength,
-                        seed, threads, telemetry, seriesOut, transport));
+                        prepared, trace, scenario.epochLength, seed,
+                        threads, telemetry, seriesOut, transport));
       if (kind == LiveTransportKind::Sharded) {
         // The hotspot row the rebalancer exists for: the targeted burst
         // piles a hot network onto one sticky anchor, and the
@@ -370,7 +409,7 @@ int main(int argc, char** argv) {
         rebalance.seed = seed ^ 0x5ebaULL;
         report(table, json,
                runPattern("hotspot_tree_50k", "targeted_burst",
-                          scenario.pool, prepared, scenario.arrivals,
+                          scenario.pool, prepared, trace,
                           scenario.epochLength, seed, threads, telemetry,
                           seriesOut, transport, rebalance));
       }

@@ -25,115 +25,6 @@ namespace {
 /// Luby status of one instance within the current step.
 enum class MisStatus : std::uint8_t { Inactive, Undecided, In, Out };
 
-/// One dual raise as known to its owner before broadcasting.
-struct PendingRaise {
-  DemandId from = 0;
-  InstanceId instance = kNoInstance;
-  double alphaIncrement = 0;
-  double betaIncrement = 0;
-};
-
-/// Per-processor local state: the tracked edges (union of the demand's
-/// instance paths), the processor's dual view over them, and its phase-2
-/// edge loads. Reentrant by construction — every method takes the shared
-/// read-only structures explicitly and writes only this processor's own
-/// slots (plus the lhs entries of its own instances), so contexts of
-/// distinct processors run concurrently with no hidden shared state.
-/// Methods are templated on the universe/layering types: over a
-/// DynamicUniverse an inactive demand has no instances, so its context
-/// is trivially empty — exactly the state its static-pool context would
-/// never touch.
-struct ProcessorContext {
-  DemandId self = 0;
-  double alpha = 0;  ///< alpha(self), the demand's own dual
-  std::vector<GlobalEdgeId> tracked;               ///< sorted
-  std::vector<std::vector<InstanceId>> ownOnEdge;  ///< per tracked edge
-  std::vector<double> beta;  ///< per tracked edge, local view
-  std::vector<double> load;  ///< per tracked edge, phase-2 accepted load
-
-  template <class U>
-  void init(const U& u, DemandId p) {
-    self = p;
-    for (const InstanceId i : u.instancesOfDemand(p)) {
-      for (const GlobalEdgeId e : u.path(i)) {
-        tracked.push_back(e);
-      }
-    }
-    std::sort(tracked.begin(), tracked.end());
-    tracked.erase(std::unique(tracked.begin(), tracked.end()), tracked.end());
-    ownOnEdge.resize(tracked.size());
-    for (const InstanceId i : u.instancesOfDemand(p)) {
-      for (const GlobalEdgeId e : u.path(i)) {
-        ownOnEdge[static_cast<std::size_t>(trackedIndex(e))].push_back(i);
-      }
-    }
-    beta.assign(tracked.size(), 0.0);
-    load.assign(tracked.size(), 0.0);
-  }
-
-  /// Position of `e` in the tracked-edge list, or -1.
-  std::int32_t trackedIndex(GlobalEdgeId e) const {
-    const auto it = std::lower_bound(tracked.begin(), tracked.end(), e);
-    if (it == tracked.end() || *it != e) return -1;
-    return static_cast<std::int32_t>(it - tracked.begin());
-  }
-
-  /// Applies one raise to this processor's local view: the alpha part if
-  /// the raise is its own, then the beta part on every critical edge it
-  /// tracks — the same alpha-then-edges order as the centralized engine.
-  /// `lhsLocal` is global-indexed but only this demand's entries are
-  /// written.
-  template <class U, class L>
-  void applyRaise(const U& u, const L& lay, RaiseRule rule,
-                  const PendingRaise& raise, std::vector<double>& lhsLocal) {
-    if (raise.from == self) {
-      alpha += raise.alphaIncrement;
-      for (const InstanceId k : u.instancesOfDemand(self)) {
-        lhsLocal[static_cast<std::size_t>(k)] += raise.alphaIncrement;
-      }
-    }
-    for (const GlobalEdgeId e : lay.critical(raise.instance)) {
-      const std::int32_t idx = trackedIndex(e);
-      if (idx < 0) continue;
-      beta[static_cast<std::size_t>(idx)] += raise.betaIncrement;
-      for (const InstanceId k : ownOnEdge[static_cast<std::size_t>(idx)]) {
-        const double factor =
-            rule == RaiseRule::Narrow ? u.instance(k).height : 1.0;
-        lhsLocal[static_cast<std::size_t>(k)] +=
-            factor * raise.betaIncrement;
-      }
-    }
-  }
-
-  /// True iff this processor can accept its own instance `i` given its
-  /// locally known edge loads — the exact capacity test of the
-  /// centralized FeasibilityOracle.
-  template <class U>
-  bool capacityOk(const U& u, InstanceId i) const {
-    const double h = u.instance(i).height;
-    for (const GlobalEdgeId e : u.path(i)) {
-      const std::int32_t idx = trackedIndex(e);
-      checkThat(idx >= 0, "own path edge tracked", __FILE__, __LINE__);
-      if (load[static_cast<std::size_t>(idx)] + h > 1.0 + kCapacityTolerance) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  /// Adds the load of an accepted instance on every tracked edge of its
-  /// path (the accepter's own instance, or a neighbour's Accept message).
-  template <class U>
-  void addLoad(const U& u, InstanceId i) {
-    const double h = u.instance(i).height;
-    for (const GlobalEdgeId e : u.path(i)) {
-      const std::int32_t idx = trackedIndex(e);
-      if (idx < 0) continue;
-      load[static_cast<std::size_t>(idx)] += h;
-    }
-  }
-};
-
 /// The whole simulation: per-processor contexts plus the ground-truth
 /// duals used for the consistency audit. Round loops iterate active sets
 /// (undecided instances, processors with non-empty inboxes); the
@@ -147,11 +38,17 @@ struct ProcessorContext {
 /// engine makes has identical semantics on the live restriction, so the
 /// instantiations are bit-identical on the same warm-start set — the
 /// dynamic_universe equivalence gate.
+///
+/// `persistent` empty: the engine builds one context per processor and
+/// owns them (the one-shot run). Otherwise it runs on the caller's
+/// contexts, one per processor with a zero dual view, and zeroes the
+/// views it touched once the audit has read them (the online epoch).
 template <class U, class L>
 class ProtocolEngine {
  public:
   ProtocolEngine(const U& universe, const L& layering, Transport& transport,
-                 const DistributedOptions& options, const WarmStart& warm)
+                 const DistributedOptions& options, const WarmStart& warm,
+                 std::span<ProcessorContext> persistent = {})
       : u_(universe),
         lay_(layering),
         opt_(options),
@@ -164,6 +61,7 @@ class ProtocolEngine {
                             std::max<std::int32_t>(1, layering.maxCriticalSize),
                             options.hmin)),
         numProc_(universe.numDemands()),
+        persistentContexts_(!persistent.empty()),
         groundDual_(universe),
         groundLhs_(universe, options.rule) {
     // With a tracer or a registry attached, the adapter becomes the
@@ -231,24 +129,31 @@ class ProtocolEngine {
       }
     }
 
-    // Per-processor contexts: independent, so built in parallel. Context
-    // cost is proportional to the demand's instance count, so the plan
-    // is weighted — a hot demand owning most of the pool's instances
-    // gets its own shard instead of serializing a uniform one.
-    contexts_.resize(static_cast<std::size_t>(numProc_));
-    weightScratch_.resize(static_cast<std::size_t>(numProc_));
-    for (DemandId p = 0; p < numProc_; ++p) {
-      weightScratch_[static_cast<std::size_t>(p)] =
-          static_cast<std::int64_t>(u_.instancesOfDemand(p).size());
-    }
-    runner_.planWeighted(weightScratch_, weightedPlan_);
-    runner_.forShards(weightedPlan_, [&](std::int32_t shard) {
-      const std::int64_t end = weightedPlan_.end(shard);
-      for (std::int64_t p = weightedPlan_.begin(shard); p < end; ++p) {
-        contexts_[static_cast<std::size_t>(p)].init(
-            u_, static_cast<DemandId>(p));
+    if (persistentContexts_) {
+      checkThat(persistent.size() == static_cast<std::size_t>(numProc_),
+                "one persistent context per processor", __FILE__, __LINE__);
+      contexts_ = persistent;
+    } else {
+      // Per-processor contexts: independent, so built in parallel.
+      // Context cost is proportional to the demand's instance count, so
+      // the plan is weighted — a hot demand owning most of the pool's
+      // instances gets its own shard instead of serializing a uniform one.
+      ownedContexts_.resize(static_cast<std::size_t>(numProc_));
+      contexts_ = ownedContexts_;
+      weightScratch_.resize(static_cast<std::size_t>(numProc_));
+      for (DemandId p = 0; p < numProc_; ++p) {
+        weightScratch_[static_cast<std::size_t>(p)] =
+            static_cast<std::int64_t>(u_.instancesOfDemand(p).size());
       }
-    });
+      runner_.planWeighted(weightScratch_, weightedPlan_);
+      runner_.forShards(weightedPlan_, [&](std::int32_t shard) {
+        const std::int64_t end = weightedPlan_.end(shard);
+        for (std::int64_t p = weightedPlan_.begin(shard); p < end; ++p) {
+          contexts_[static_cast<std::size_t>(p)].init(
+              u_, static_cast<DemandId>(p));
+        }
+      });
+    }
 
     ledgerOn_ = opt_.ledger != nullptr && opt_.ledger->enabled();
 
@@ -265,6 +170,9 @@ class ProtocolEngine {
     net_.attachRunner(nullptr);
     net_.attachTelemetry(nullptr, nullptr);
   }
+  // contexts_ may view ownedContexts_, so a copy would view the original.
+  ProtocolEngine(const ProtocolEngine&) = delete;
+  ProtocolEngine& operator=(const ProtocolEngine&) = delete;
 
   /// The full one-shot run: both phases.
   DistributedResult run() {
@@ -299,6 +207,7 @@ class ProtocolEngine {
   Phase1Result runPhase1Only() {
     runPhase1();
     auditLocalViews();
+    zeroTouchedViews();
     Phase1Result result;
     result.raiseLog = std::move(raiseLog_);
     result.localViewsConsistent = localViewsConsistent_;
@@ -646,6 +555,10 @@ class ProtocolEngine {
     std::sort(activeProcs_.begin(), activeProcs_.end());
     activeProcs_.erase(std::unique(activeProcs_.begin(), activeProcs_.end()),
                        activeProcs_.end());
+    if (persistentContexts_) {
+      touchedProcs_.insert(touchedProcs_.end(), activeProcs_.begin(),
+                           activeProcs_.end());
+    }
     // Apply cost per processor is dominated by its inbox length (this
     // round's raise traffic — i.e. the step participants just observed),
     // so that feeds the weighted plan: a hotspot processor receiving
@@ -723,6 +636,18 @@ class ProtocolEngine {
           localViewsConsistent_ = false;
         }
       }
+    }
+  }
+
+  /// Returns the persistent contexts to a zero dual view: only
+  /// processors that applied a raise can hold anything else.
+  void zeroTouchedViews() {
+    std::sort(touchedProcs_.begin(), touchedProcs_.end());
+    touchedProcs_.erase(
+        std::unique(touchedProcs_.begin(), touchedProcs_.end()),
+        touchedProcs_.end());
+    for (const DemandId p : touchedProcs_) {
+      contexts_[static_cast<std::size_t>(p)].zeroDualView();
     }
   }
 
@@ -838,9 +763,14 @@ class ProtocolEngine {
   /// over exactly this set.
   std::vector<InstanceId> restricted_;
 
-  // Per-processor contexts plus the owner-indexed lhs views (entry i is
-  // written only by owner(i)'s context).
-  std::vector<ProcessorContext> contexts_;
+  // Per-processor contexts (the caller's persistent ones, or built and
+  // owned here) plus the owner-indexed lhs views (entry i is written only
+  // by owner(i)'s context).
+  bool persistentContexts_ = false;
+  std::vector<ProcessorContext> ownedContexts_;
+  std::span<ProcessorContext> contexts_;
+  /// Processors that applied a raise (persistent contexts only).
+  std::vector<DemandId> touchedProcs_;
   std::vector<double> lhsLocal_;
 
   bool ledgerOn_ = false;  ///< decision provenance: enabled ledger set
@@ -905,13 +835,17 @@ DistributedResult runDistributedWarmStart(const InstanceUniverse& universe,
 Phase1Result runDistributedPhase1(const DynamicUniverse& universe,
                                   Transport& transport,
                                   const DistributedOptions& options,
-                                  const WarmStart& warm) {
+                                  const WarmStart& warm,
+                                  std::span<ProcessorContext> contexts) {
   checkThat(!warm.activeInstances.empty(),
             "dynamic warm start names its live active set", __FILE__,
             __LINE__);
+  checkThat(contexts.size() ==
+                static_cast<std::size_t>(universe.numDemands()),
+            "one persistent context per pool demand", __FILE__, __LINE__);
   const DynamicLayeringView layering = universe.layeringView();
   ProtocolEngine<DynamicUniverse, DynamicLayeringView> engine(
-      universe, layering, transport, options, warm);
+      universe, layering, transport, options, warm, contexts);
   return engine.runPhase1Only();
 }
 

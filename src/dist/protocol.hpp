@@ -29,15 +29,20 @@
 // local dual views.
 //
 // Execution engine: per-processor state lives in reentrant
-// ProcessorContexts with no hidden shared state, rounds iterate per-step
-// active sets (only undecided instances / processors that received
-// messages) instead of scanning all processors, and the independent
-// per-processor decisions of a round run on a fixed thread pool
-// (engine/parallel_runner.hpp) when DistributedOptions::threads > 1 —
-// with bit-identical results at any thread count.
+// ProcessorContexts (dist/processor_context.hpp) with no hidden shared
+// state. A one-shot run builds every processor's context when it starts;
+// an online epoch runs on the solver's persistent contexts, built once
+// per arrival, and zeroes the dual views it touched after the audit.
+// Rounds iterate per-step active sets (only undecided instances /
+// processors that received messages) instead of scanning all processors,
+// and the independent per-processor decisions of a round run on a fixed
+// thread pool (engine/parallel_runner.hpp) when
+// DistributedOptions::threads > 1 — with bit-identical results at any
+// thread count.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/line_problem.hpp"
@@ -46,6 +51,7 @@
 #include "core/universe.hpp"
 #include "decomp/layering.hpp"
 #include "dist/observer.hpp"
+#include "dist/processor_context.hpp"
 #include "framework/raise_policy.hpp"
 #include "net/transport.hpp"
 
@@ -217,10 +223,17 @@ class DynamicUniverse;
 /// "every pool instance" enumeration to fall back to. Its raise log
 /// equals the phase-1 stack of runTwoPhaseRestricted on the live
 /// restriction (tests/online_test.cpp).
+///
+/// `contexts` are the processors' persistent contexts, one per pool
+/// demand: init-ed for every live demand, empty otherwise, all with a
+/// zero dual view. The run builds none; it applies its raises to them
+/// and, after the audit, zeroes the dual views it touched, so they come
+/// back in the same state.
 Phase1Result runDistributedPhase1(const DynamicUniverse& universe,
                                   Transport& transport,
                                   const DistributedOptions& options,
-                                  const WarmStart& warm);
+                                  const WarmStart& warm,
+                                  std::span<ProcessorContext> contexts);
 
 /// Everything a runner needs before choosing a transport: the validated
 /// universe, the layering and the communication graph.

@@ -49,6 +49,7 @@ IncrementalSolver::IncrementalSolver(DynamicUniverse& universe,
       networkMembers_(static_cast<std::size_t>(universe.numNetworks())),
       dual_(universe),
       lhs_(static_cast<std::size_t>(universe.numInstances()), 0.0),
+      contexts_(static_cast<std::size_t>(universe.numDemands())),
       raisesOfDemand_(static_cast<std::size_t>(universe.numDemands())),
       arrivalEpoch_(static_cast<std::size_t>(universe.numDemands()), -1),
       admittedEpoch_(static_cast<std::size_t>(universe.numDemands()), -1),
@@ -100,6 +101,8 @@ void IncrementalSolver::activate(DemandId d) {
   checkThat(!u_.isLive(d), "arrival of an inactive demand", __FILE__,
             __LINE__);
   u_.addDemand(d);
+  // d's processor context lives as long as d does: built here, once.
+  contexts_[static_cast<std::size_t>(d)].init(u_, d);
   // Warm-start the new instances' dual-constraint LHS from the
   // persistent duals: alpha(d) (zero unless a purge left residue) plus
   // the surviving beta along each instance's path. The static pool path
@@ -160,6 +163,7 @@ void IncrementalSolver::deactivate(DemandId d) {
     lhs_[static_cast<std::size_t>(i)] = 0.0;
   }
   u_.retireDemand(d);
+  contexts_[static_cast<std::size_t>(d)].clear();
 }
 
 void IncrementalSolver::applyRaiseSigned(const RaiseRecord& record,
@@ -494,7 +498,8 @@ EpochOutcome IncrementalSolver::applyEpoch(
 
     const std::int64_t roundsBefore = bus_.stats().rounds;
     const std::int64_t messagesBefore = bus_.stats().messages;
-    const Phase1Result run = runDistributedPhase1(u_, bus_, options, warm);
+    const Phase1Result run =
+        runDistributedPhase1(u_, bus_, options, warm, contexts_);
     checkThat(run.localViewsConsistent,
               "epoch phase-1 local dual views match the ground truth",
               __FILE__, __LINE__);

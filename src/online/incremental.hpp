@@ -8,11 +8,13 @@
 //
 //  * Arrival of d extends the universe in O(affected) — addDemand
 //    materializes d's instances with their pool-stable ids, layers them
-//    and splices them into the live per-edge lists — and warm-starts
-//    each new instance's dual-constraint LHS from the persistent duals
-//    (alpha(d) + the surviving beta along its path). No pool-sized
-//    structure is ever built, so per-arrival cost is independent of
-//    pool size and steady-state memory tracks live demands.
+//    and splices them into the live per-edge lists — builds d's
+//    processor context (dist/processor_context.hpp), which then persists
+//    until d departs, and warm-starts each new instance's dual-constraint
+//    LHS from the persistent duals (alpha(d) + the surviving beta along
+//    its path). No pool-sized structure is ever built, so per-arrival
+//    cost is independent of pool size and steady-state memory tracks
+//    live demands.
 //  * The communication graph is extended incrementally — arrival of d
 //    adds node d plus one edge to each active demand sharing a network
 //    with it (however many they share); departure removes d's edges.
@@ -33,16 +35,17 @@
 //    accumulates fully-purged sets between full re-solves. The demand's
 //    universe slab is then garbage-collected (retireDemand) with the
 //    same exactness discipline — every symmetric reference removed,
-//    checked. Locality makes the purge safe: a purged beta lives on a
-//    critical edge of the departed demand, so only demands sharing one
-//    of its networks — the affected region by definition — can see
-//    their LHS move.
+//    checked — and its processor context is freed. Locality makes the
+//    purge safe: a purged beta lives on a critical edge of the departed
+//    demand, so only demands sharing one of its networks — the affected
+//    region by definition — can see their LHS move.
 //  * Phase 1 of the distributed protocol then re-runs ONLY over the
 //    affected region (active demands whose accessible networks
 //    intersect the changed networks), warm-started from the surviving
 //    LHS (dist/protocol.hpp runDistributedPhase1 over the dynamic
-//    universe — no pool-sized layering is materialized). The protocol's
-//    own phase 2 does not run: the epoch's raise log joins the
+//    universe — no pool-sized layering is materialized — and the
+//    persistent processor contexts, so an epoch builds no context). The
+//    protocol's own phase 2 does not run: the epoch's raise log joins the
 //    persistent stack instead, so an epoch's rounds and messages are
 //    phase 1's alone. Unaffected instances keep their
 //    lambda-satisfaction from earlier epochs, so the slackness
@@ -239,6 +242,12 @@ class IncrementalSolver {
     return static_cast<std::int64_t>(raises_.size());
   }
 
+  /// Demand d's persistent processor context: init-ed while d is live
+  /// (with a zero dual view between epochs), empty otherwise.
+  const ProcessorContext& processorContext(DemandId d) const {
+    return contexts_[static_cast<std::size_t>(d)];
+  }
+
   // ---- SLA accounting ----
   AdmissionSla admissionSla() const;
   /// Epochs from demand `d`'s (latest) arrival to its first admission;
@@ -289,6 +298,9 @@ class IncrementalSolver {
   // at (re-)arrival.
   DualState dual_;
   std::vector<double> lhs_;
+  /// One processor context per pool demand (empty while not live), handed
+  /// to every epoch's phase 1.
+  std::vector<ProcessorContext> contexts_;
   std::vector<RaiseRecord> raises_;
   std::vector<std::vector<std::int32_t>> raisesOfDemand_;
   std::vector<std::vector<InstanceId>> stack_;

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
+#include "core/dynamic_universe.hpp"
 #include "core/universe.hpp"
 #include "decomp/layering.hpp"
 #include "dist/protocol.hpp"
@@ -305,6 +308,141 @@ TEST(DistProtocol, NarrowRuleRuns) {
   requireFeasible(universe, result.solution);
   EXPECT_GE(result.lambdaMeasured, result.lambdaTarget - 1e-9);
   EXPECT_TRUE(result.localViewsConsistent);
+}
+
+// ---- Protocol: the local-view audit catches a lost raise ----
+
+/// Forwards to a SimNetwork but hides one DualRaise, the first one for
+/// `instance`, from `receiver`'s inbox: a loss the protocol itself never
+/// notices. Only the local-view audit can.
+class RaiseHidingTransport final : public Transport {
+ public:
+  RaiseHidingTransport(SimNetwork& inner, DemandId receiver,
+                       InstanceId instance)
+      : inner_(inner), receiver_(receiver), instance_(instance) {}
+
+  bool hid() const { return hid_; }
+
+  std::int32_t numProcessors() const override {
+    return inner_.numProcessors();
+  }
+  std::span<const std::int32_t> neighbors(std::int32_t p) const override {
+    return inner_.neighbors(p);
+  }
+  void broadcast(const Message& message) override {
+    inner_.broadcast(message);
+  }
+  void endRound() override {
+    inner_.endRound();
+    hiding_ = false;
+    if (hid_) return;
+    kept_.clear();
+    for (const Message& m : inner_.inbox(receiver_)) {
+      if (!hid_ && m.kind == MessageKind::DualRaise &&
+          m.instance == instance_) {
+        hid_ = hiding_ = true;
+        continue;
+      }
+      kept_.push_back(m);
+    }
+  }
+  void endSilentRounds(std::int64_t count) override {
+    inner_.endSilentRounds(count);
+    hiding_ = false;
+  }
+  std::span<const Message> inbox(std::int32_t p) const override {
+    if (hiding_ && p == receiver_) return kept_;
+    return inner_.inbox(p);
+  }
+  void appendActiveInboxes(std::vector<std::int32_t>& out) const override {
+    const auto begin = static_cast<std::ptrdiff_t>(out.size());
+    inner_.appendActiveInboxes(out);
+    if (hiding_ && kept_.empty()) {
+      out.erase(std::remove(out.begin() + begin, out.end(), receiver_),
+                out.end());
+    }
+  }
+  void attachRunner(ParallelRunner* runner) override {
+    inner_.attachRunner(runner);
+  }
+  const NetworkStats& stats() const override { return inner_.stats(); }
+
+ private:
+  SimNetwork& inner_;
+  DemandId receiver_;
+  InstanceId instance_;
+  bool hid_ = false;     ///< the raise has been hidden
+  bool hiding_ = false;  ///< ... in the round just ended
+  std::vector<Message> kept_;
+};
+
+/// The first raise of `log` with a critical edge that another demand's
+/// instance uses, plus that demand: it tracks the edge, so missing the
+/// raise leaves its beta view wrong. {-1, kNoInstance} when none exists.
+std::pair<DemandId, InstanceId> informativeRaise(
+    const DynamicUniverse& universe, const std::vector<DualRaiseRecord>& log) {
+  for (const DualRaiseRecord& raise : log) {
+    const DemandId owner = universe.instance(raise.instance).demand;
+    for (const GlobalEdgeId e : universe.critical(raise.instance)) {
+      for (const InstanceId j : universe.instancesOnEdge(e)) {
+        const DemandId d = universe.instance(j).demand;
+        if (d != owner) return {d, raise.instance};
+      }
+    }
+  }
+  return {-1, kNoInstance};
+}
+
+TEST(DistProtocol, AuditCatchesAHiddenRaise) {
+  const TreeProblem problem = treeCase(21, 32, 30, 3);
+  const PreparedRun prepared = prepareUnitTreeRun(problem);
+  DynamicUniverse dynamic = makeDynamicTreeUniverse(problem);
+  std::vector<ProcessorContext> contexts(
+      static_cast<std::size_t>(dynamic.numDemands()));
+  for (DemandId d = 0; d < dynamic.numDemands(); ++d) {
+    dynamic.addDemand(d);
+    contexts[static_cast<std::size_t>(d)].init(dynamic, d);
+  }
+  WarmStart warm;
+  for (InstanceId i = 0; i < dynamic.numInstances(); ++i) {
+    warm.activeInstances.push_back(i);
+  }
+  DistributedOptions dopt;
+  dopt.seed = 7;
+  dopt.misRoundBudget = 8;
+  dopt.stepsPerStage = 4;
+
+  SimNetwork cleanBus(prepared.adjacency);
+  const Phase1Result clean =
+      runDistributedPhase1(dynamic, cleanBus, dopt, warm, contexts);
+  ASSERT_TRUE(clean.localViewsConsistent);
+  const auto [receiver, instance] = informativeRaise(dynamic, clean.raiseLog);
+  ASSERT_GE(receiver, 0) << "no raise reaches a demand tracking its edges";
+
+  // The one-shot run still completes both phases; the audit reads false.
+  {
+    SimNetwork bus(prepared.adjacency);
+    RaiseHidingTransport lossy(bus, receiver, instance);
+    const DistributedResult oneShot = runDistributedOverTransport(
+        prepared.universe, prepared.layering, lossy, dopt);
+    EXPECT_TRUE(lossy.hid());
+    EXPECT_FALSE(oneShot.localViewsConsistent);
+  }
+
+  // The online epoch's run on the persistent contexts: the audit reads
+  // false, and the contexts still come back with a zero dual view.
+  SimNetwork bus(prepared.adjacency);
+  RaiseHidingTransport lossy(bus, receiver, instance);
+  const Phase1Result epoch =
+      runDistributedPhase1(dynamic, lossy, dopt, warm, contexts);
+  EXPECT_TRUE(lossy.hid());
+  EXPECT_FALSE(epoch.localViewsConsistent);
+  for (DemandId d = 0; d < dynamic.numDemands(); ++d) {
+    ProcessorContext fresh;
+    fresh.init(dynamic, d);
+    EXPECT_TRUE(contexts[static_cast<std::size_t>(d)] == fresh)
+        << "demand " << d;
+  }
 }
 
 }  // namespace

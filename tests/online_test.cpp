@@ -283,11 +283,15 @@ TEST(WarmStartProtocol, RestrictedRunMatchesRestrictedCentralized) {
   // and the log's per-tuple groups are the phase-1 stack (members
   // ascending).
   DynamicUniverse dynamic = makeDynamicTreeUniverse(problem);
+  std::vector<ProcessorContext> contexts(
+      static_cast<std::size_t>(dynamic.numDemands()));
   for (DemandId d = 0; d < prepared.universe.numDemands(); d += 2) {
     dynamic.addDemand(d);
+    contexts[static_cast<std::size_t>(d)].init(dynamic, d);
   }
   SimNetwork bus3(prepared.adjacency);
-  const Phase1Result phase1 = runDistributedPhase1(dynamic, bus3, dopt, warm);
+  const Phase1Result phase1 =
+      runDistributedPhase1(dynamic, bus3, dopt, warm, contexts);
   EXPECT_TRUE(phase1.localViewsConsistent);
   EXPECT_EQ(static_cast<std::int64_t>(phase1.raiseLog.size()), dist.raises);
   std::vector<std::vector<InstanceId>> stack;
@@ -313,6 +317,34 @@ TEST(WarmStartProtocol, RestrictedRunMatchesRestrictedCentralized) {
 }
 
 // ---- Incremental communication graph + live transport ----
+
+/// The persistent processor contexts between epochs: a live demand's
+/// equals a freshly built one, so its dual view is zero again; a
+/// non-live demand's is empty, with its buffers freed.
+void expectContextsAtRest(const IncrementalSolver& engine) {
+  const DynamicUniverse& universe = engine.universe();
+  for (DemandId d = 0; d < universe.numDemands(); ++d) {
+    const ProcessorContext& context = engine.processorContext(d);
+    if (universe.isLive(d)) {
+      ProcessorContext fresh;
+      fresh.init(universe, d);
+      ASSERT_TRUE(context == fresh)
+          << "demand " << d << " after epoch " << engine.numEpochs();
+      EXPECT_EQ(context.alpha, 0.0);
+      for (const double beta : context.beta) {
+        ASSERT_EQ(beta, 0.0) << "demand " << d;
+      }
+    } else {
+      ASSERT_TRUE(context == ProcessorContext{})
+          << "demand " << d << " after epoch " << engine.numEpochs();
+      EXPECT_EQ(context.tracked.capacity(), 0u);
+      EXPECT_EQ(context.ownOffset.capacity(), 0u);
+      EXPECT_EQ(context.ownIds.capacity(), 0u);
+      EXPECT_EQ(context.beta.capacity(), 0u);
+      EXPECT_EQ(context.load.capacity(), 0u);
+    }
+  }
+}
 
 TEST(IncrementalSolver, LiveGraphMatchesFromScratchEveryEpoch) {
   const ChurnTreeScenario scenario = makeFlashCrowdTree50k(7, 120);
@@ -350,6 +382,7 @@ TEST(IncrementalSolver, LiveGraphMatchesFromScratchEveryEpoch) {
     // Stack compaction invariant: purged records leave with their sets,
     // so every stored raise is live and every stored set non-empty.
     EXPECT_LE(engine.stackSets(), engine.storedRaises());
+    expectContextsAtRest(engine);
   }
 }
 
@@ -379,14 +412,30 @@ TEST(IncrementalSolver, StackCompactionDropsFullyPurgedSets) {
   // Depart everyone: every raise purges, every set empties, and the
   // eager compaction must leave nothing behind.
   std::vector<DemandId> everyone;
+  std::vector<ProcessorContext> contextsBefore;
   for (DemandId d = 0; d < scenario.pool.numDemands(); ++d) {
-    if (engine.isActive(d)) everyone.push_back(d);
+    if (!engine.isActive(d)) continue;
+    everyone.push_back(d);
+    contextsBefore.push_back(engine.processorContext(d));
   }
   const EpochOutcome outcome = engine.applyEpoch({}, everyone);
   EXPECT_EQ(engine.activeDemands(), 0);
   EXPECT_EQ(engine.stackSets(), 0);
   EXPECT_EQ(engine.storedRaises(), 0);
   EXPECT_TRUE(outcome.solution.instances.empty());
+  expectContextsAtRest(engine);
+
+  // Re-admitting the same demands after the full GC rebuilds their
+  // original contexts exactly, and the epoch that raises over them
+  // leaves them at rest again.
+  engine.applyEpoch(everyone, {});
+  EXPECT_EQ(engine.activeDemands(), static_cast<std::int32_t>(everyone.size()));
+  EXPECT_GT(engine.storedRaises(), 0);
+  expectContextsAtRest(engine);
+  for (std::size_t k = 0; k < everyone.size(); ++k) {
+    EXPECT_TRUE(engine.processorContext(everyone[k]) == contextsBefore[k])
+        << "demand " << everyone[k];
+  }
 }
 
 // ---- SLA metrics: admission latency in epochs ----
