@@ -33,7 +33,8 @@ struct RowInput {
   std::string metricsJson;
 };
 
-void report(Table& table, bench::JsonReport& json, const RowInput& in) {
+/// Returns whether the row holds: consistent and matching the sync run.
+bool report(Table& table, bench::JsonReport& json, const RowInput& in) {
   const bool matches =
       in.async.solution.instances == in.sync.solution.instances &&
       in.async.profit == in.sync.profit;
@@ -65,6 +66,7 @@ void report(Table& table, bench::JsonReport& json, const RowInput& in) {
       .field("messages", in.async.network.messages)
       .field("payload", in.async.network.payload)
       .field("transmissions", in.async.network.transmissions)
+      .field("marker_transmissions", in.async.network.markerTransmissions)
       .field("retransmissions", in.async.network.retransmissions)
       .field("drops", in.async.network.drops)
       .field("virtual_time", in.async.network.virtualTime)
@@ -72,6 +74,7 @@ void report(Table& table, bench::JsonReport& json, const RowInput& in) {
       .field("consistent", in.async.localViewsConsistent)
       .field("matches_sync", matches)
       .jsonField("metrics", in.metricsJson);
+  return in.async.localViewsConsistent && matches;
 }
 
 }  // namespace
@@ -105,6 +108,7 @@ int main(int argc, char** argv) {
   DistributedOptions dopt;
   dopt.misRoundBudget = 8;
   dopt.stepsPerStage = 6;
+  bool allHold = true;
 
   for (std::int64_t s = 0; s < numSeeds; ++s) {
     const std::uint64_t seed = seed0 + static_cast<std::uint64_t>(s) * 31;
@@ -129,7 +133,7 @@ int main(int argc, char** argv) {
       row.sync = runDistributedUnitTree(tree.problem, dopt);
       if (telemetry.printMetrics()) std::cout << metrics.describe();
       row.metricsJson = metrics.toJson();
-      report(table, json, row);
+      allHold = report(table, json, row) && allHold;
     }
 
     for (const std::int32_t shards : {0, 5}) {
@@ -149,7 +153,7 @@ int main(int argc, char** argv) {
       row.sync = runDistributedUnitLine(line.problem, dopt);
       if (telemetry.printMetrics()) std::cout << metrics.describe();
       row.metricsJson = metrics.toJson();
-      report(table, json, row);
+      allHold = report(table, json, row) && allHold;
     }
   }
   table.print(std::cout);
@@ -157,5 +161,5 @@ int main(int argc, char** argv) {
     json.write();
   }
   telemetry.finish();
-  return 0;
+  return allHold ? 0 : 1;
 }

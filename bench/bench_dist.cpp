@@ -47,6 +47,7 @@ int main(int argc, char** argv) {
   };
   const Config configs[] = {{16, 12, 2}, {32, 24, 2}, {32, 48, 3},
                             {64, 64, 3}, {64, 96, 4}};
+  bool allHold = true;
   for (const Config& c : configs) {
     TreeScenarioConfig cfg;
     cfg.seed = seed + static_cast<std::uint64_t>(c.n * 3 + c.m);
@@ -80,6 +81,8 @@ int main(int argc, char** argv) {
     const TwoPhaseResult central = runTwoPhase(universe, layering, copt);
     std::vector<InstanceId> centralSorted = central.solution.instances;
     std::sort(centralSorted.begin(), centralSorted.end());
+    const bool matches = dist.solution.instances == centralSorted;
+    allHold = allHold && dist.localViewsConsistent && matches;
 
     table.row()
         .cell(c.n)
@@ -92,7 +95,7 @@ int main(int argc, char** argv) {
         .cell(dist.network.maxMessagePayload)
         .cell(dist.lambdaMeasured, 4)
         .cell(dist.localViewsConsistent ? "yes" : "NO")
-        .cell(dist.solution.instances == centralSorted ? "yes" : "NO");
+        .cell(matches ? "yes" : "NO");
 
     report.row()
         .field("n", c.n)
@@ -107,7 +110,7 @@ int main(int argc, char** argv) {
         .field("virtual_time", dist.network.virtualTime)
         .field("lambda", dist.lambdaMeasured)
         .field("consistent", dist.localViewsConsistent)
-        .field("matches_central", dist.solution.instances == centralSorted)
+        .field("matches_central", matches)
         .jsonField("metrics", metrics.toJson());
   }
   table.print(std::cout);
@@ -115,5 +118,5 @@ int main(int argc, char** argv) {
     report.write();
   }
   telemetry.finish();
-  return 0;
+  return allHold ? 0 : 1;
 }

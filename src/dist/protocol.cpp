@@ -43,6 +43,18 @@ enum class MisStatus : std::uint8_t { Inactive, Undecided, In, Out };
 /// owns them (the one-shot run). Otherwise it runs on the caller's
 /// contexts, one per processor with a zero dual view, and zeroes the
 /// views it touched once the audit has read them (the online epoch).
+///
+/// Every communication round starts with a declaration of its possible
+/// senders (Transport::declareSenders), derived only from what every
+/// receiver already holds — the fixed schedule, the groups instances
+/// were born into and earlier rounds' inboxes:
+///  * a step's first MIS announce round: the owners of the group's
+///    members in this run;
+///  * a join round: that round's announcers;
+///  * a later announce round: the previous announcers, minus the
+///    joiners' owners (a joiner's owner has nothing left undecided);
+///  * a raise round: the owners of the MIS members;
+///  * phase 2's pop of tuple t: the owners of t's raises.
 template <class U, class L>
 class ProtocolEngine {
  public:
@@ -219,6 +231,14 @@ class ProtocolEngine {
  private:
   DemandId owner(InstanceId i) const { return u_.instance(i).demand; }
 
+  /// Declares the owners of `instances` the round's possible senders,
+  /// leaving them in senders_.
+  void declareOwnersOf(std::span<const InstanceId> instances) {
+    senders_.clear();
+    for (const InstanceId i : instances) senders_.push_back(owner(i));
+    net_.declareSenders(senders_);
+  }
+
   /// Alive during phase-1 tuple `tuple` (crashes hit at tuple start).
   bool aliveAt(DemandId p, std::int64_t tuple) const {
     return crashed_[static_cast<std::size_t>(p)] == 0 ||
@@ -308,6 +328,14 @@ class ProtocolEngine {
       obs_->onEpochBegin(epoch,
                          static_cast<std::int32_t>(
                              members_[static_cast<std::size_t>(epoch)].size()));
+      groupOwners_.clear();
+      for (const InstanceId i : members_[static_cast<std::size_t>(epoch)]) {
+        groupOwners_.push_back(owner(i));
+      }
+      std::sort(groupOwners_.begin(), groupOwners_.end());
+      groupOwners_.erase(
+          std::unique(groupOwners_.begin(), groupOwners_.end()),
+          groupOwners_.end());
       for (std::int32_t stage = 1; stage <= plan_.numStages; ++stage) {
         const double target = plan_.stageTarget(stage);
         obs_->onStageBegin(epoch, stage, target);
@@ -408,6 +436,7 @@ class ProtocolEngine {
     undecided_ = unsatisfied;
     misMembers_.clear();
     lastLubyRounds_ = 0;
+    senders_ = groupOwners_;
 
     while (!undecided_.empty() &&
            (budget <= 0 || lastLubyRounds_ < budget)) {
@@ -415,6 +444,7 @@ class ProtocolEngine {
       const std::int32_t round = lastLubyRounds_;
 
       // Round A: every undecided instance announces itself.
+      net_.declareSenders(senders_);
       for (const InstanceId i : undecided_) {
         net_.broadcast({MessageKind::MisActive, owner(i), i, 0.0});
       }
@@ -458,10 +488,21 @@ class ProtocolEngine {
         }
         return true;
       });
+      declareOwnersOf(undecided_);
       for (const InstanceId v : joiners_) {
         net_.broadcast({MessageKind::MisJoin, owner(v), v, 0.0});
       }
       net_.endRound();
+      // The next announce round's possible senders.
+      joinerOwners_.clear();
+      for (const InstanceId v : joiners_) {
+        joinerOwners_.push_back(owner(v));
+      }
+      std::sort(joinerOwners_.begin(), joinerOwners_.end());
+      std::erase_if(senders_, [&](DemandId p) {
+        return std::binary_search(joinerOwners_.begin(), joinerOwners_.end(),
+                                  p);
+      });
 
       // Apply joins: winners in; conflicting undecided out, discovered
       // locally for same-processor instances (joiners have distinct
@@ -510,6 +551,7 @@ class ProtocolEngine {
   void raiseRound(std::int64_t tuple,
                   const std::vector<InstanceId>& misMembers) {
     stepRaises_.clear();
+    declareOwnersOf(misMembers);
     for (const InstanceId i : misMembers) {
       const DemandId p = owner(i);
       const InstanceRecord& rec = u_.instance(i);
@@ -687,6 +729,11 @@ class ProtocolEngine {
       net_.endSilentRounds(unpopped - 1 - t);
       std::size_t begin = top;
       while (begin > 0 && raiseLog_[begin - 1].tuple == t) --begin;
+      senders_.clear();
+      for (std::size_t k = begin; k < top; ++k) {
+        senders_.push_back(owner(raiseLog_[k].instance));
+      }
+      net_.declareSenders(senders_);
       for (std::size_t k = begin; k < top; ++k) {
         const InstanceId i = raiseLog_[k].instance;
         const DemandId p = owner(i);
@@ -793,6 +840,11 @@ class ProtocolEngine {
   std::vector<InstanceId> undecided_;
   std::vector<InstanceId> joiners_;
   std::vector<InstanceId> misMembers_;
+  /// Round declarations: the current group's owners (ascending, unique),
+  /// the next round's possible senders, and the joiners' owners.
+  std::vector<DemandId> groupOwners_;
+  std::vector<DemandId> senders_;
+  std::vector<DemandId> joinerOwners_;
   std::vector<std::vector<InstanceId>> shardLists_;
   std::vector<std::int32_t> activeProcs_;
   /// Scratch for the weighted shard plans (grow-only; reused per round).

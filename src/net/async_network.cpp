@@ -178,6 +178,7 @@ double AsyncNetwork::flush() {
                   __FILE__, __LINE__);
         ++flight.attempts;
         ++transmissions_;
+        if (flight.control) ++markerTransmissions_;
         if (event.attempt > 0) ++retransmissions_;
         if (chance(config_.dropProbability, flight.id, event.attempt,
                    kSaltPayloadDrop)) {

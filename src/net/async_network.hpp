@@ -111,6 +111,8 @@ class AsyncNetwork {
   void drainDeliveries();
 
   std::int64_t transmissions() const { return transmissions_; }
+  /// The control-packet (synchronizer marker) share of transmissions().
+  std::int64_t markerTransmissions() const { return markerTransmissions_; }
   std::int64_t retransmissions() const { return retransmissions_; }
   std::int64_t drops() const { return drops_; }
   /// Deliveries suppressed by the dedup path: retransmission races plus
@@ -192,6 +194,7 @@ class AsyncNetwork {
 
   std::vector<std::int64_t> endpointLoad_;
   std::int64_t transmissions_ = 0;
+  std::int64_t markerTransmissions_ = 0;
   std::int64_t retransmissions_ = 0;
   std::int64_t drops_ = 0;
   std::int64_t duplicates_ = 0;

@@ -20,8 +20,8 @@ constexpr std::array<double, 16> kHostedBuckets = {
     256, 512, 1024, 2048, 4096, 8192, 16384, 32768};
 
 /// Validation must run in the member-init list, before the constructor
-/// body's edge loop reads placements for the adjacency's endpoints —
-/// a malformed graph would hit out-of-range reads there otherwise.
+/// body reads placements for the adjacency's endpoints — a malformed
+/// graph would hit out-of-range reads there otherwise.
 std::vector<std::vector<std::int32_t>> validated(
     std::vector<std::vector<std::int32_t>> adjacency) {
   validateCommunicationAdjacency(adjacency);
@@ -35,7 +35,6 @@ AlphaSynchronizer::AlphaSynchronizer(
     ShardPlacement placement, const AsyncConfig& config)
     : adjacency_(validated(std::move(demandAdjacency))),
       placement_(std::move(placement)),
-      physAdjacency_(static_cast<std::size_t>(placement_.numProcessors)),
       phys_(placement_.numProcessors, config.link, config.seed),
       silentRoundCost_(config.link.latency.base),
       plane_(std::max<std::int32_t>(
@@ -44,25 +43,15 @@ AlphaSynchronizer::AlphaSynchronizer(
                 placement_.numDemands(),
             "placement covers the communication graph", __FILE__, __LINE__);
   remoteProcsOf_.resize(adjacency_.size());
+  isDeclared_.assign(adjacency_.size(), 0);
   for (DemandId d = 0; d < numProcessors(); ++d) {
     checkThat(placement_.isPlaced(d) ||
                   adjacency_[static_cast<std::size_t>(d)].empty(),
               "unplaced demands must be isolated", __FILE__, __LINE__);
     rebuildRemoteProcs(d);
-    for (const std::int32_t e : adjacency_[static_cast<std::size_t>(d)]) {
-      if (d < e) {
-        addPhysicalEdge(d, e);
-      }
-    }
   }
   stats_.processorLoad.assign(
       static_cast<std::size_t>(placement_.numProcessors), 0);
-}
-
-std::uint64_t AlphaSynchronizer::linkKey(std::int32_t p, std::int32_t q) {
-  if (p > q) std::swap(p, q);
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(p)) << 32) |
-         static_cast<std::uint64_t>(static_cast<std::uint32_t>(q));
 }
 
 void AlphaSynchronizer::rebuildRemoteProcs(std::int32_t d) {
@@ -76,34 +65,6 @@ void AlphaSynchronizer::rebuildRemoteProcs(std::int32_t d) {
   }
   std::sort(remote.begin(), remote.end());
   remote.erase(std::unique(remote.begin(), remote.end()), remote.end());
-}
-
-void AlphaSynchronizer::addPhysicalEdge(std::int32_t a, std::int32_t b) {
-  const std::int32_t p = processorOf(a);
-  const std::int32_t q = processorOf(b);
-  if (p == q) return;
-  if (++physEdgeCount_[linkKey(p, q)] == 1) {
-    auto& ofP = physAdjacency_[static_cast<std::size_t>(p)];
-    ofP.insert(std::lower_bound(ofP.begin(), ofP.end(), q), q);
-    auto& ofQ = physAdjacency_[static_cast<std::size_t>(q)];
-    ofQ.insert(std::lower_bound(ofQ.begin(), ofQ.end(), p), p);
-  }
-}
-
-void AlphaSynchronizer::removePhysicalEdge(std::int32_t a, std::int32_t b) {
-  const std::int32_t p = processorOf(a);
-  const std::int32_t q = processorOf(b);
-  if (p == q) return;
-  const auto count = physEdgeCount_.find(linkKey(p, q));
-  checkThat(count != physEdgeCount_.end() && count->second > 0,
-            "physical link backed by a demand edge", __FILE__, __LINE__);
-  if (--count->second == 0) {
-    physEdgeCount_.erase(count);
-    auto& ofP = physAdjacency_[static_cast<std::size_t>(p)];
-    ofP.erase(std::lower_bound(ofP.begin(), ofP.end(), q));
-    auto& ofQ = physAdjacency_[static_cast<std::size_t>(q)];
-    ofQ.erase(std::lower_bound(ofQ.begin(), ofQ.end(), p));
-  }
 }
 
 void AlphaSynchronizer::connectDemand(
@@ -126,28 +87,23 @@ void AlphaSynchronizer::connectDemand(
   }
   // Live placements host arrivals on demand: d first, then any
   // still-isolated neighbour, in list order — deterministic.
-  if (placement_.live && !placement_.isPlaced(d)) {
-    const std::int32_t proc = placement_.placeDemand(d);
-    if (ledgerOn_) ledgerPlacement(d, proc);
-  }
-  for (const std::int32_t n : neighbors) {
-    if (placement_.live && !placement_.isPlaced(n)) {
-      const std::int32_t proc = placement_.placeDemand(n);
-      if (ledgerOn_) ledgerPlacement(n, proc);
+  const auto place = [&](std::int32_t x) {
+    if (placement_.live && !placement_.isPlaced(x)) {
+      const std::int32_t proc = placement_.placeDemand(x);
+      if (ledgerOn_) ledgerPlacement(x, proc);
     }
-  }
+  };
+  place(d);
+  for (const std::int32_t n : neighbors) place(n);
+  // Remote-processor sets rebuilt only for the touched demands.
   own.assign(neighbors.begin(), neighbors.end());
+  rebuildRemoteProcs(d);
   for (const std::int32_t n : neighbors) {
     auto& theirs = adjacency_[static_cast<std::size_t>(n)];
     const auto pos = std::lower_bound(theirs.begin(), theirs.end(), d);
     checkThat(pos == theirs.end() || *pos != d,
               "connectDemand edge already present", __FILE__, __LINE__);
     theirs.insert(pos, d);
-    addPhysicalEdge(d, n);
-  }
-  // Safe-marker bookkeeping rebuilt only for the touched demands.
-  rebuildRemoteProcs(d);
-  for (const std::int32_t n : neighbors) {
     rebuildRemoteProcs(n);
   }
 }
@@ -157,20 +113,16 @@ void AlphaSynchronizer::disconnectDemand(std::int32_t d) {
   checkThat(!plane_.hasStaged() && pendingPayload_ == 0,
             "topology mutation only between rounds", __FILE__, __LINE__);
   auto& own = adjacency_[static_cast<std::size_t>(d)];
-  const std::vector<std::int32_t> former(own.begin(), own.end());
-  for (const std::int32_t n : former) {
+  for (const std::int32_t n : own) {
     auto& theirs = adjacency_[static_cast<std::size_t>(n)];
     const auto pos = std::lower_bound(theirs.begin(), theirs.end(), d);
     checkThat(pos != theirs.end() && *pos == d,
               "disconnectDemand edge symmetric", __FILE__, __LINE__);
     theirs.erase(pos);
-    removePhysicalEdge(d, n);
+    rebuildRemoteProcs(n);
   }
   own.clear();
   rebuildRemoteProcs(d);
-  for (const std::int32_t n : former) {
-    rebuildRemoteProcs(n);
-  }
   if (placement_.live && placement_.isPlaced(d)) {
     placement_.removeDemand(d);
   }
@@ -185,6 +137,8 @@ std::span<const std::int32_t> AlphaSynchronizer::neighbors(
 void AlphaSynchronizer::broadcast(const Message& message) {
   checkIndex(message.from, numProcessors(), "AlphaSynchronizer::broadcast");
   const auto from = static_cast<std::size_t>(message.from);
+  checkThat(!declaring_ || isDeclared_[from] != 0,
+            "broadcast from a declared sender", __FILE__, __LINE__);
   const std::int32_t home = processorOf(message.from);
   // Same-processor neighbours: delivered from local memory at the round
   // boundary, never touching the wire.
@@ -201,25 +155,59 @@ void AlphaSynchronizer::broadcast(const Message& message) {
   }
 }
 
+void AlphaSynchronizer::declareSenders(
+    std::span<const std::int32_t> senders) {
+  declaring_ = true;
+  for (const std::int32_t d : senders) {
+    checkIndex(d, numProcessors(), "AlphaSynchronizer::declareSenders");
+    isDeclared_[static_cast<std::size_t>(d)] = 1;
+    declared_.push_back(d);
+  }
+}
+
+void AlphaSynchronizer::endDeclaration() {
+  for (const std::int32_t d : declared_) {
+    isDeclared_[static_cast<std::size_t>(d)] = 0;
+  }
+  declared_.clear();
+  declaring_ = false;
+}
+
+void AlphaSynchronizer::sendMarkers() {
+  markers_.clear();
+  const auto addSender = [&](DemandId d) {
+    const std::uint64_t home =
+        std::uint64_t{static_cast<std::uint32_t>(processorOf(d))} << 32;
+    for (const std::int32_t q : remoteProcsOf_[static_cast<std::size_t>(d)]) {
+      markers_.push_back(home | static_cast<std::uint32_t>(q));
+    }
+  };
+  if (declaring_) {
+    for (const std::int32_t d : declared_) addSender(d);
+  } else {
+    for (DemandId d = 0; d < numProcessors(); ++d) addSender(d);
+  }
+  endDeclaration();
+  std::sort(markers_.begin(), markers_.end());
+  markers_.erase(std::unique(markers_.begin(), markers_.end()),
+                 markers_.end());
+  for (const std::uint64_t key : markers_) {
+    phys_.send(static_cast<std::int32_t>(key >> 32),
+               static_cast<std::int32_t>(key & 0xffffffffu), Message{},
+               /*control=*/true);
+  }
+}
+
 void AlphaSynchronizer::endRound() {
   ++stats_.rounds;
 
-  // Safe markers: every processor tells each physical neighbour it has
+  // Safe markers: each possible sender tells its remote processors it has
   // sent everything for this round. The markers ride the same lossy
   // links (acked, retransmitted) — they are the synchronizer's cost.
-  for (std::int32_t p = 0; p < placement_.numProcessors; ++p) {
-    for (const std::int32_t q :
-         physAdjacency_[static_cast<std::size_t>(p)]) {
-      phys_.send(p, q, Message{}, /*control=*/true);
-    }
-  }
+  sendMarkers();
 
   // Round r+1 starts once all round-r payload and markers are delivered.
-  bool anyWire = pendingPayload_ > 0;
-  for (const auto& nbrs : physAdjacency_) {
-    anyWire = anyWire || !nbrs.empty();
-  }
-  if (anyWire) {
+  if (pendingPayload_ > 0 || !markers_.empty()) {
     phys_.flush();
   } else {
     // Fully local round (everything on one processor): charge the
@@ -249,6 +237,7 @@ void AlphaSynchronizer::endRound() {
 
   stats_.virtualTime = phys_.now();
   stats_.transmissions = phys_.transmissions();
+  stats_.markerTransmissions = phys_.markerTransmissions();
   stats_.retransmissions = phys_.retransmissions();
   stats_.drops = phys_.drops();
   stats_.duplicates = phys_.duplicates();
@@ -261,6 +250,10 @@ void AlphaSynchronizer::endRound() {
     if (delivered > 0) busyRoundsCtr_->add(1);
     virtualTimeGauge_->set(stats_.virtualTime);
     transmissionsGauge_->set(static_cast<double>(stats_.transmissions));
+    markerTransmissionsGauge_->set(
+        static_cast<double>(stats_.markerTransmissions));
+    payloadTransmissionsGauge_->set(static_cast<double>(
+        stats_.transmissions - stats_.markerTransmissions));
     retransmissionsGauge_->set(static_cast<double>(stats_.retransmissions));
     dropsGauge_->set(static_cast<double>(stats_.drops));
     duplicatesGauge_->set(static_cast<double>(stats_.duplicates));
@@ -276,6 +269,7 @@ void AlphaSynchronizer::endSilentRounds(std::int64_t count) {
   checkThat(!plane_.hasStaged() && pendingPayload_ == 0,
             "silent rounds must not drop queued messages", __FILE__, __LINE__);
   if (count == 0) return;
+  endDeclaration();
   plane_.clearInboxes();
   stats_.rounds += count;
   // Known-silent rounds are barrier-only: both sides of the fixed
@@ -293,32 +287,28 @@ void AlphaSynchronizer::attachTelemetry(Tracer* tracer,
                                         MetricsRegistry* metrics) {
   tracer_ = tracer;
   trace_ = tracer != nullptr && tracer->enabled();
-  if (metrics != nullptr) {
-    roundsCtr_ = &metrics->counter("net.rounds");
-    busyRoundsCtr_ = &metrics->counter("net.busy_rounds");
-    messagesCtr_ = &metrics->counter("net.messages");
-    virtualTimeGauge_ = &metrics->gauge("net.virtual_time");
-    transmissionsGauge_ = &metrics->gauge("net.transmissions");
-    retransmissionsGauge_ = &metrics->gauge("net.retransmissions");
-    dropsGauge_ = &metrics->gauge("net.drops");
-    duplicatesGauge_ = &metrics->gauge("net.duplicates");
-    if (placement_.live) {
-      hostedHist_ =
-          &metrics->histogram("net.shard_hosted_demands", kHostedBuckets);
-      loadVarianceGauge_ = &metrics->gauge("net.shard_load_variance");
-    }
-  } else {
-    roundsCtr_ = nullptr;
-    busyRoundsCtr_ = nullptr;
-    messagesCtr_ = nullptr;
-    virtualTimeGauge_ = nullptr;
-    transmissionsGauge_ = nullptr;
-    retransmissionsGauge_ = nullptr;
-    dropsGauge_ = nullptr;
-    duplicatesGauge_ = nullptr;
-    hostedHist_ = nullptr;
-    loadVarianceGauge_ = nullptr;
-  }
+  // A null registry detaches every instrument.
+  const auto counter = [&](std::string_view name) {
+    return metrics != nullptr ? &metrics->counter(name) : nullptr;
+  };
+  const auto gauge = [&](std::string_view name) {
+    return metrics != nullptr ? &metrics->gauge(name) : nullptr;
+  };
+  roundsCtr_ = counter("net.rounds");
+  busyRoundsCtr_ = counter("net.busy_rounds");
+  messagesCtr_ = counter("net.messages");
+  virtualTimeGauge_ = gauge("net.virtual_time");
+  transmissionsGauge_ = gauge("net.transmissions");
+  markerTransmissionsGauge_ = gauge("net.marker_transmissions");
+  payloadTransmissionsGauge_ = gauge("net.payload_transmissions");
+  retransmissionsGauge_ = gauge("net.retransmissions");
+  dropsGauge_ = gauge("net.drops");
+  duplicatesGauge_ = gauge("net.duplicates");
+  const bool live = metrics != nullptr && placement_.live;
+  hostedHist_ = live ? &metrics->histogram("net.shard_hosted_demands",
+                                           kHostedBuckets)
+                     : nullptr;
+  loadVarianceGauge_ = live ? gauge("net.shard_load_variance") : nullptr;
 }
 
 void AlphaSynchronizer::attachLedger(LedgerSink* ledger) {
@@ -361,12 +351,6 @@ RebalanceOutcome AlphaSynchronizer::rebalanceShards(
   outcome.loadVarianceBefore = plan.varianceBefore;
   outcome.loadVarianceAfter = plan.varianceAfter;
 
-  // Apply each migration with the connect/disconnect bookkeeping split
-  // around the placement change: a demand edge's physical-link
-  // contribution is keyed by both endpoint placements, so it must come
-  // off the refcounts while the old placement is still visible and go
-  // back on under the new one. Edges between two migrating demands stay
-  // exact because each move handles only its own endpoint.
   touchedScratch_.clear();
   for (const ShardPlacement::Migration& move : plan.moves) {
     const auto d = static_cast<std::size_t>(move.demand);
@@ -378,14 +362,9 @@ RebalanceOutcome AlphaSynchronizer::rebalanceShards(
       ev.toProcessor = move.to;
       ledger_->record(ev);
     }
-    for (const std::int32_t e : adjacency_[d]) {
-      removePhysicalEdge(move.demand, e);
-    }
     placement_.migrateDemand(move.demand, move.to);
-    for (const std::int32_t e : adjacency_[d]) {
-      addPhysicalEdge(move.demand, e);
-      touchedScratch_.push_back(e);
-    }
+    touchedScratch_.insert(touchedScratch_.end(), adjacency_[d].begin(),
+                           adjacency_[d].end());
     touchedScratch_.push_back(move.demand);
   }
   for (const auto& [net, to] : plan.anchorMoves) {

@@ -1,17 +1,21 @@
 // Alpha-synchronizer: the round-structured protocol over an async wire.
 //
 // The §5 protocol assumes synchronous rounds. An alpha-synchronizer
-// (Awerbuch 1985) recovers them on an asynchronous network: in every
-// round each processor sends its payload followed by a "safe" marker to
-// every physical neighbour, and starts round r+1 only once the round-r
-// markers of all neighbours have arrived. Because the underlying
-// ack/retransmission links are reliable (net/async_network.hpp), every
-// payload message broadcast in round r is in the recipients' inboxes
-// before round r+1 — so, after canonical sorting, the protocol consumes
-// exactly the inboxes the synchronous bus would produce, and the whole
-// run is bit-identical to the round-synchronous execution under ANY
-// latency model and ANY drop rate. Latency and loss cost virtual time,
-// retransmissions and control traffic, never correctness.
+// (Awerbuch 1985) recovers them on an asynchronous network: in every round
+// each possible sender sends its payload followed by a "safe" marker to
+// every processor hosting one of its neighbours, and a processor starts
+// round r+1 once the round-r markers of all its possible senders have
+// arrived. The possible senders are the round's declaration
+// (Transport::declareSenders), a set every receiver computes from what it
+// already holds, or every demand when the round declares none. Because the
+// underlying ack/retransmission links are reliable
+// (net/async_network.hpp), every payload message broadcast in round r is
+// in the recipients' inboxes before round r+1 — so, after canonical
+// sorting, the protocol consumes exactly the inboxes the synchronous bus
+// would produce, and the whole run is bit-identical to the
+// round-synchronous execution under ANY latency model and ANY drop rate.
+// Latency and loss cost virtual time, retransmissions and control traffic,
+// never correctness.
 //
 // With a non-identity ShardPlacement one physical processor hosts many
 // demands: intra-processor messages are local memory operations (free,
@@ -21,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "engine/message_plane.hpp"
@@ -48,12 +51,11 @@ struct AsyncConfig {
 
 /// The synchronizer's topology is live (MutableTopology): demands can
 /// connect and disconnect between rounds, exactly like on the
-/// round-synchronous bus. The safe-marker bookkeeping — the physical
-/// link set markers ride on — is maintained incrementally: a mutation
-/// updates per-link demand-edge refcounts and rebuilds the remote
-/// processor sets only for the touched demands, never the whole graph.
-/// On a live ShardPlacement arrivals are placed locality-aware and
-/// departures tombstoned (net/shard.hpp).
+/// round-synchronous bus. The per-demand remote processor sets — what
+/// both payload and safe markers ride on — are rebuilt only for the
+/// demands a mutation touches, never the whole graph. On a live
+/// ShardPlacement arrivals are placed locality-aware and departures
+/// tombstoned (net/shard.hpp).
 class AlphaSynchronizer : public Transport, public MutableTopology {
  public:
   /// `demandAdjacency` is the protocol's communication graph (validated);
@@ -67,7 +69,10 @@ class AlphaSynchronizer : public Transport, public MutableTopology {
     return static_cast<std::int32_t>(adjacency_.size());
   }
   std::span<const std::int32_t> neighbors(std::int32_t p) const override;
+  /// Throws CheckError on a broadcast from a demand the round's
+  /// declaration leaves out.
   void broadcast(const Message& message) override;
+  void declareSenders(std::span<const std::int32_t> senders) override;
   void endRound() override;
   void endSilentRounds(std::int64_t count) override;
   std::span<const Message> inbox(std::int32_t p) const override;
@@ -77,9 +82,10 @@ class AlphaSynchronizer : public Transport, public MutableTopology {
   }
 
   /// Publishes net.{rounds,busy_rounds,messages} counters plus the
-  /// async-wire gauges net.{virtual_time,transmissions,retransmissions,
-  /// drops,duplicates} (mirrors of the cumulative NetworkStats fields,
-  /// refreshed each round) and emits a "deliver" instant per busy round.
+  /// async-wire gauges net.{virtual_time,transmissions,marker_transmissions,
+  /// payload_transmissions,retransmissions,drops,duplicates} (mirrors of
+  /// the cumulative NetworkStats fields, refreshed each round) and emits
+  /// a "deliver" instant per busy round.
   void attachTelemetry(Tracer* tracer, MetricsRegistry* metrics) override;
 
   /// Records the placement (connectDemand on a live placement) and
@@ -101,16 +107,12 @@ class AlphaSynchronizer : public Transport, public MutableTopology {
 
   /// Attaches demand `d` (currently isolated) with the given sorted,
   /// duplicate-free neighbour list. On a live placement, `d` (and any
-  /// still-unplaced neighbour) is placed locality-aware first; new
-  /// physical links appear only where a demand edge first crosses a
-  /// processor pair.
+  /// still-unplaced neighbour) is placed locality-aware first.
   void connectDemand(std::int32_t d,
                      std::span<const std::int32_t> neighbors) override;
 
-  /// Detaches demand `d`: every edge is removed (both sides), physical
-  /// links whose last crossing demand edge disappeared are dropped from
-  /// the safe-marker set, and on a live placement the demand is
-  /// tombstoned out of its shard.
+  /// Detaches demand `d`: every edge is removed (both sides), and on a
+  /// live placement the demand is tombstoned out of its shard.
   void disconnectDemand(std::int32_t d) override;
 
   std::int32_t numDemands() const override { return numProcessors(); }
@@ -123,13 +125,10 @@ class AlphaSynchronizer : public Transport, public MutableTopology {
   /// Epoch-boundary hot-shard rebalancing (live placements with > 1
   /// processor; everything else reports current variance and moves
   /// nothing). Applies the deterministic ShardPlacement::planRebalance
-  /// plan: every migrated demand's physical-edge contributions are
-  /// removed at the old placement and re-added at the new one, and the
-  /// remote-processor broadcast sets of every touched demand (movers and
-  /// their neighbours) are rebuilt — the same incremental bookkeeping as
-  /// connect/disconnect, so safe-marker traffic stays exact. Placement
-  /// is wire accounting only: the schedule is bit-identical with or
-  /// without rebalancing (tests/rebalance_test.cpp). Emits a
+  /// plan, then rebuilds the remote-processor sets of every touched
+  /// demand (movers and their neighbours), as connect/disconnect do.
+  /// Placement is wire accounting only: the schedule is bit-identical
+  /// with or without rebalancing (tests/rebalance_test.cpp). Emits a
   /// "rebalance" span when a tracer is live; the load telemetry itself
   /// is published by recordPlacementLoad() once per epoch, whether or
   /// not rebalancing runs.
@@ -148,27 +147,27 @@ class AlphaSynchronizer : public Transport, public MutableTopology {
     return placement_.processorOfDemand[static_cast<std::size_t>(d)];
   }
 
-  static std::uint64_t linkKey(std::int32_t p, std::int32_t q);
-
   /// Rebuilds the remote-processor broadcast set of one demand from its
   /// current adjacency — O(degree), called only for touched demands.
   void rebuildRemoteProcs(std::int32_t d);
 
-  /// Adds/removes one demand edge's contribution to the physical link
-  /// (processorOf(a), processorOf(b)); the link itself appears/disappears
-  /// when its crossing-edge refcount moves between 0 and 1.
-  void addPhysicalEdge(std::int32_t a, std::int32_t b);
-  void removePhysicalEdge(std::int32_t a, std::int32_t b);
+  /// Sends one safe marker per (declared sender's processor, remote
+  /// processor of that sender) pair, ascending; ends the declaration.
+  void sendMarkers();
+  void endDeclaration();
 
   std::vector<std::vector<std::int32_t>> adjacency_;  ///< demand-level
   ShardPlacement placement_;
-  std::vector<std::vector<std::int32_t>> physAdjacency_;  ///< processor-level
-  /// Demand edges crossing each physical link (unordered processor-pair
-  /// key) — the incremental safe-marker bookkeeping.
-  std::unordered_map<std::uint64_t, std::int32_t> physEdgeCount_;
   /// Remote processors hosting at least one neighbour of demand d —
-  /// each broadcast goes to the wire once per entry, not once per demand.
+  /// each broadcast and each of d's markers goes to the wire once per
+  /// entry, not once per demand.
   std::vector<std::vector<std::int32_t>> remoteProcsOf_;
+  /// The round's declared senders, with a per-demand flag for the
+  /// broadcast check; markers_ holds (from << 32 | to) marker keys.
+  bool declaring_ = false;
+  std::vector<std::int32_t> declared_;
+  std::vector<std::uint8_t> isDeclared_;
+  std::vector<std::uint64_t> markers_;
   AsyncNetwork phys_;
   double silentRoundCost_ = 0;
   std::int64_t pendingPayload_ = 0;  ///< wire packets since last boundary
@@ -186,6 +185,8 @@ class AlphaSynchronizer : public Transport, public MutableTopology {
   Counter* messagesCtr_ = nullptr;
   Gauge* virtualTimeGauge_ = nullptr;
   Gauge* transmissionsGauge_ = nullptr;
+  Gauge* markerTransmissionsGauge_ = nullptr;
+  Gauge* payloadTransmissionsGauge_ = nullptr;
   Gauge* retransmissionsGauge_ = nullptr;
   Gauge* dropsGauge_ = nullptr;
   Gauge* duplicatesGauge_ = nullptr;

@@ -15,6 +15,8 @@ void Transport::appendActiveInboxes(std::vector<std::int32_t>& out) const {
   }
 }
 
+void Transport::declareSenders(std::span<const std::int32_t> /*senders*/) {}
+
 void Transport::attachRunner(ParallelRunner* /*runner*/) {}
 
 void Transport::attachTelemetry(Tracer* /*tracer*/,

@@ -18,6 +18,12 @@
 // after endRound() — exactly once, with inboxes sorted canonically
 // (canonicalMessageLess) — and in no other round. Any implementation
 // honouring it runs the protocol bit-identically to the synchronous bus.
+//
+// A round may declare its possible senders (declareSenders) so that a
+// synchronizer waits only for them. Every receiver must be able to
+// compute the declared set from what it already holds — the fixed
+// schedule and earlier inboxes — never from who actually sends, which is
+// what the round itself reveals.
 #pragma once
 
 #include <cstdint>
@@ -47,6 +53,8 @@ struct NetworkStats {
   double virtualTime = 0;  ///< simulated clock at the end of the run
   /// Physical transmission attempts (payload + control), incl. retries.
   std::int64_t transmissions = 0;
+  /// The control (safe-marker) share of `transmissions`.
+  std::int64_t markerTransmissions = 0;
   std::int64_t retransmissions = 0;  ///< attempts after the first, per packet
   std::int64_t drops = 0;            ///< attempts lost in flight (incl. acks)
   /// Deliveries suppressed by the receiver's dedup path: retransmission
@@ -77,6 +85,11 @@ class Transport {
   /// Queues `message` for delivery to every neighbour of `message.from`
   /// at the end of the current round.
   virtual void broadcast(const Message& message) = 0;
+
+  /// Promises that only `senders` (any order, repeats allowed; calls
+  /// accumulate) broadcast in the current round; an undeclared round may
+  /// hear from every demand. The default ignores it.
+  virtual void declareSenders(std::span<const std::int32_t> senders);
 
   /// Ends the current round: every message broadcast since the previous
   /// boundary is in the recipients' inboxes (sorted canonically) after

@@ -11,6 +11,8 @@
 #include "dist/sim_network.hpp"
 #include "framework/two_phase.hpp"
 #include "gen/scenario.hpp"
+#include "net/synchronizer.hpp"
+#include "obs/metrics.hpp"
 #include "util/check.hpp"
 
 namespace treesched {
@@ -443,6 +445,149 @@ TEST(DistProtocol, AuditCatchesAHiddenRaise) {
     EXPECT_TRUE(contexts[static_cast<std::size_t>(d)] == fresh)
         << "demand " << d;
   }
+}
+
+// ---- Protocol: sender declarations on the async wire ----
+
+/// Forwards to another transport, but rewrites each sender declaration:
+/// `forward` false drops every declaration (each round undeclared), and
+/// `omit` >= 0 leaves that demand out of every declaration. Records the
+/// first demand to broadcast.
+class DeclarationRewritingTransport final : public Transport {
+ public:
+  DeclarationRewritingTransport(Transport& inner, bool forward,
+                                DemandId omit = -1)
+      : inner_(inner), forward_(forward), omit_(omit) {}
+
+  DemandId firstSender() const { return firstSender_; }
+
+  std::int32_t numProcessors() const override {
+    return inner_.numProcessors();
+  }
+  std::span<const std::int32_t> neighbors(std::int32_t p) const override {
+    return inner_.neighbors(p);
+  }
+  void broadcast(const Message& message) override {
+    if (firstSender_ < 0) firstSender_ = message.from;
+    inner_.broadcast(message);
+  }
+  void declareSenders(std::span<const std::int32_t> senders) override {
+    if (!forward_) return;
+    kept_.assign(senders.begin(), senders.end());
+    std::erase(kept_, omit_);
+    inner_.declareSenders(kept_);
+  }
+  void endRound() override { inner_.endRound(); }
+  void endSilentRounds(std::int64_t count) override {
+    inner_.endSilentRounds(count);
+  }
+  std::span<const Message> inbox(std::int32_t p) const override {
+    return inner_.inbox(p);
+  }
+  void appendActiveInboxes(std::vector<std::int32_t>& out) const override {
+    inner_.appendActiveInboxes(out);
+  }
+  void attachRunner(ParallelRunner* runner) override {
+    inner_.attachRunner(runner);
+  }
+  const NetworkStats& stats() const override { return inner_.stats(); }
+
+ private:
+  Transport& inner_;
+  bool forward_;
+  DemandId omit_;
+  DemandId firstSender_ = -1;
+  std::vector<std::int32_t> kept_;
+};
+
+/// A lossy wire sharded onto four processors, so markers and payload
+/// both retransmit and some traffic stays local.
+AlphaSynchronizer lossyShardedWire(const TreeProblem& problem,
+                                   const PreparedRun& prepared) {
+  AsyncConfig net;
+  net.seed = 5;
+  net.link.latency.model = LatencyModel::Uniform;
+  net.link.latency.spread = 2.0;
+  net.link.dropProbability = 0.2;
+  return AlphaSynchronizer(
+      prepared.adjacency,
+      ShardPlacement::build(ShardStrategy::Locality, problem.access, 4),
+      net);
+}
+
+DistributedOptions declarationRunOptions() {
+  DistributedOptions dopt;
+  dopt.seed = 9;
+  dopt.misRoundBudget = 8;
+  dopt.stepsPerStage = 4;
+  return dopt;
+}
+
+TEST(DistProtocol, DroppedDeclarationsCostMarkersNotTheSchedule) {
+  const TreeProblem problem = treeCase(31, 32, 30, 3);
+  const PreparedRun prepared = prepareUnitTreeRun(problem);
+  const DistributedOptions dopt = declarationRunOptions();
+
+  AlphaSynchronizer declared = lossyShardedWire(problem, prepared);
+  const DistributedResult sparse = runDistributedOverTransport(
+      prepared.universe, prepared.layering, declared, dopt);
+
+  AlphaSynchronizer wire = lossyShardedWire(problem, prepared);
+  DeclarationRewritingTransport dropping(wire, /*forward=*/false);
+  const DistributedResult dense = runDistributedOverTransport(
+      prepared.universe, prepared.layering, dropping, dopt);
+
+  const DistributedResult bus = runDistributedUnitTree(problem, dopt);
+  EXPECT_EQ(sparse.solution.instances, bus.solution.instances);
+  EXPECT_EQ(dense.solution.instances, bus.solution.instances);
+  EXPECT_EQ(dense.profit, sparse.profit);
+  EXPECT_TRUE(sparse.localViewsConsistent);
+  EXPECT_EQ(dense.network.messages, sparse.network.messages);
+  EXPECT_GT(sparse.network.markerTransmissions, 0);
+  EXPECT_GT(dense.network.markerTransmissions,
+            sparse.network.markerTransmissions);
+}
+
+TEST(DistProtocol, UndeclaredPossibleSenderThrows) {
+  const TreeProblem problem = treeCase(31, 32, 30, 3);
+  const PreparedRun prepared = prepareUnitTreeRun(problem);
+  const DistributedOptions dopt = declarationRunOptions();
+
+  AlphaSynchronizer probeWire = lossyShardedWire(problem, prepared);
+  DeclarationRewritingTransport probe(probeWire, /*forward=*/true);
+  runDistributedOverTransport(prepared.universe, prepared.layering, probe,
+                              dopt);
+  const DemandId sender = probe.firstSender();
+  ASSERT_GE(sender, 0);
+
+  AlphaSynchronizer wire = lossyShardedWire(problem, prepared);
+  DeclarationRewritingTransport omitting(wire, /*forward=*/true, sender);
+  EXPECT_THROW(runDistributedOverTransport(prepared.universe,
+                                           prepared.layering, omitting, dopt),
+               CheckError);
+}
+
+TEST(DistProtocol, MarkerAndPayloadGaugesSumToTransmissions) {
+  const TreeProblem problem = treeCase(31, 32, 30, 3);
+  const PreparedRun prepared = prepareUnitTreeRun(problem);
+  DistributedOptions dopt = declarationRunOptions();
+  MetricsRegistry metrics;
+  dopt.metrics = &metrics;
+
+  AlphaSynchronizer wire = lossyShardedWire(problem, prepared);
+  const DistributedResult result = runDistributedOverTransport(
+      prepared.universe, prepared.layering, wire, dopt);
+
+  const double markers = metrics.gauge("net.marker_transmissions").value();
+  const double payload = metrics.gauge("net.payload_transmissions").value();
+  EXPECT_GT(markers, 0);
+  EXPECT_GT(payload, 0);
+  EXPECT_EQ(markers + payload, metrics.gauge("net.transmissions").value());
+  EXPECT_EQ(markers,
+            static_cast<double>(result.network.markerTransmissions));
+  EXPECT_EQ(metrics.gauge("net.transmissions").value(),
+            static_cast<double>(result.network.transmissions));
+  EXPECT_GT(result.network.retransmissions, 0);
 }
 
 }  // namespace

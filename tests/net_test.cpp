@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "net/async_network.hpp"
 #include "net/latency.hpp"
@@ -438,6 +441,99 @@ TEST(AlphaSynchronizer, ShardedLocalTrafficSkipsTheWire) {
 TEST(AlphaSynchronizer, RejectsAsymmetricGraph) {
   AsyncConfig net;
   EXPECT_THROW(makeSync({{1}, {}}, net), CheckError);
+}
+
+// ---- AlphaSynchronizer: sender declarations (lossless wire) ----
+
+/// Six demands round-robin on three processors (demand d on d % 3):
+/// every processor pair is a physical link, and demands 0 and 3 share
+/// processor 0. No drops, so every packet is one transmission.
+AlphaSynchronizer declarationSync() {
+  const std::vector<std::vector<std::int32_t>> access(6, {0});
+  return AlphaSynchronizer(
+      {{1, 3}, {0, 2}, {1, 3}, {0, 2, 4}, {3, 5}, {4}},
+      ShardPlacement::build(ShardStrategy::RoundRobin, access, 3),
+      AsyncConfig{});
+}
+
+/// Distinct (sender's processor, remote neighbour's processor) pairs
+/// over `senders` — the markers a round declaring them must send.
+std::int64_t markerPairs(const AlphaSynchronizer& sync,
+                         const std::vector<std::int32_t>& senders) {
+  const auto& home = sync.placement().processorOfDemand;
+  std::set<std::pair<std::int32_t, std::int32_t>> pairs;
+  for (const std::int32_t d : senders) {
+    for (const std::int32_t e : sync.neighbors(d)) {
+      const std::int32_t p = home[static_cast<std::size_t>(d)];
+      const std::int32_t q = home[static_cast<std::size_t>(e)];
+      if (p != q) pairs.insert({p, q});
+    }
+  }
+  return static_cast<std::int64_t>(pairs.size());
+}
+
+/// Ends one round and returns the markers it put on the wire.
+std::int64_t markersOfRound(AlphaSynchronizer& sync) {
+  const std::int64_t before = sync.stats().markerTransmissions;
+  sync.endRound();
+  return sync.stats().markerTransmissions - before;
+}
+
+TEST(AlphaSynchronizer, DeclaredRoundMarksOnlyFromSenderProcessors) {
+  AlphaSynchronizer sync = declarationSync();
+  const std::vector<std::vector<std::int32_t>> declarations = {
+      {0}, {0, 3}, {3, 0, 3}, {1, 4}, {5}, {2, 5}, {}};
+  const std::vector<std::int64_t> expected = {1, 2, 2, 2, 1, 2, 0};
+  for (std::size_t k = 0; k < declarations.size(); ++k) {
+    const auto& senders = declarations[k];
+    sync.declareSenders(senders);
+    if (!senders.empty()) {
+      sync.broadcast({MessageKind::MisActive, senders.front(), 7, 0.0});
+    }
+    EXPECT_EQ(markerPairs(sync, senders), expected[k]) << "declaration " << k;
+    EXPECT_EQ(markersOfRound(sync), expected[k]) << "declaration " << k;
+    if (!senders.empty()) {
+      EXPECT_FALSE(sync.inbox(sync.neighbors(senders.front())[0]).empty());
+    }
+  }
+  // Payload is the rest of the wire traffic: one packet per remote
+  // processor of each sender (0, 0, 3, 1, 5, 2).
+  EXPECT_EQ(sync.stats().transmissions - sync.stats().markerTransmissions,
+            1 + 1 + 2 + 2 + 1 + 2);
+}
+
+TEST(AlphaSynchronizer, UndeclaredRoundMarksEveryDirectedLink) {
+  AlphaSynchronizer sync = declarationSync();
+  EXPECT_EQ(markersOfRound(sync), 6);
+  sync.declareSenders(std::vector<std::int32_t>{0, 1, 2, 3, 4, 5});
+  EXPECT_EQ(markersOfRound(sync), 6);
+  sync.broadcast({MessageKind::MisActive, 4, 1, 0.0});
+  EXPECT_EQ(markersOfRound(sync), 6);
+}
+
+TEST(AlphaSynchronizer, BroadcastFromUndeclaredDemandThrows) {
+  AlphaSynchronizer sync = declarationSync();
+  sync.declareSenders(std::vector<std::int32_t>{0, 2});
+  sync.broadcast({MessageKind::MisActive, 2, 1, 0.0});
+  EXPECT_THROW(sync.broadcast({MessageKind::MisActive, 1, 2, 0.0}),
+               CheckError);
+  EXPECT_THROW(sync.broadcast({MessageKind::MisActive, 3, 3, 0.0}),
+               CheckError);
+}
+
+TEST(AlphaSynchronizer, DeclarationCoversOneRoundOnly) {
+  AlphaSynchronizer sync = declarationSync();
+  sync.declareSenders(std::vector<std::int32_t>{0});
+  EXPECT_EQ(markersOfRound(sync), 1);
+  // The next round is undeclared again: anyone may send, every link
+  // carries a marker.
+  sync.broadcast({MessageKind::MisActive, 1, 1, 0.0});
+  EXPECT_EQ(markersOfRound(sync), 6);
+  // Silent rounds end a declaration too.
+  sync.declareSenders(std::vector<std::int32_t>{5});
+  sync.endSilentRounds(2);
+  sync.broadcast({MessageKind::MisActive, 1, 2, 0.0});
+  EXPECT_EQ(markersOfRound(sync), 6);
 }
 
 }  // namespace
