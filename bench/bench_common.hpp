@@ -1,4 +1,5 @@
-// Shared helpers for the experiment harnesses (DESIGN.md §4).
+// Shared helpers for the bench binaries: the experiment banner, the
+// BENCH_*.json report writer and the --trace/--metrics wiring.
 #pragma once
 
 #include <cstdint>
@@ -7,12 +8,10 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
-#include "core/universe.hpp"
-#include "exact/brute_force.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -21,25 +20,11 @@ namespace treesched::bench {
 
 /// Prints the experiment banner: id, the paper claim being regenerated and
 /// what shape the numbers must have to count as reproduced.
-inline void banner(const std::string& id, const std::string& claim,
-                   const std::string& expectation) {
+inline void banner(std::string_view id, std::string_view claim,
+                   std::string_view expectation) {
   std::cout << "\n=== Experiment " << id << " ===\n"
             << "claim:       " << claim << "\n"
             << "expectation: " << expectation << "\n\n";
-}
-
-/// Best available estimate of OPT: exact when branch-and-bound finishes in
-/// budget, otherwise the max of the incumbent and nothing better — callers
-/// then fall back to the dual upper bound for the ratio.
-struct OptEstimate {
-  double lowerBound = 0;  ///< best feasible solution found
-  bool exact = false;
-};
-
-inline OptEstimate estimateOpt(const InstanceUniverse& universe,
-                               std::int64_t nodeBudget = 5'000'000) {
-  const ExactResult result = bruteForceExact(universe, nodeBudget);
-  return {result.profit, result.provedOptimal};
 }
 
 /// Machine-readable experiment report: an array of flat JSON objects,
@@ -172,14 +157,5 @@ class Telemetry {
   Tracer tracer_;
   bool printMetrics_ = false;
 };
-
-/// For experiments that only exercise the centralized solvers (no
-/// telemetry-plane layer runs): honors --metrics with an explicitly
-/// empty snapshot and flushes the (empty) trace, so every bench binary
-/// shares the same telemetry interface.
-inline void finishUninstrumented(Telemetry& telemetry) {
-  if (telemetry.printMetrics()) std::cout << MetricsRegistry().describe();
-  telemetry.finish();
-}
 
 }  // namespace treesched::bench

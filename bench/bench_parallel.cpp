@@ -23,6 +23,7 @@
 #include "dist/protocol.hpp"
 #include "dist/sim_network.hpp"
 #include "gen/scenario.hpp"
+#include "obs/metrics.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
@@ -136,10 +137,12 @@ void report(Table& table, bench::JsonReport& json, const PresetRun& run) {
       .field("matches_1_thread", run.matchesSerial);
 }
 
-void runPreset(const std::string& preset, PreparedRun prepared,
+/// Returns whether every thread count matched the 1-thread run.
+bool runPreset(const std::string& preset, PreparedRun prepared,
                std::int32_t demands, const DistributedOptions& baseOptions,
                const std::vector<std::int32_t>& threadCounts, Table& table,
                bench::JsonReport& json, bench::Telemetry& telemetry) {
+  bool allMatch = true;
   DistributedResult serial;
   double serialWallMs = 0;
   for (std::size_t i = 0; i < threadCounts.size(); ++i) {
@@ -191,7 +194,9 @@ void runPreset(const std::string& preset, PreparedRun prepared,
     }
     if (telemetry.printMetrics()) std::cout << metrics.describe();
     report(table, json, run);
+    allMatch = allMatch && run.matchesSerial;
   }
+  return allMatch;
 }
 
 }  // namespace
@@ -245,15 +250,18 @@ int main(int argc, char** argv) {
   dopt.misRoundBudget = 4;
   dopt.stepsPerStage = 2;
 
+  bool allMatch = true;
   {
     const LineProblem problem = makeMetroLine100k(seed, lineDemands);
-    runPreset("metro_line_100k", prepareUnitLineRun(problem), lineDemands,
-              dopt, threadCounts, table, json, telemetry);
+    allMatch &= runPreset("metro_line_100k", prepareUnitLineRun(problem),
+                          lineDemands, dopt, threadCounts, table, json,
+                          telemetry);
   }
   {
     const TreeProblem problem = makeCdnTree250k(seed, treeDemands);
-    runPreset("cdn_tree_250k", prepareUnitTreeRun(problem), treeDemands,
-              dopt, threadCounts, table, json, telemetry);
+    allMatch &= runPreset("cdn_tree_250k", prepareUnitTreeRun(problem),
+                          treeDemands, dopt, threadCounts, table, json,
+                          telemetry);
   }
   {
     // The hotspot row family: the skew-heavy pool behind the online
@@ -264,8 +272,9 @@ int main(int argc, char** argv) {
     // engine routing around them).
     const ChurnTreeScenario scenario = makeHotspotTree50k(seed,
                                                           hotspotDemands);
-    runPreset("hotspot_tree_50k", prepareUnitTreeRun(scenario.pool),
-              hotspotDemands, dopt, threadCounts, table, json, telemetry);
+    allMatch &= runPreset("hotspot_tree_50k",
+                          prepareUnitTreeRun(scenario.pool), hotspotDemands,
+                          dopt, threadCounts, table, json, telemetry);
   }
 
   table.print(std::cout);
@@ -273,5 +282,5 @@ int main(int argc, char** argv) {
     json.write();
   }
   telemetry.finish();
-  return 0;
+  return allMatch ? 0 : 1;
 }

@@ -44,9 +44,9 @@ LineProblem makeLineScenario(const LineScenarioConfig& config);
 //
 // A wide-area deployment: power-law profits, dense network access, and a
 // wire with heavy-tail (Pareto) latencies, a nonzero i.i.d. drop rate and
-// locality-aware sharding — the workload the async bench (bench_async)
-// tracks across PRs. Problem and transport ship together so every
-// consumer measures the same wire under the same load.
+// locality-aware sharding — the workload of the async paper experiment
+// (`bench_paper --experiment async`, E12). Problem and transport ship
+// together so every consumer measures the same wire under the same load.
 
 struct LossyWideAreaTreeScenario {
   TreeProblem problem;

@@ -148,7 +148,8 @@ class Transport {
 
 /// Validates a communication adjacency: symmetric, loop-free, entries in
 /// range, duplicate-free. Throws CheckError otherwise. Every transport
-/// construction funnels through this.
+/// construction funnels through this. Rows may be unsorted; the cost is
+/// linear in the edge count plus a sort of each unsorted row.
 void validateCommunicationAdjacency(
     const std::vector<std::vector<std::int32_t>>& adjacency);
 

@@ -182,8 +182,11 @@ TEST_P(AsyncEquivalenceSweep, TreeHeterogeneousLinksBitIdentical) {
   AsyncConfig uniform = lossyUniform(seed);
   uniform.link.retransmitTimeout = 0;  // auto: must cover the slow links
   AsyncConfig heterogeneous = uniform;
-  // Pin a physical link that certainly carries traffic (round markers
-  // cross every communication edge): the first edge of the graph.
+  // Pin a physical link that carries traffic: the first edge (d, e) of
+  // the graph. Safe markers flow only from each round's declared
+  // senders, but d owns an instance, so every active step of its group's
+  // epoch opens with an MIS round that declares d: that round sends a
+  // marker from d's processor to e's across the link.
   const auto adjacency =
       communicationGraph(problem.access, problem.numNetworks());
   LinkLatencyOverride slowLink;

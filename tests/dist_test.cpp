@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -51,15 +53,6 @@ TEST(SimNetwork, InboxClearedEachRound) {
   EXPECT_EQ(net.inbox(1).size(), 1u);
   net.endRound();
   EXPECT_TRUE(net.inbox(1).empty());
-}
-
-TEST(SimNetwork, RejectsAsymmetricGraph) {
-  EXPECT_THROW(SimNetwork({{1}, {}}), CheckError);
-}
-
-TEST(SimNetwork, RejectsSelfLoop) {
-  std::vector<std::vector<std::int32_t>> adjacency{{0}};
-  EXPECT_THROW(SimNetwork net(std::move(adjacency)), CheckError);
 }
 
 TEST(SimNetwork, SilentRoundsCount) {
@@ -133,6 +126,78 @@ TEST(CommunicationGraph, DuplicateNetworkIdsCollapse) {
 TEST(CommunicationGraph, RejectsOutOfRangeNetworkId) {
   EXPECT_THROW(communicationGraph({{2}}, 2), CheckError);
   EXPECT_THROW(communicationGraph({{-1}}, 2), CheckError);
+}
+
+// ---- Communication adjacency validation ----
+
+/// Whether `run` throws a CheckError naming `check`; a rejection by any
+/// other check is a failure too, so each case pins the check it exercises.
+template <class Run>
+::testing::AssertionResult rejectedBy(const std::string& check, Run&& run) {
+  try {
+    run();
+  } catch (const CheckError& e) {
+    if (std::string(e.what()).find(check) != std::string::npos) {
+      return ::testing::AssertionSuccess();
+    }
+    return ::testing::AssertionFailure() << "rejected by: " << e.what();
+  }
+  return ::testing::AssertionFailure() << "accepted";
+}
+
+/// A graph with exactly one defect, and the check that must reject it.
+struct AdjacencyDefect {
+  std::string name;
+  std::vector<std::vector<std::int32_t>> adjacency;
+  std::string check;
+
+  friend void PrintTo(const AdjacencyDefect& defect, std::ostream* os) {
+    *os << defect.name;
+  }
+};
+
+class AdjacencyRejection : public ::testing::TestWithParam<AdjacencyDefect> {};
+
+// The validator and both transport constructors reject each defect.
+TEST_P(AdjacencyRejection, EveryEntryPointRejects) {
+  const AdjacencyDefect& defect = GetParam();
+  const auto& adjacency = defect.adjacency;
+  const auto n = static_cast<std::int32_t>(adjacency.size());
+  EXPECT_TRUE(rejectedBy(defect.check, [&] {
+    validateCommunicationAdjacency(adjacency);
+  }));
+  EXPECT_TRUE(rejectedBy(defect.check, [&] { SimNetwork net(adjacency); }));
+  EXPECT_TRUE(rejectedBy(defect.check, [&] {
+    AlphaSynchronizer sync(adjacency, ShardPlacement::identity(n),
+                           AsyncConfig{});
+  }));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Defects, AdjacencyRejection,
+    ::testing::Values(
+        // Both rows repeat their entry, so the graph is its own transpose:
+        // only the duplicate check can reject it.
+        AdjacencyDefect{"duplicate", {{1, 1}, {0, 0}},
+                        "adjacency list duplicate-free"},
+        AdjacencyDefect{"out_of_range", {{1, 2}, {0}},
+                        "adjacency entry in range"},
+        AdjacencyDefect{"negative", {{1, -1}, {0}},
+                        "adjacency entry in range"},
+        AdjacencyDefect{"self_loop", {{0}}, "no self loops"},
+        AdjacencyDefect{"asymmetric", {{1}, {}}, "adjacency symmetric"}),
+    [](const ::testing::TestParamInfo<AdjacencyDefect>& info) {
+      return info.param.name;
+    });
+
+TEST(AdjacencyValidation, AcceptsUnsortedRows) {
+  // A triangle plus a pendant vertex, with rows 0 and 2 out of order.
+  const std::vector<std::vector<std::int32_t>> adjacency{
+      {2, 1}, {0, 2}, {3, 1, 0}, {2}};
+  EXPECT_NO_THROW(validateCommunicationAdjacency(adjacency));
+  EXPECT_NO_THROW(SimNetwork net(adjacency));
+  EXPECT_NO_THROW(AlphaSynchronizer sync(
+      adjacency, ShardPlacement::identity(4), AsyncConfig{}));
 }
 
 // ---- Protocol: equivalence with the centralized engine (E11) ----

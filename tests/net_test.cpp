@@ -438,11 +438,6 @@ TEST(AlphaSynchronizer, ShardedLocalTrafficSkipsTheWire) {
   EXPECT_GT(sync.stats().virtualTime, 0.0);
 }
 
-TEST(AlphaSynchronizer, RejectsAsymmetricGraph) {
-  AsyncConfig net;
-  EXPECT_THROW(makeSync({{1}, {}}, net), CheckError);
-}
-
 // ---- AlphaSynchronizer: sender declarations (lossless wire) ----
 
 /// Six demands round-robin on three processors (demand d on d % 3):
