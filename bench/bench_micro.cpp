@@ -2,12 +2,17 @@
 // operations that dominate the simulation's wall-clock.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/universe.hpp"
 #include "decomp/layering.hpp"
 #include "decomp/tree_decomposition.hpp"
+#include "engine/message_plane.hpp"
 #include "framework/two_phase.hpp"
 #include "gen/scenario.hpp"
 #include "gen/tree_gen.hpp"
+#include "util/rng.hpp"
 
 namespace treesched {
 namespace {
@@ -79,6 +84,41 @@ void BM_TwoPhaseEngine(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TwoPhaseEngine)->Arg(128)->Arg(512);
+
+// One busy protocol round on the flat message plane, shaped like
+// oneshot_cdn_tree's: senders broadcast in ascending order over sorted
+// lists of ~36 neighbours. Args: processors, percent of them sending
+// (100 = dense round, 1 = sparse round).
+void BM_PlaneDeliver(benchmark::State& state) {
+  const auto procs = static_cast<std::int32_t>(state.range(0));
+  const auto percent = static_cast<std::int32_t>(state.range(1));
+  Rng rng(6);
+  std::vector<std::vector<std::int32_t>> adjacency(
+      static_cast<std::size_t>(procs));
+  for (auto& dests : adjacency) {
+    for (int k = 0; k < 36; ++k) {
+      dests.push_back(static_cast<std::int32_t>(rng.nextBounded(procs)));
+    }
+    std::sort(dests.begin(), dests.end());
+    dests.erase(std::unique(dests.begin(), dests.end()), dests.end());
+  }
+  MessagePlane plane(procs);
+  std::int64_t delivered = 0;
+  for (auto _ : state) {
+    for (std::int32_t p = 0; p < procs; ++p) {
+      if (p % 100 >= percent) continue;
+      const Message message{MessageKind::MisActive, p, p, 0.0};
+      plane.stageFanout(message, adjacency[static_cast<std::size_t>(p)]);
+    }
+    plane.deliver();
+    for (const std::int32_t p : plane.activeDests()) {
+      benchmark::DoNotOptimize(plane.inbox(p));
+    }
+    delivered += plane.deliveredCount();
+  }
+  state.SetItemsProcessed(delivered);
+}
+BENCHMARK(BM_PlaneDeliver)->Args({25'000, 100})->Args({25'000, 1});
 
 }  // namespace
 }  // namespace treesched

@@ -125,7 +125,7 @@ class ProtocolEngine {
       checkThat(warm.priorLhs.size() == static_cast<std::size_t>(numInst),
                 "warm-start priorLhs covers every instance", __FILE__,
                 __LINE__);
-      lhsLocal_ = warm.priorLhs;
+      lhsLocal_.assign(warm.priorLhs.begin(), warm.priorLhs.end());
       groundLhs_.preload(warm.priorLhs);
     }
     misStatus_.assign(static_cast<std::size_t>(numInst), MisStatus::Inactive);

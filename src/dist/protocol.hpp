@@ -135,8 +135,9 @@ struct WarmStart {
   /// instance (the classic full run).
   std::vector<InstanceId> activeInstances;
   /// Per-instance prior LHS, indexed by InstanceId over the whole
-  /// universe. Empty = all zeros (cold start).
-  std::vector<double> priorLhs;
+  /// universe. Empty = all zeros (cold start). Borrowed: the storage must
+  /// outlive the run it is passed to.
+  std::span<const double> priorLhs;
 };
 
 struct DistributedResult {

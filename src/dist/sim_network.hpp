@@ -8,9 +8,10 @@
 // keystone of bit-identical equivalence with the centralized engine.
 //
 // Delivery runs over the flat MessagePlane (engine/message_plane.hpp):
-// broadcasts stage rows into preallocated SoA columns and the round
-// boundary counting-sorts them into contiguous per-processor inbox
-// segments — the round hot loop performs no per-message heap allocation.
+// each broadcast stages one entry (the message plus its sender's
+// adjacency list) and the round boundary scatters it into contiguous
+// per-processor inbox segments — the round hot loop performs no
+// per-message heap allocation.
 //
 // SimNetwork is the reliable reference implementation of the Transport
 // interface (net/transport.hpp); the asynchronous lossy transport
@@ -46,9 +47,9 @@ class SimNetwork : public Transport, public MutableTopology {
   std::span<const std::int32_t> neighbors(std::int32_t p) const override;
 
   /// Queues `message` for delivery to every neighbour of `message.from`
-  /// at the end of the current round. The per-neighbour fan-out is
-  /// deferred to the round boundary (MessagePlane::stageFanout), where it
-  /// expands in parallel when a runner is attached.
+  /// at the end of the current round. O(1): the plane borrows the
+  /// sender's adjacency list (MessagePlane::stageFanout) and scatters the
+  /// message to each neighbour at the round boundary.
   void broadcast(const Message& message) override;
 
   /// Ends the current round: delivers all queued messages into the

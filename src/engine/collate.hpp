@@ -5,16 +5,21 @@
 // preallocated at construction, so steady-state rounds perform no heap
 // allocation here.
 //
+// A round costs O(rows + numKeys/64): count() sets its key's bit in a
+// bitmap (unconditionally: a branch on "first touch" mispredicts on
+// dense rounds), and layout() reads the touched keys out of it in
+// ascending order, clearing it as it goes, so no round sorts its keys.
+//
 // Usage per round:
-//   index.reset();
+//   index.reset();                        // retires the last round
 //   for each row: index.count(key(row));
-//   index.layout();                       // touched keys sorted ascending
+//   index.layout();                       // touched() is now ascending
 //   buffer.resize(index.total());
-//   for each row: buffer[index.place(key(row))] = row;  // stable
-//   index.finish();
+//   for each row: buffer[index.place(key(row))] = row;  // same order
+//   index.finish();                       // publishes the lengths
 #pragma once
 
-#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -27,7 +32,8 @@ class CollationIndex {
       : begin_(static_cast<std::size_t>(numKeys), 0),
         length_(static_cast<std::size_t>(numKeys), 0),
         counts_(static_cast<std::size_t>(numKeys), 0),
-        cursor_(static_cast<std::size_t>(numKeys), 0) {
+        cursor_(static_cast<std::size_t>(numKeys), 0),
+        touchedBits_((static_cast<std::size_t>(numKeys) + 63) / 64, 0) {
     touched_.reserve(static_cast<std::size_t>(numKeys));
   }
 
@@ -46,21 +52,27 @@ class CollationIndex {
   }
 
   void count(std::int32_t key) {
-    if (counts_[static_cast<std::size_t>(key)]++ == 0) {
-      touched_.push_back(key);
-    }
+    const auto idx = static_cast<std::size_t>(key);
+    ++counts_[idx];
+    touchedBits_[idx / 64] |= std::uint64_t{1} << (idx % 64);
   }
 
   /// Computes the segment layout from the counts; call once after the
   /// counting pass.
   void layout() {
-    std::sort(touched_.begin(), touched_.end());
     std::int32_t offset = 0;
-    for (const std::int32_t key : touched_) {
-      const auto idx = static_cast<std::size_t>(key);
-      begin_[idx] = offset;
-      cursor_[idx] = offset;
-      offset += counts_[idx];
+    for (std::size_t word = 0; word < touchedBits_.size(); ++word) {
+      std::uint64_t bits = touchedBits_[word];
+      if (bits == 0) continue;
+      touchedBits_[word] = 0;
+      for (; bits != 0; bits &= bits - 1) {
+        const std::size_t idx =
+            word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        touched_.push_back(static_cast<std::int32_t>(idx));
+        begin_[idx] = offset;
+        cursor_[idx] = offset;
+        offset += counts_[idx];
+      }
     }
     total_ = offset;
   }
@@ -93,11 +105,13 @@ class CollationIndex {
   }
 
  private:
-  std::vector<std::int32_t> begin_;    ///< per key, into the flat buffer
-  std::vector<std::int32_t> length_;   ///< per key
-  std::vector<std::int32_t> counts_;   ///< scratch; zero between rounds
-  std::vector<std::int32_t> cursor_;   ///< scratch scatter cursors
-  std::vector<std::int32_t> touched_;  ///< active keys
+  std::vector<std::int32_t> begin_;   ///< per key, into the flat buffer
+  std::vector<std::int32_t> length_;  ///< per key
+  std::vector<std::int32_t> counts_;  ///< scratch; zero between rounds
+  std::vector<std::int32_t> cursor_;  ///< scratch scatter cursors
+  /// Scratch: one bit per key counted this round; zero between rounds.
+  std::vector<std::uint64_t> touchedBits_;
+  std::vector<std::int32_t> touched_;  ///< active keys, ascending
   std::int64_t total_ = 0;
 };
 

@@ -15,83 +15,27 @@ MessagePlane::MessagePlane(std::int32_t numProcessors)
 
 void MessagePlane::stage(std::int32_t dest, const Message& message) {
   checkIndex(dest, numProcessors(), "MessagePlane::stage dest");
-  // The five columns grow in lockstep — one logical growth per row.
-  if (stageDest_.size() == stageDest_.capacity()) {
+  if (staged_.size() == staged_.capacity()) {
     noteGrowth();
   }
-  stageDest_.push_back(dest);
-  stageKind_.push_back(message.kind);
-  stageFrom_.push_back(message.from);
-  stageInstance_.push_back(message.instance);
-  stageValue_.push_back(message.value);
+  staged_.push_back({message, {}, dest});
 }
 
 void MessagePlane::stageFanout(const Message& message,
                                std::span<const std::int32_t> dests) {
   if (dests.empty()) return;
-  if (fanouts_.size() == fanouts_.capacity()) {
+  if (staged_.size() == staged_.capacity()) {
     noteGrowth();
   }
-  fanouts_.push_back({message, dests.data(),
-                      static_cast<std::int32_t>(dests.size())});
-  fanoutRows_ += static_cast<std::int64_t>(dests.size());
+  staged_.push_back({message, dests, 0});
 }
 
-void MessagePlane::expandFanouts() {
-  if (fanouts_.empty()) return;
-  const std::size_t base = stageDest_.size();
-  const std::size_t total = base + static_cast<std::size_t>(fanoutRows_);
-  if (total > stageDest_.capacity()) {
-    noteGrowth();  // the five columns grow in lockstep
+std::int64_t MessagePlane::stagedCount() const {
+  std::int64_t rows = 0;
+  for (const Staged& entry : staged_) {
+    rows += static_cast<std::int64_t>(entry.dests().size());
   }
-  stageDest_.resize(total);
-  stageKind_.resize(total);
-  stageFrom_.resize(total);
-  stageInstance_.resize(total);
-  stageValue_.resize(total);
-
-  // Row offsets per fan-out: a prefix sum fixes every expansion's target
-  // range up front, so the staged row order is exactly the serial
-  // broadcast order no matter which shard writes it.
-  if (fanouts_.size() > fanoutOffset_.capacity()) {
-    noteGrowth();
-  }
-  fanoutOffset_.resize(fanouts_.size());
-  std::int64_t offset = static_cast<std::int64_t>(base);
-  for (std::size_t f = 0; f < fanouts_.size(); ++f) {
-    fanoutOffset_[f] = offset;
-    offset += fanouts_[f].count;
-  }
-
-  const auto expand = [this](std::size_t f) {
-    const PendingFanout& fanout = fanouts_[f];
-    auto row = static_cast<std::size_t>(fanoutOffset_[f]);
-    for (std::int32_t j = 0; j < fanout.count; ++j, ++row) {
-      checkIndex(fanout.dests[j], numProcessors(),
-                 "MessagePlane::stageFanout dest");
-      stageDest_[row] = fanout.dests[j];
-      stageKind_[row] = fanout.message.kind;
-      stageFrom_[row] = fanout.message.from;
-      stageInstance_[row] = fanout.message.instance;
-      stageValue_[row] = fanout.message.value;
-    }
-  };
-  if (runner_ != nullptr && runner_->threads() > 1 && fanouts_.size() > 1) {
-    const ParallelRunner::ShardPlan plan =
-        runner_->plan(static_cast<std::int64_t>(fanouts_.size()));
-    runner_->forShards(plan, [&](std::int32_t shard) {
-      const std::int64_t end = plan.end(shard);
-      for (std::int64_t f = plan.begin(shard); f < end; ++f) {
-        expand(static_cast<std::size_t>(f));
-      }
-    });
-  } else {
-    for (std::size_t f = 0; f < fanouts_.size(); ++f) {
-      expand(f);
-    }
-  }
-  fanouts_.clear();
-  fanoutRows_ = 0;
+  return rows;
 }
 
 void MessagePlane::deliver() {
@@ -99,11 +43,15 @@ void MessagePlane::deliver() {
   index_.reset();
   kindCount_.fill(0);
 
-  expandFanouts();
-  const std::size_t staged = stageDest_.size();
-  if (staged > 0) {
-    for (std::size_t row = 0; row < staged; ++row) {
-      index_.count(stageDest_[row]);
+  if (!staged_.empty()) {
+    for (const Staged& entry : staged_) {
+      const auto dests = entry.dests();
+      for (const std::int32_t dest : dests) {
+        checkIndex(dest, numProcessors(), "MessagePlane dest");
+        index_.count(dest);
+      }
+      kindCount_[static_cast<std::size_t>(entry.message.kind)] +=
+          static_cast<std::int64_t>(dests.size());
     }
     index_.layout();
     if (static_cast<std::size_t>(index_.total()) > delivered_.capacity()) {
@@ -113,45 +61,46 @@ void MessagePlane::deliver() {
       delivered_.resize(static_cast<std::size_t>(index_.total()));
     }
 
-    // Stable scatter of the SoA rows into the flat delivery buffer. The
-    // canonical segment sort below makes the result independent of the
-    // staging order anyway, but stability keeps the intermediate state
-    // easy to reason about.
-    for (std::size_t row = 0; row < staged; ++row) {
-      delivered_[static_cast<std::size_t>(index_.place(stageDest_[row]))] =
-          Message{stageKind_[row], stageFrom_[row], stageInstance_[row],
-                  stageValue_[row]};
-      ++kindCount_[static_cast<std::size_t>(stageKind_[row])];
+    // Stable scatter straight into the flat delivery buffer: every
+    // segment receives its messages in staging order.
+    for (const Staged& entry : staged_) {
+      for (const std::int32_t dest : entry.dests()) {
+        delivered_[static_cast<std::size_t>(index_.place(dest))] =
+            entry.message;
+      }
     }
     index_.finish();
 
-    // Canonical (sender, instance) order within every segment. Segments
-    // are disjoint, so the sorts parallelize with no merge step.
-    const auto sortSegment = [this](std::int32_t dest) {
-      const auto begin = delivered_.begin() + index_.begin(dest);
-      std::sort(begin, begin + index_.length(dest), canonicalMessageLess);
+    // A subsequence of a canonically ordered list is canonically ordered,
+    // so only a round staged out of order needs its segments sorted.
+    const auto messageLess = [](const Staged& a, const Staged& b) {
+      return canonicalMessageLess(a.message, b.message);
     };
-    const auto touched = index_.touched();
-    if (runner_ != nullptr && runner_->threads() > 1) {
-      const ParallelRunner::ShardPlan plan =
-          runner_->plan(static_cast<std::int64_t>(touched.size()));
-      runner_->forShards(plan, [&](std::int32_t shard) {
-        const std::int64_t end = plan.end(shard);
-        for (std::int64_t t = plan.begin(shard); t < end; ++t) {
-          sortSegment(touched[static_cast<std::size_t>(t)]);
+    const bool canonical =
+        std::is_sorted(staged_.begin(), staged_.end(), messageLess);
+    staged_.clear();
+    if (!canonical) {
+      // Segments are disjoint, so the sorts parallelize with no merge step.
+      const auto sortSegment = [this](std::int32_t dest) {
+        const auto begin = delivered_.begin() + index_.begin(dest);
+        std::sort(begin, begin + index_.length(dest), canonicalMessageLess);
+      };
+      const auto touched = index_.touched();
+      if (runner_ != nullptr && runner_->threads() > 1) {
+        const ParallelRunner::ShardPlan plan =
+            runner_->plan(static_cast<std::int64_t>(touched.size()));
+        runner_->forShards(plan, [&](std::int32_t shard) {
+          const std::int64_t end = plan.end(shard);
+          for (std::int64_t t = plan.begin(shard); t < end; ++t) {
+            sortSegment(touched[static_cast<std::size_t>(t)]);
+          }
+        });
+      } else {
+        for (const std::int32_t dest : touched) {
+          sortSegment(dest);
         }
-      });
-    } else {
-      for (const std::int32_t dest : touched) {
-        sortSegment(dest);
       }
     }
-
-    stageDest_.clear();
-    stageKind_.clear();
-    stageFrom_.clear();
-    stageInstance_.clear();
-    stageValue_.clear();
   }
   ++rounds_;
 }
@@ -160,18 +109,6 @@ void MessagePlane::clearInboxes() {
   checkThat(!hasStaged(), "clearInboxes must not drop staged messages",
             __FILE__, __LINE__);
   index_.reset();
-}
-
-std::int64_t MessagePlane::capacityBytes() const {
-  const std::size_t stagingRow = sizeof(std::int32_t) + sizeof(MessageKind) +
-                                 sizeof(std::int32_t) + sizeof(std::int32_t) +
-                                 sizeof(double);
-  return static_cast<std::int64_t>(
-      stageDest_.capacity() * stagingRow +
-      delivered_.capacity() * sizeof(Message) +
-      fanouts_.capacity() * sizeof(PendingFanout) +
-      fanoutOffset_.capacity() * sizeof(std::int64_t) +
-      static_cast<std::size_t>(index_.numKeys()) * 5 * sizeof(std::int32_t));
 }
 
 void accountPlaneRound(NetworkStats& stats, const MessagePlane& plane) {

@@ -4,17 +4,22 @@
 // per processor and re-sorted each of them every round — at production
 // scale that is millions of small heap allocations and cache-hostile
 // scattered mailboxes. The MessagePlane replaces all of them with one
-// preallocated flat buffer per role:
+// preallocated flat buffer, and a round costs O(messages):
 //
-//  * Staging is structure-of-arrays (kind / from / instance / value
-//    columns plus a destination column): a broadcast fan-out appends one
-//    row per (neighbour, message) with no per-mailbox allocation.
-//  * deliver() runs a stable counting sort on the destination column
-//    (engine/collate.hpp — touched destinations only, so a silent round
-//    costs O(1)) and then sorts each destination's contiguous segment
-//    into the canonical (sender, instance) order the Transport contract
-//    requires. Segment sorts are independent, so an attached
-//    ParallelRunner spreads them across the thread pool.
+//  * Staging is one list in call order. Each entry is a message plus its
+//    destinations: the borrowed adjacency span of a broadcast fan-out
+//    (stageFanout), or the single destination of stage().
+//  * deliver() counts every destination (engine/collate.hpp: touched
+//    destinations only, read back ascending from a bitmap, so a silent
+//    round costs O(1)) and scatters each entry's message straight into
+//    the destinations' contiguous segments of the delivery buffer.
+//  * The Transport contract wants every inbox in canonical (sender,
+//    instance) order. A stable scatter of a canonically ordered staging
+//    list already leaves every segment sorted, and the protocol engine
+//    broadcasts in that order, so deliver() sorts the segments only when
+//    some entry was staged before a canonically smaller one. Segment
+//    sorts are independent, so an attached ParallelRunner spreads them
+//    across the thread pool.
 //  * inbox(p) is a zero-copy span into the flat delivery buffer.
 //
 // Every buffer is reused round over round: after warmup the plane
@@ -42,37 +47,29 @@ class MessagePlane {
 
   std::int32_t numProcessors() const { return index_.numKeys(); }
 
-  /// Optional thread pool for the per-destination segment sorts; nullptr
-  /// (the default) sorts serially. The runner must outlive the plane or
-  /// be detached with attachRunner(nullptr).
+  /// Optional thread pool for the per-destination segment sorts of a
+  /// round staged out of canonical order; nullptr (the default) sorts
+  /// serially. The runner must outlive the plane or be detached with
+  /// attachRunner(nullptr).
   void attachRunner(ParallelRunner* runner) { runner_ = runner; }
 
-  /// Appends one (destination, message) row to the staging columns.
+  /// Queues `message` for the single destination `dest`.
   void stage(std::int32_t dest, const Message& message);
 
-  /// Queues a broadcast fan-out: one staged row per destination, expanded
-  /// at the round boundary. `dests` must stay valid (and unchanged) until
-  /// deliver() — transports pass their adjacency lists, which only mutate
-  /// between rounds. With a runner attached the expansion runs as a
-  /// parallel section whose shards write disjoint precomputed row ranges
-  /// (owned slots, merged by position — never by thread completion
-  /// order), so the staged rows are exactly the serial expansion and the
-  /// bit-identity gates stay green. This removes the serial per-neighbour
-  /// staging loop from the transports' broadcast hot path.
+  /// Queues `message` for every destination in `dests`, without copying
+  /// them: `dests` must stay valid (and unchanged) until deliver() —
+  /// transports pass their adjacency lists, which only mutate between
+  /// rounds. Destinations are range-checked at delivery.
   void stageFanout(const Message& message,
                    std::span<const std::int32_t> dests);
 
-  bool hasStaged() const {
-    return !stageDest_.empty() || !fanouts_.empty();
-  }
-  std::int64_t stagedCount() const {
-    return static_cast<std::int64_t>(stageDest_.size()) + fanoutRows_;
-  }
+  bool hasStaged() const { return !staged_.empty(); }
+  /// Messages the next deliver() delivers (one per destination).
+  std::int64_t stagedCount() const;
 
-  /// The round boundary: counting-sorts the staged rows by destination,
-  /// canonically sorts every destination segment, and publishes the
-  /// result as the new inboxes (previous inboxes are discarded). Clears
-  /// the staging columns.
+  /// The round boundary: scatters the staged messages into per-destination
+  /// segments in canonical order and publishes them as the new inboxes
+  /// (previous inboxes are discarded). Clears the staging list.
   void deliver();
 
   /// Empties every inbox without delivering (silent rounds). Staging must
@@ -112,15 +109,18 @@ class MessagePlane {
   /// Round index (0-based deliver() count) of the last buffer growth;
   /// -1 if no buffer ever grew. Steady state == all rounds past this one.
   std::int64_t lastGrowthRound() const { return lastGrowthRound_; }
-  std::int64_t capacityBytes() const;
 
  private:
-  /// One queued broadcast fan-out: the message plus a borrowed view of
-  /// its destination list.
-  struct PendingFanout {
+  /// One staged message and its destinations: a borrowed fan-out span,
+  /// or (when that is empty) stage()'s single `dest`.
+  struct Staged {
     Message message;
-    const std::int32_t* dests = nullptr;
-    std::int32_t count = 0;
+    std::span<const std::int32_t> fanout;
+    std::int32_t dest = 0;
+
+    std::span<const std::int32_t> dests() const {
+      return fanout.empty() ? std::span<const std::int32_t>(&dest, 1) : fanout;
+    }
   };
 
   void noteGrowth() {
@@ -128,24 +128,10 @@ class MessagePlane {
     lastGrowthRound_ = rounds_;
   }
 
-  /// Expands every queued fan-out into staging rows (parallel when a
-  /// runner is attached); called first by deliver().
-  void expandFanouts();
-
   ParallelRunner* runner_ = nullptr;
 
-  // Staging columns (SoA), appended in broadcast order within a round.
-  std::vector<std::int32_t> stageDest_;
-  std::vector<MessageKind> stageKind_;
-  std::vector<std::int32_t> stageFrom_;
-  std::vector<std::int32_t> stageInstance_;
-  std::vector<double> stageValue_;
-
-  // Deferred broadcast fan-outs (expanded at the round boundary) and the
-  // per-fanout row offsets of the expansion (prefix sums, reused).
-  std::vector<PendingFanout> fanouts_;
-  std::vector<std::int64_t> fanoutOffset_;
-  std::int64_t fanoutRows_ = 0;
+  // Staging list, in call order within a round.
+  std::vector<Staged> staged_;
 
   // Delivery state: per-destination segments of one flat buffer (which
   // never shrinks; the index's total() is the live prefix).

@@ -8,14 +8,16 @@
 // lambda and round/message accounting as the 1-thread (serial) engine —
 // exact comparisons on purpose: shard merges are by shard id and every
 // floating-point accumulation is per-owner, so parallelism must never
-// perturb a single bit. Also the MessagePlane canonical-order unit suite
-// and ParallelRunner coverage/barrier units.
+// perturb a single bit. Also the MessagePlane canonical-order unit suite,
+// CollationIndex units and ParallelRunner coverage/barrier units.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <vector>
 
 #include "dist/protocol.hpp"
+#include "engine/collate.hpp"
 #include "engine/message_plane.hpp"
 #include "engine/parallel_runner.hpp"
 #include "gen/scenario.hpp"
@@ -349,6 +351,225 @@ TEST(MessagePlane, ParallelFanoutMatchesSerialStaging) {
     parallel.deliver();
   }
 }
+
+// Field-by-field equality of two planes' last deliveries.
+void expectSameInboxes(const MessagePlane& a, const MessagePlane& b) {
+  ASSERT_EQ(a.numProcessors(), b.numProcessors());
+  ASSERT_EQ(a.deliveredCount(), b.deliveredCount());
+  for (std::int32_t p = 0; p < a.numProcessors(); ++p) {
+    const auto x = a.inbox(p);
+    const auto y = b.inbox(p);
+    ASSERT_EQ(x.size(), y.size()) << "inbox " << p;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      EXPECT_EQ(x[i].kind, y[i].kind);
+      EXPECT_EQ(x[i].from, y[i].from);
+      EXPECT_EQ(x[i].instance, y[i].instance);
+      EXPECT_EQ(x[i].value, y[i].value);
+    }
+  }
+}
+
+using Adjacency = std::vector<std::vector<std::int32_t>>;
+
+// Sorted neighbour lists: each q != p with probability `density`.
+Adjacency randomAdjacency(std::int32_t procs, double density, Rng& rng) {
+  Adjacency adjacency(static_cast<std::size_t>(procs));
+  for (std::int32_t p = 0; p < procs; ++p) {
+    for (std::int32_t q = 0; q < procs; ++q) {
+      if (q != p && rng.nextBool(density)) {
+        adjacency[static_cast<std::size_t>(p)].push_back(q);
+      }
+    }
+  }
+  return adjacency;
+}
+
+TEST(MessagePlane, DescendingFanoutsMatchSerialStaging) {
+  // Fan-outs staged by descending sender and mixed with stage() rows are
+  // out of canonical order, so the round sorts its segments: the inboxes
+  // must be the canonical ones of the serial per-destination stage()
+  // reference, with and without a runner.
+  constexpr std::int32_t kProcs = 20;
+  Rng rng(29);
+  const auto adjacency = randomAdjacency(kProcs, 0.3, rng);
+  ParallelRunner runner(4);
+  for (const bool withRunner : {false, true}) {
+    MessagePlane plane(kProcs);
+    MessagePlane reference(kProcs);
+    if (withRunner) plane.attachRunner(&runner);
+    for (int round = 0; round < 3; ++round) {
+      for (std::int32_t from = kProcs - 1; from >= 0; --from) {
+        const auto& dests = adjacency[static_cast<std::size_t>(from)];
+        const auto instance = static_cast<InstanceId>(rng.nextBounded(64));
+        const Message message =
+            msg(MessageKind::DualRaise, from, instance, rng.nextDouble());
+        plane.stageFanout(message, dests);
+        for (const std::int32_t d : dests) {
+          reference.stage(d, message);
+        }
+        if (from % 4 == 0) {
+          const auto dest = static_cast<std::int32_t>(rng.nextBounded(kProcs));
+          plane.stage(dest, msg(MessageKind::Accept, from, 7));
+          reference.stage(dest, msg(MessageKind::Accept, from, 7));
+        }
+      }
+      plane.deliver();
+      reference.deliver();
+      expectSameInboxes(plane, reference);
+      for (std::int32_t p = 0; p < kProcs; ++p) {
+        const auto inbox = plane.inbox(p);
+        EXPECT_TRUE(std::ranges::is_sorted(inbox, canonicalMessageLess));
+      }
+    }
+  }
+}
+
+TEST(MessagePlane, CanonicalAndShuffledStagingDeliverTheSameInboxes) {
+  // One multiset of staged messages, once in canonical order (the round
+  // skips its segment sorts) and once shuffled (the round sorts them).
+  constexpr std::int32_t kProcs = 16;
+  Rng rng(31);
+  const auto adjacency = randomAdjacency(kProcs, 0.4, rng);
+  struct Entry {
+    Message message;
+    std::int32_t dest = -1;  ///< -1: fan out over the sender's adjacency
+  };
+  std::vector<Entry> entries;
+  for (int e = 0; e < 120; ++e) {
+    const auto from = static_cast<DemandId>(rng.nextBounded(kProcs));
+    const auto instance = static_cast<InstanceId>(rng.nextBounded(32));
+    const Message message =
+        msg(MessageKind::DualRaise, from, instance, rng.nextDouble());
+    const auto dest = static_cast<std::int32_t>(rng.nextBounded(kProcs));
+    entries.push_back({message, e % 3 == 0 ? dest : -1});
+  }
+  const auto stageAll = [&](MessagePlane& plane) {
+    for (const Entry& entry : entries) {
+      const auto from = static_cast<std::size_t>(entry.message.from);
+      if (entry.dest >= 0) {
+        plane.stage(entry.dest, entry.message);
+      } else {
+        plane.stageFanout(entry.message, adjacency[from]);
+      }
+    }
+    plane.deliver();
+  };
+  MessagePlane canonical(kProcs);
+  MessagePlane shuffled(kProcs);
+  std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
+    return canonicalMessageLess(a.message, b.message);
+  });
+  stageAll(canonical);
+  rng.shuffle(entries);
+  stageAll(shuffled);
+  EXPECT_GT(canonical.deliveredCount(), 0);
+  expectSameInboxes(canonical, shuffled);
+}
+
+TEST(MessagePlane, SteadyStateFanoutsAreAllocationFree) {
+  // Every processor broadcasts once per round, in a fresh random order.
+  constexpr std::int32_t kProcs = 24;
+  Rng rng(37);
+  const auto adjacency = randomAdjacency(kProcs, 0.35, rng);
+  std::vector<std::int32_t> senders;
+  for (std::int32_t p = 0; p < kProcs; ++p) {
+    senders.push_back(p);
+  }
+  MessagePlane plane(kProcs);
+  const auto playRound = [&] {
+    rng.shuffle(senders);
+    for (const std::int32_t from : senders) {
+      const auto instance = static_cast<InstanceId>(rng.nextBounded(40));
+      const Message message = msg(MessageKind::MisActive, from, instance);
+      plane.stageFanout(message, adjacency[static_cast<std::size_t>(from)]);
+    }
+    plane.deliver();
+  };
+  playRound();  // warmup grows the buffers...
+  playRound();
+  const std::int64_t warmupGrowths = plane.growthEvents();
+  EXPECT_GT(warmupGrowths, 0);
+  for (int r = 0; r < 50; ++r) {
+    playRound();  // ...steady state never does
+  }
+  EXPECT_EQ(plane.growthEvents(), warmupGrowths);
+  EXPECT_LE(plane.lastGrowthRound(), 1);
+}
+
+// ---- CollationIndex at bitmap word boundaries ----
+
+using Ids = std::vector<std::int32_t>;
+
+// Plays one collation round over `keys` (row r has key keys[r]) and
+// checks it: touched() is the sorted set of distinct keys, and each key's
+// segment holds exactly its rows, in count order.
+void expectRound(CollationIndex& index, const Ids& keys) {
+  index.reset();
+  for (const std::int32_t key : keys) {
+    index.count(key);
+  }
+  index.layout();
+  Ids rows(static_cast<std::size_t>(index.total()), -1);
+  for (std::size_t r = 0; r < keys.size(); ++r) {
+    const auto slot = static_cast<std::size_t>(index.place(keys[r]));
+    rows[slot] = static_cast<std::int32_t>(r);
+  }
+  index.finish();
+
+  Ids distinct = keys;
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
+  const auto touched = index.touched();
+  EXPECT_EQ(Ids(touched.begin(), touched.end()), distinct);
+  EXPECT_EQ(index.total(), static_cast<std::int64_t>(keys.size()));
+  for (const std::int32_t key : distinct) {
+    Ids expected;
+    for (std::size_t r = 0; r < keys.size(); ++r) {
+      if (keys[r] == key) expected.push_back(static_cast<std::int32_t>(r));
+    }
+    const auto begin = rows.begin() + index.begin(key);
+    const Ids segment(begin, begin + index.length(key));
+    EXPECT_EQ(segment, expected) << "key " << key;
+  }
+}
+
+class CollationIndexWords : public ::testing::TestWithParam<std::int32_t> {};
+
+TEST_P(CollationIndexWords, TouchedKeysAscendAndSegmentsKeepCountOrder) {
+  const std::int32_t n = GetParam();
+  Rng rng(static_cast<std::uint64_t>(n) + 5);
+  // Two disjoint key pools; the first holds both end keys.
+  Ids first = {0, n - 1};
+  Ids second;
+  for (std::int32_t key = 1; key + 1 < n; ++key) {
+    (rng.nextBool(0.5) ? first : second).push_back(key);
+  }
+  // Every pool key at least once, plus repeats, in random row order.
+  const auto draw = [&](const Ids& pool) {
+    Ids keys = pool;
+    for (std::size_t extra = 0; extra < 2 * pool.size(); ++extra) {
+      keys.push_back(pool[rng.nextBounded(pool.size())]);
+    }
+    rng.shuffle(keys);
+    return keys;
+  };
+
+  CollationIndex index(n);
+  expectRound(index, draw(first));
+  // reset() retires every first-round key.
+  expectRound(index, draw(second));
+  for (const std::int32_t key : first) {
+    EXPECT_EQ(index.length(key), 0) << "key " << key;
+  }
+  expectRound(index, {});
+  EXPECT_TRUE(index.touched().empty());
+  for (std::int32_t key = 0; key < n; ++key) {
+    EXPECT_EQ(index.length(key), 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(WordBoundaries, CollationIndexWords,
+                         ::testing::Values(1, 63, 64, 65, 1000));
 
 // ---- ParallelRunner units ----
 
