@@ -9,6 +9,7 @@
 #include "decomp/layering.hpp"
 #include "decomp/tree_decomposition.hpp"
 #include "engine/message_plane.hpp"
+#include "engine/parallel_runner.hpp"
 #include "framework/two_phase.hpp"
 #include "gen/scenario.hpp"
 #include "gen/tree_gen.hpp"
@@ -119,6 +120,40 @@ void BM_PlaneDeliver(benchmark::State& state) {
   state.SetItemsProcessed(delivered);
 }
 BENCHMARK(BM_PlaneDeliver)->Args({25'000, 100})->Args({25'000, 1});
+
+// One ParallelRunner section of light, uneven per-item work (1–32
+// multiply-adds each), shaped like a protocol round's per-processor
+// steps: what a section costs beyond its work, i.e. waking the workers,
+// claiming shards and the barrier. Args: threads, items. Real time,
+// since the calling thread waits at the barrier.
+void BM_ForShards(benchmark::State& state) {
+  ParallelRunner runner(static_cast<std::int32_t>(state.range(0)));
+  const std::int64_t items = state.range(1);
+  Rng rng(7);
+  std::vector<std::uint64_t> work(static_cast<std::size_t>(items));
+  for (std::uint64_t& w : work) w = 1 + rng.nextBounded(32);
+  std::vector<std::uint64_t> out(work.size());
+  const ParallelRunner::ShardPlan plan = runner.plan(items);
+  for (auto _ : state) {
+    runner.forShards(plan, [&](std::int32_t shard) {
+      const std::int64_t end = plan.end(shard);
+      for (std::int64_t i = plan.begin(shard); i < end; ++i) {
+        const auto item = static_cast<std::size_t>(i);
+        std::uint64_t h = work[item];
+        for (std::uint64_t r = 0; r < work[item]; ++r) {
+          h = h * 0x9e3779b97f4a7c15u + r;
+        }
+        out[item] = h;
+      }
+    });
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * items);
+}
+BENCHMARK(BM_ForShards)
+    ->ArgsProduct({{1, 2, 4}, {64, 1'024, 65'536}})
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace treesched

@@ -266,10 +266,9 @@ int main(int argc, char** argv) {
   {
     // The hotspot row family: the skew-heavy pool behind the online
     // hotspot preset, solved one-shot. Uneven per-demand instance counts
-    // make this the row where cost-proportional (weighted) shard plans
-    // and work-stealing claims matter — uniform plans leave whole
-    // threads idle behind the hot shards (the steals column shows the
-    // engine routing around them).
+    // make its shards uneven, so this is the row where claiming shards
+    // from one cursor must keep threads busy past the hot shards (the
+    // steals column shows threads leaving their even share).
     const ChurnTreeScenario scenario = makeHotspotTree50k(seed,
                                                           hotspotDemands);
     allMatch &= runPreset("hotspot_tree_50k",

@@ -147,20 +147,12 @@ class ProtocolEngine {
       contexts_ = persistent;
     } else {
       // Per-processor contexts: independent, so built in parallel.
-      // Context cost is proportional to the demand's instance count, so
-      // the plan is weighted — a hot demand owning most of the pool's
-      // instances gets its own shard instead of serializing a uniform one.
       ownedContexts_.resize(static_cast<std::size_t>(numProc_));
       contexts_ = ownedContexts_;
-      weightScratch_.resize(static_cast<std::size_t>(numProc_));
-      for (DemandId p = 0; p < numProc_; ++p) {
-        weightScratch_[static_cast<std::size_t>(p)] =
-            static_cast<std::int64_t>(u_.instancesOfDemand(p).size());
-      }
-      runner_.planWeighted(weightScratch_, weightedPlan_);
-      runner_.forShards(weightedPlan_, [&](std::int32_t shard) {
-        const std::int64_t end = weightedPlan_.end(shard);
-        for (std::int64_t p = weightedPlan_.begin(shard); p < end; ++p) {
+      const ParallelRunner::ShardPlan shardPlan = runner_.plan(numProc_);
+      runner_.forShards(shardPlan, [&](std::int32_t shard) {
+        const std::int64_t end = shardPlan.end(shard);
+        for (std::int64_t p = shardPlan.begin(shard); p < end; ++p) {
           contexts_[static_cast<std::size_t>(p)].init(
               u_, static_cast<DemandId>(p));
         }
@@ -293,30 +285,6 @@ class ProtocolEngine {
     runner_.forShards(shardPlan, [&](std::int32_t shard) {
       const std::int64_t end = shardPlan.end(shard);
       for (std::int64_t idx = shardPlan.begin(shard); idx < end; ++idx) {
-        fn(items[static_cast<std::size_t>(idx)]);
-      }
-    });
-  }
-
-  /// forEachParallel with a cost-proportional shard plan: weightFn(item)
-  /// estimates fn(item)'s cost, so one hot item (a processor holding
-  /// most of the round's traffic) no longer serializes its whole shard's
-  /// neighbors behind it. The partition is a pure performance knob —
-  /// results are identical to forEachParallel by the shard-merge
-  /// discipline. Scratch buffers are member-owned and grow-only, keeping
-  /// the round hot loop allocation-free in steady state.
-  template <typename T, typename WeightFn, typename Fn>
-  void forEachParallelWeighted(const std::vector<T>& items, WeightFn weightFn,
-                               Fn fn) {
-    weightScratch_.clear();
-    weightScratch_.reserve(items.size());
-    for (const T& item : items) {
-      weightScratch_.push_back(weightFn(item));
-    }
-    runner_.planWeighted(weightScratch_, weightedPlan_);
-    runner_.forShards(weightedPlan_, [&](std::int32_t shard) {
-      const std::int64_t end = weightedPlan_.end(shard);
-      for (std::int64_t idx = weightedPlan_.begin(shard); idx < end; ++idx) {
         fn(items[static_cast<std::size_t>(idx)]);
       }
     });
@@ -601,19 +569,10 @@ class ProtocolEngine {
       touchedProcs_.insert(touchedProcs_.end(), activeProcs_.begin(),
                            activeProcs_.end());
     }
-    // Apply cost per processor is dominated by its inbox length (this
-    // round's raise traffic — i.e. the step participants just observed),
-    // so that feeds the weighted plan: a hotspot processor receiving
-    // most of the raises becomes its own shard.
-    forEachParallelWeighted(
-        activeProcs_,
-        [&](std::int32_t p) {
-          return static_cast<std::int64_t>(net_.inbox(p).size());
-        },
-        [&](std::int32_t p) {
-          if (!aliveAt(p, tuple)) return;
-          applyRaisesLocally(p);
-        });
+    forEachParallel(activeProcs_, [&](std::int32_t p) {
+      if (!aliveAt(p, tuple)) return;
+      applyRaisesLocally(p);
+    });
   }
 
   /// Merges p's own raise with the received DualRaise messages in sender
@@ -773,20 +732,14 @@ class ProtocolEngine {
       // Only processors that received an Accept have loads to update.
       activeProcs_.clear();
       net_.appendActiveInboxes(activeProcs_);
-      forEachParallelWeighted(
-          activeProcs_,
-          [&](std::int32_t p) {
-            return static_cast<std::int64_t>(net_.inbox(p).size());
-          },
-          [&](std::int32_t p) {
-            if (!aliveP2(p)) return;
-            ProcessorContext& context =
-                contexts_[static_cast<std::size_t>(p)];
-            for (const Message& m : net_.inbox(p)) {
-              if (m.kind != MessageKind::Accept) continue;
-              context.addLoad(u_, m.instance);
-            }
-          });
+      forEachParallel(activeProcs_, [&](std::int32_t p) {
+        if (!aliveP2(p)) return;
+        ProcessorContext& context = contexts_[static_cast<std::size_t>(p)];
+        for (const Message& m : net_.inbox(p)) {
+          if (m.kind != MessageKind::Accept) continue;
+          context.addLoad(u_, m.instance);
+        }
+      });
     }
     net_.endSilentRounds(unpopped);
     obs_->onPhase2Complete(accepts, rejects);
@@ -847,9 +800,6 @@ class ProtocolEngine {
   std::vector<DemandId> joinerOwners_;
   std::vector<std::vector<InstanceId>> shardLists_;
   std::vector<std::int32_t> activeProcs_;
-  /// Scratch for the weighted shard plans (grow-only; reused per round).
-  std::vector<std::int64_t> weightScratch_;
-  ParallelRunner::ShardPlan weightedPlan_;
   std::vector<PendingRaise> stepRaises_;
   std::int32_t lastLubyRounds_ = 0;
 

@@ -67,10 +67,12 @@ class LedgerSink;
 /// of DistributedOptions (so of OnlineSolverConfig too).
 struct ExecutionConfig {
   /// Worker threads for the intra-round parallel sections (MIS decisions,
-  /// raise/accept application, inbox delivery). The result is bit-identical
+  /// raise/accept application, context builds, and the segment sorts of
+  /// rounds staged out of canonical order). The result is bit-identical
   /// at ANY value — shard merges are by shard id, never by thread
   /// completion order — so 1 (the serial engine) is the reference and
   /// higher values are pure wall-clock (tests/parallel_equivalence_test).
+  /// At most ParallelRunner::kMaxThreads (256); more throws CheckError.
   std::int32_t threads = 1;
   /// Crash-stop fault injection: these processors (demand ids) fall silent
   /// at the start of schedule tuple `crashAtTuple` (0-based global step
@@ -161,9 +163,10 @@ struct DistributedResult {
   /// True iff every surviving processor's local alpha/beta/lhs view is
   /// exactly equal to the ground-truth duals of the raises that happened.
   bool localViewsConsistent = false;
-  /// Shard-claim traffic from the run's ParallelRunner: shards executed
-  /// by their owning participant vs. stolen from another participant's
-  /// block. Accounting only — never feeds back into the schedule.
+  /// Shard-claim traffic from the run's ParallelRunner: shards executed,
+  /// and those a thread ran outside its even share of a section
+  /// (ParallelRunner::steals). Accounting only — never feeds back into
+  /// the schedule.
   std::int64_t engineClaims = 0;
   std::int64_t engineSteals = 0;
 };

@@ -4,6 +4,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/check.hpp"
 
 namespace treesched {
 
@@ -18,24 +19,12 @@ constexpr std::int64_t kMinShardSize = 16;
 /// not serialize the section's tail.
 constexpr std::int64_t kShardsPerThread = 8;
 
-std::uint64_t packRange(std::uint32_t begin, std::uint32_t end) {
-  return (static_cast<std::uint64_t>(begin) << 32) | end;
-}
-
-std::uint32_t rangeBegin(std::uint64_t packed) {
-  return static_cast<std::uint32_t>(packed >> 32);
-}
-
-std::uint32_t rangeEnd(std::uint64_t packed) {
-  return static_cast<std::uint32_t>(packed & 0xffffffffu);
-}
-
 }  // namespace
 
 ParallelRunner::ParallelRunner(std::int32_t threads)
-    : threads_(std::max<std::int32_t>(1, threads)),
-      ranges_(new ShardRange[static_cast<std::size_t>(
-          std::max<std::int32_t>(1, threads))]) {
+    : threads_(std::max<std::int32_t>(1, threads)) {
+  checkThat(threads_ <= kMaxThreads, "threads <= ParallelRunner::kMaxThreads",
+            __FILE__, __LINE__);
   workers_.reserve(static_cast<std::size_t>(threads_ - 1));
   for (std::int32_t t = 1; t < threads_; ++t) {
     workers_.emplace_back([this, t] { workerLoop(t); });
@@ -68,42 +57,15 @@ ParallelRunner::ShardPlan ParallelRunner::plan(std::int64_t count) const {
   return shardPlan;
 }
 
-void ParallelRunner::planWeighted(std::span<const std::int64_t> weights,
-                                  ShardPlan& out) const {
-  out.count = static_cast<std::int64_t>(weights.size());
-  out.shardSize = 1;
-  out.numShards = 0;
-  out.bounds.clear();
-  if (out.count == 0) {
-    return;
-  }
-  const std::int64_t targetShards =
-      static_cast<std::int64_t>(threads_) * kShardsPerThread;
-  std::int64_t total = 0;
-  for (const std::int64_t w : weights) {
-    total += std::max<std::int64_t>(1, w);
-  }
-  // Weight per shard: items clamp to weight >= 1, so for uniform weights
-  // this degrades exactly to plan()'s item grain.
-  const std::int64_t grain = std::max(
-      kMinShardSize, (total + targetShards - 1) / targetShards);
-  out.bounds.push_back(0);
-  std::int64_t acc = 0;
-  for (std::int64_t i = 0; i < out.count; ++i) {
-    acc += std::max<std::int64_t>(1, weights[i]);
-    if (acc >= grain && i + 1 < out.count) {
-      out.bounds.push_back(i + 1);
-      acc = 0;
-    }
-  }
-  out.bounds.push_back(out.count);
-  out.numShards = static_cast<std::int32_t>(out.bounds.size()) - 1;
-}
-
-void ParallelRunner::claimShards(const ShardFn& fn, std::int32_t participant) {
-  std::int64_t popped = 0;
+void ParallelRunner::claimShards(const ShardFn& fn, std::int32_t numShards,
+                                 std::int32_t participant) {
+  std::int64_t claimed = 0;
   std::int64_t stolen = 0;
-  auto run = [&](std::uint32_t shard) {
+  for (;;) {
+    const std::int64_t shard = cursor_.next.fetch_add(1);
+    if (shard >= numShards) {
+      break;
+    }
     try {
       fn(static_cast<std::int32_t>(shard));
     } catch (...) {
@@ -112,67 +74,21 @@ void ParallelRunner::claimShards(const ShardFn& fn, std::int32_t participant) {
         firstError_ = std::current_exception();
       }
     }
-  };
-  for (;;) {
-    // Drain the owned block front-to-back.
-    std::atomic<std::uint64_t>& own =
-        ranges_[static_cast<std::size_t>(participant)].packed;
-    std::uint64_t cur = own.load(std::memory_order_acquire);
-    for (;;) {
-      const std::uint32_t b = rangeBegin(cur);
-      const std::uint32_t e = rangeEnd(cur);
-      if (b >= e) {
-        break;
-      }
-      if (own.compare_exchange_weak(cur, packRange(b + 1, e),
-                                    std::memory_order_acq_rel,
-                                    std::memory_order_acquire)) {
-        run(b);
-        ++popped;
-        cur = own.load(std::memory_order_acquire);
-      }
-    }
-    // Steal one shard from the back of the first non-empty victim.
-    // Ranges only shrink within a section, so a full scan finding every
-    // block empty means no unclaimed shard remains.
-    bool stole = false;
-    for (std::int32_t k = 1; k < threads_ && !stole; ++k) {
-      const std::int32_t victim = (participant + k) % threads_;
-      std::atomic<std::uint64_t>& range =
-          ranges_[static_cast<std::size_t>(victim)].packed;
-      std::uint64_t vcur = range.load(std::memory_order_acquire);
-      for (;;) {
-        const std::uint32_t b = rangeBegin(vcur);
-        const std::uint32_t e = rangeEnd(vcur);
-        if (b >= e) {
-          break;
-        }
-        if (range.compare_exchange_weak(vcur, packRange(b, e - 1),
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_acquire)) {
-          run(e - 1);
-          ++stolen;
-          stole = true;
-          break;
-        }
-      }
-    }
-    if (!stole) {
-      break;
+    ++claimed;
+    // Outside this participant's even share of the section's shards.
+    if ((shard * threads_ + threads_ - 1) / numShards != participant) {
+      ++stolen;
     }
   }
-  // Claims count every shard this participant EXECUTED (owned pops plus
-  // steals), so claims across a run always equals the shard count and
-  // steals <= claims holds even for a thread that only ever stole.
-  if (popped + stolen != 0) {
-    claimsTotal_.fetch_add(popped + stolen, std::memory_order_relaxed);
+  if (claimed != 0) {
+    claimsTotal_.fetch_add(claimed, std::memory_order_relaxed);
   }
   if (stolen != 0) {
     stealsTotal_.fetch_add(stolen, std::memory_order_relaxed);
   }
   // The barrier releases only once every participant has LEFT the claim
   // loop: were it released on the shard count alone, a straggler still
-  // scanning here could claim into the next section's reset ranges.
+  // claiming here could take a shard of the next section's reset cursor.
   std::lock_guard<std::mutex> lock(mutex_);
   if (--claimers_ == 0) {
     done_.notify_all();
@@ -245,20 +161,13 @@ void ParallelRunner::dispatch(const ShardPlan& plan, const ShardFn& fn) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     job_ = &fn;
-    // One contiguous block of shards per participant; the owner pops
-    // the front, thieves take the back.
-    const std::int64_t n = plan.numShards;
-    for (std::int32_t t = 0; t < threads_; ++t) {
-      const auto lo = static_cast<std::uint32_t>(n * t / threads_);
-      const auto hi = static_cast<std::uint32_t>(n * (t + 1) / threads_);
-      ranges_[static_cast<std::size_t>(t)].packed.store(
-          packRange(lo, hi), std::memory_order_relaxed);
-    }
+    numShards_ = plan.numShards;
+    cursor_.next.store(0);
     claimers_ = 1;  // the calling thread
     ++generation_;
   }
   wake_.notify_all();
-  claimShards(fn, 0);
+  claimShards(fn, plan.numShards, 0);
   std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lock(mutex_);
@@ -276,6 +185,7 @@ void ParallelRunner::workerLoop(std::int32_t participant) {
   std::uint64_t seen = 0;
   for (;;) {
     const ShardFn* fn = nullptr;
+    std::int32_t numShards = 0;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       wake_.wait(lock, [&] { return stop_ || generation_ != seen; });
@@ -284,12 +194,13 @@ void ParallelRunner::workerLoop(std::int32_t participant) {
       }
       seen = generation_;
       fn = job_;
+      numShards = numShards_;
       if (fn != nullptr) {
         ++claimers_;
       }
     }
     if (fn != nullptr) {
-      claimShards(*fn, participant);
+      claimShards(*fn, numShards, participant);
     }
   }
 }

@@ -4,12 +4,13 @@
 // round: every per-processor decision reads only the previous round's
 // state (inboxes, statuses) and writes only processor-owned slots. The
 // ParallelRunner exploits exactly that shape: a parallel section cuts an
-// index range into contiguous shards, each participant (worker threads
-// plus the calling thread) owns a contiguous block of shards it pops
-// from the front, and a participant whose block runs dry steals single
-// shards from the BACK of another participant's block — so one hot
-// shard no longer leaves the rest of the pool idle. forShards() returns
-// only when every shard has completed — the deterministic round barrier.
+// index range into contiguous shards of equal size, and every participant
+// (worker threads plus the calling thread) claims the next unclaimed
+// shard from one shared atomic cursor until the cursor passes the last
+// shard — so the calling thread drains the section while parked workers
+// wake, and one slow shard never leaves the rest of the pool idle.
+// forShards() returns only when every shard has completed — the
+// deterministic round barrier.
 //
 // Determinism contract: a section's callback must confine writes to
 // shard-owned slots (disjoint elements, or per-shard output buffers the
@@ -18,18 +19,16 @@
 // function of the inputs — bit-identical at any thread count, including
 // the serial threads=1 path, because every floating-point accumulation
 // still happens in the same per-owner sequence. The shard partition and
-// the claim order (owned pop vs. steal) are pure performance knobs: they
-// can depend on the thread count and on runtime timing precisely because
-// no callback result depends on which shard (or thread) computed it.
+// the claim order are pure performance knobs: they can depend on the
+// thread count and on runtime timing precisely because no callback
+// result depends on which shard (or thread) computed it.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
-#include <memory>
 #include <mutex>
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -61,9 +60,14 @@ class ShardFn {
 
 class ParallelRunner {
  public:
+  /// Largest accepted thread count: every thread is an OS thread, so a
+  /// bad flag must fail here rather than ask the OS for millions.
+  static constexpr std::int32_t kMaxThreads = 256;
+
   /// Spawns `threads - 1` workers (the calling thread participates in
   /// every section). threads <= 1 spawns nothing: every section runs
-  /// inline, which IS the serial engine.
+  /// inline, which IS the serial engine. Throws CheckError, before any
+  /// thread starts, when threads > kMaxThreads.
   explicit ParallelRunner(std::int32_t threads = 1);
   ~ParallelRunner();
 
@@ -72,25 +76,18 @@ class ParallelRunner {
 
   std::int32_t threads() const { return threads_; }
 
-  /// A partition of [0, count) into contiguous shards. Shards cover the
-  /// range exactly, in order: shard s spans [begin(s), end(s)). Uniform
-  /// plans encode the partition as a stride; weighted plans carry
-  /// explicit boundaries in `bounds` (numShards + 1 entries).
+  /// A partition of [0, count) into contiguous shards of shardSize items
+  /// (the last may be shorter), in order: shard s spans
+  /// [begin(s), end(s)).
   struct ShardPlan {
     std::int64_t count = 0;
     std::int64_t shardSize = 1;
     std::int32_t numShards = 0;
-    std::vector<std::int64_t> bounds;  ///< empty for uniform plans
 
     std::int64_t begin(std::int32_t shard) const {
-      return bounds.empty()
-                 ? static_cast<std::int64_t>(shard) * shardSize
-                 : bounds[static_cast<std::size_t>(shard)];
+      return static_cast<std::int64_t>(shard) * shardSize;
     }
     std::int64_t end(std::int32_t shard) const {
-      if (!bounds.empty()) {
-        return bounds[static_cast<std::size_t>(shard) + 1];
-      }
       const std::int64_t e = begin(shard) + shardSize;
       return e < count ? e : count;
     }
@@ -100,25 +97,17 @@ class ParallelRunner {
   /// order balances load, but never shards smaller than a minimum grain.
   ShardPlan plan(std::int64_t count) const;
 
-  /// Plans shards for weights.size() items so each shard carries roughly
-  /// equal total weight (weights clamped to >= 1): a single heavy item
-  /// gets its own shard instead of serializing its neighbors' claim.
-  /// Writes into `out` (clearing previous contents) so a caller reusing
-  /// one scratch plan allocates nothing in steady state — the boundary
-  /// vector is grow-only. The partition is a pure performance knob; see
-  /// the determinism contract above.
-  void planWeighted(std::span<const std::int64_t> weights,
-                    ShardPlan& out) const;
-
   /// Runs fn(shard) for every shard of `plan` and returns after ALL have
   /// completed (the barrier). The first exception thrown by any shard is
   /// rethrown here after the barrier.
   void forShards(const ShardPlan& plan, ShardFn fn);
 
-  /// Shards executed by their owning participant / stolen from another
-  /// participant's block, summed over the runner's lifetime. Plain
-  /// accessors so benches can report claim traffic without attaching
-  /// telemetry (protecting their heap-allocation ground truth).
+  /// Shards executed, and the subset that participant t of T ran outside
+  /// its even share [floor(n*t/T), floor(n*(t+1)/T)) of a section's n
+  /// shards, summed over the runner's lifetime (sections that run inline
+  /// steal nothing). Plain accessors so benches can report claim traffic
+  /// without attaching telemetry (protecting their heap-allocation
+  /// ground truth).
   std::int64_t claims() const {
     return claimsTotal_.load(std::memory_order_relaxed);
   }
@@ -142,25 +131,28 @@ class ParallelRunner {
   void attachTelemetry(Tracer* tracer, MetricsRegistry* metrics = nullptr);
 
  private:
-  /// One participant's block of shards, packed (begin << 32 | end) into
-  /// a single atomic so pop-front and steal-back race through one CAS.
-  struct alignas(64) ShardRange {
-    std::atomic<std::uint64_t> packed{0};
+  /// The next unclaimed shard of the running section. Alone on its cache
+  /// line: every claim writes it, and sharing a line with the mutex or
+  /// the section fields would make each claim contend with them.
+  struct alignas(64) Cursor {
+    std::atomic<std::int64_t> next{0};
   };
 
   void workerLoop(std::int32_t participant);
-  void claimShards(const ShardFn& fn, std::int32_t participant);
+  void claimShards(const ShardFn& fn, std::int32_t numShards,
+                   std::int32_t participant);
   void dispatch(const ShardPlan& plan, const ShardFn& fn);
   void publishCounters();
 
   std::int32_t threads_ = 1;
   std::vector<std::thread> workers_;
-  std::unique_ptr<ShardRange[]> ranges_;  ///< one deque per participant
+  Cursor cursor_;
 
   std::mutex mutex_;
   std::condition_variable wake_;
   std::condition_variable done_;
   const ShardFn* job_ = nullptr;  ///< guarded by mutex_
+  std::int32_t numShards_ = 0;    ///< the running section's; guarded by mutex_
   std::int32_t claimers_ = 0;     ///< threads inside the claim loop
   std::uint64_t generation_ = 0;  ///< guarded by mutex_
   bool stop_ = false;             ///< guarded by mutex_

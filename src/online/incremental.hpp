@@ -170,8 +170,8 @@ struct EpochOutcome {
   double loadVarianceBefore = 0;
   double loadVarianceAfter = 0;
   std::int32_t demandsMigrated = 0;
-  std::int64_t engineClaims = 0;  ///< shards executed (owned + stolen)
-  std::int64_t engineSteals = 0;  ///< shards stolen from another worker
+  std::int64_t engineClaims = 0;  ///< shards executed
+  std::int64_t engineSteals = 0;  ///< run outside a thread's even share
 };
 
 /// Per-epoch protocol seed — the one derivation every online engine

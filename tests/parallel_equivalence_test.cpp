@@ -14,6 +14,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
+#include <thread>
 #include <vector>
 
 #include "dist/protocol.hpp"
@@ -587,90 +589,67 @@ TEST(ParallelRunner, PlanCoversRangeExactlyOnce) {
   }
 }
 
-TEST(ParallelRunner, WeightedPlanCoversRangeExactlyOnce) {
-  ParallelRunner runner(4);
-  // Heavily skewed weights: one hot item dominates, plus zero/negative
-  // weights (clamped to 1) and a long uniform tail.
-  std::vector<std::int64_t> weights;
-  for (std::int64_t i = 0; i < 1000; ++i) {
-    weights.push_back(i == 17 ? 50'000 : (i % 7 == 0 ? 0 : 3));
-  }
-  ParallelRunner::ShardPlan plan;
-  runner.planWeighted(weights, plan);
-  ASSERT_GT(plan.numShards, 1);
-  std::int64_t covered = 0;
-  for (std::int32_t s = 0; s < plan.numShards; ++s) {
-    EXPECT_EQ(plan.begin(s), covered);
-    EXPECT_GT(plan.end(s), plan.begin(s)) << "no empty shards";
-    covered = plan.end(s);
-  }
-  EXPECT_EQ(covered, static_cast<std::int64_t>(weights.size()));
-
-  // Deterministic: same weights, same bounds (plan reuse grows nothing).
-  ParallelRunner::ShardPlan replay;
-  runner.planWeighted(weights, replay);
-  EXPECT_EQ(replay.bounds, plan.bounds);
-
-  // The dominating item is isolated away from the uniform tail: the
-  // shard holding item 17 stays narrow while total shards track the
-  // target parallelism.
-  for (std::int32_t s = 0; s < plan.numShards; ++s) {
-    if (plan.begin(s) <= 17 && 17 < plan.end(s)) {
-      EXPECT_LE(plan.end(s) - plan.begin(s), 64)
-          << "hot item must not drag a wide shard behind it";
-    }
-  }
-
-  // Empty input: zero shards, nothing runs.
-  runner.planWeighted(std::span<const std::int64_t>{}, plan);
-  EXPECT_EQ(plan.numShards, 0);
-  std::atomic<std::int32_t> ran{0};
-  runner.forShards(plan, [&](std::int32_t) { ran.fetch_add(1); });
-  EXPECT_EQ(ran.load(), 0);
-}
-
-TEST(ParallelRunner, WeightedForShardsRunsEveryItemExactlyOnce) {
-  ParallelRunner runner(8);
-  std::vector<std::int64_t> weights(3000);
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    weights[i] = static_cast<std::int64_t>((i * 2654435761u) % 97);
-  }
-  ParallelRunner::ShardPlan plan;
-  runner.planWeighted(weights, plan);
-  ASSERT_GT(plan.numShards, 1);
-  std::vector<std::atomic<std::int32_t>> hits(weights.size());
-  for (int repeat = 0; repeat < 10; ++repeat) {
-    for (auto& h : hits) h.store(0);
-    runner.forShards(plan, [&](std::int32_t shard) {
-      for (std::int64_t i = plan.begin(shard); i < plan.end(shard); ++i) {
-        hits[static_cast<std::size_t>(i)].fetch_add(1);
-      }
-    });
-    for (const auto& h : hits) {
-      EXPECT_EQ(h.load(), 1);
-    }
-  }
-  // The steal/claim tallies stay coherent: every shard was claimed by
-  // someone, and steals never exceed claims.
-  EXPECT_GT(runner.claims(), 0);
-  EXPECT_LE(runner.steals(), runner.claims());
-}
-
 TEST(ParallelRunner, ForShardsRunsEveryShardExactlyOnce) {
-  ParallelRunner runner(8);
-  const ParallelRunner::ShardPlan plan = runner.plan(5000);
-  ASSERT_GT(plan.numShards, 1);
-  std::vector<std::atomic<std::int32_t>> hits(
-      static_cast<std::size_t>(plan.numShards));
-  for (int repeat = 0; repeat < 20; ++repeat) {
-    for (auto& h : hits) h.store(0);
-    runner.forShards(plan, [&](std::int32_t shard) {
-      hits[static_cast<std::size_t>(shard)].fetch_add(1);
-    });
-    for (const auto& h : hits) {
-      EXPECT_EQ(h.load(), 1);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const std::int32_t threads : {1, 2, 8}) {
+    ParallelRunner runner(threads);
+    // 240 items make an odd shard count at 2 threads, so the two even
+    // shares differ in size and a steal miscounted as its complement
+    // shows.
+    for (const std::int64_t count : {240, 5000}) {
+      const ParallelRunner::ShardPlan plan = runner.plan(count);
+      ASSERT_GT(plan.numShards, 1);
+      const auto shards = static_cast<std::size_t>(plan.numShards);
+      std::vector<std::atomic<std::int32_t>> hits(shards);
+      std::vector<std::uint8_t> ranOnCaller(shards);
+      for (int repeat = 0; repeat < 20; ++repeat) {
+        for (auto& h : hits) h.store(0);
+        const std::int64_t claimsBefore = runner.claims();
+        const std::int64_t stealsBefore = runner.steals();
+        runner.forShards(plan, [&](std::int32_t shard) {
+          const auto slot = static_cast<std::size_t>(shard);
+          hits[slot].fetch_add(1);
+          ranOnCaller[slot] = std::this_thread::get_id() == caller;
+        });
+        for (const auto& h : hits) {
+          EXPECT_EQ(h.load(), 1);
+        }
+        // Every shard is claimed exactly once, whoever runs it.
+        EXPECT_EQ(runner.claims() - claimsBefore, plan.numShards);
+        EXPECT_LE(runner.steals(), runner.claims());
+        if (threads == 2) {
+          // The caller is participant 0 and owns the first
+          // floor(n / 2) shards; the one worker owns the rest. A steal
+          // is a shard run by the other one.
+          std::int64_t stolen = 0;
+          for (std::size_t s = 0; s < shards; ++s) {
+            stolen += (s < shards / 2) != (ranOnCaller[s] != 0) ? 1 : 0;
+          }
+          EXPECT_EQ(runner.steals() - stealsBefore, stolen);
+        }
+      }
     }
+    if (threads == 1) {
+      EXPECT_EQ(runner.steals(), 0);
+    }
+
+    // An empty section runs nothing and claims nothing.
+    const ParallelRunner::ShardPlan empty = runner.plan(0);
+    EXPECT_EQ(empty.numShards, 0);
+    const std::int64_t claimsBefore = runner.claims();
+    std::atomic<std::int32_t> ran{0};
+    runner.forShards(empty, [&](std::int32_t) { ran.fetch_add(1); });
+    EXPECT_EQ(ran.load(), 0);
+    EXPECT_EQ(runner.claims(), claimsBefore);
   }
+}
+
+TEST(ParallelRunner, RejectsThreadCountsAboveTheCeiling) {
+  // The check runs before the first worker spawns, so neither count
+  // starts a thread.
+  EXPECT_THROW(ParallelRunner{ParallelRunner::kMaxThreads + 1}, CheckError);
+  EXPECT_THROW(ParallelRunner{std::numeric_limits<std::int32_t>::max()},
+               CheckError);
 }
 
 TEST(ParallelRunner, PropagatesShardExceptions) {

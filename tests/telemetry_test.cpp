@@ -376,7 +376,7 @@ TEST(Telemetry, NullSinkZeroAllocationsCoversRebalanceInstruments) {
   const std::int64_t plainAllocs = measure(base);
   const std::int64_t withTelemetry = measure(instrumented);
   EXPECT_EQ(withTelemetry, plainAllocs)
-      << "the rebalance + work-stealing instruments must stay "
+      << "the rebalance + shard-claim instruments must stay "
          "allocation-free on the warmed NullSink path";
   // The new instruments actually recorded.
   EXPECT_GT(metrics.histogram("net.shard_hosted_demands", {}).count(), 0);
