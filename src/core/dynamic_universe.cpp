@@ -129,16 +129,6 @@ const std::vector<std::vector<std::int32_t>>& DynamicUniverse::access() const {
   return kind_ == Kind::Tree ? tree_->access : line_->access;
 }
 
-const TreeProblem& DynamicUniverse::treeProblem() const {
-  checkThat(kind_ == Kind::Tree, "tree universe", __FILE__, __LINE__);
-  return *tree_;
-}
-
-const LineProblem& DynamicUniverse::lineProblem() const {
-  checkThat(kind_ == Kind::Line, "line universe", __FILE__, __LINE__);
-  return *line_;
-}
-
 std::int32_t DynamicUniverse::poolInstanceCount(DemandId d) const {
   checkIndex(d, numDemands_, "demand id");
   return instanceOffset_[static_cast<std::size_t>(d) + 1] -

@@ -129,7 +129,8 @@ class DynamicUniverse {
 
   Kind kind() const { return kind_; }
   /// Pool id-space size — NOT the live count. Dense per-instance arrays
-  /// (dual lhs, MIS status) and WarmStart::priorLhs are sized by this.
+  /// (dual lhs, MIS status) and runDistributedPhase1's priorLhs are sized
+  /// by this.
   std::int32_t numInstances() const { return numInstances_; }
   std::int32_t numDemands() const { return numDemands_; }
   std::int32_t numNetworks() const { return numNetworks_; }
@@ -142,9 +143,6 @@ class DynamicUniverse {
   /// Accessibility lists of the underlying problem (TreeIds or
   /// ResourceIds — both are the network axis of the universe).
   const std::vector<std::vector<std::int32_t>>& access() const;
-
-  const TreeProblem& treeProblem() const;
-  const LineProblem& lineProblem() const;
 
   /// Pool instance count of demand d (live or not): how many instances
   /// addDemand(d) materializes.

@@ -44,28 +44,6 @@ bool LineProblem::isUnitHeight() const {
                      [](const WindowDemand& d) { return d.height == 1.0; });
 }
 
-double LineProblem::profitSpread() const {
-  if (demands.empty()) return 1.0;
-  double lo = demands.front().profit;
-  double hi = lo;
-  for (const WindowDemand& d : demands) {
-    lo = std::min(lo, d.profit);
-    hi = std::max(hi, d.profit);
-  }
-  return hi / lo;
-}
-
-double LineProblem::lengthSpread() const {
-  if (demands.empty()) return 1.0;
-  std::int32_t lo = demands.front().processing;
-  std::int32_t hi = lo;
-  for (const WindowDemand& d : demands) {
-    lo = std::min(lo, d.processing);
-    hi = std::max(hi, d.processing);
-  }
-  return static_cast<double>(hi) / static_cast<double>(lo);
-}
-
 std::vector<std::vector<ResourceId>> fullLineAccess(std::int32_t numDemands,
                                                     std::int32_t numResources) {
   std::vector<ResourceId> all(static_cast<std::size_t>(numResources));

@@ -36,11 +36,6 @@ struct LineProblem {
   void validate() const;
 
   bool isUnitHeight() const;
-  double profitSpread() const;
-
-  /// Max/min demand length ratio Lmax/Lmin (lengths == processing times);
-  /// the line layering depth is ceil(log2) of this (§7).
-  double lengthSpread() const;
 };
 
 /// Convenience builder: full accessibility for line problems.

@@ -44,25 +44,4 @@ bool TreeProblem::isUnitHeight() const {
                      [](const Demand& d) { return d.height == 1.0; });
 }
 
-double TreeProblem::profitSpread() const {
-  if (demands.empty()) return 1.0;
-  double lo = demands.front().profit;
-  double hi = lo;
-  for (const Demand& d : demands) {
-    lo = std::min(lo, d.profit);
-    hi = std::max(hi, d.profit);
-  }
-  return hi / lo;
-}
-
-std::vector<std::vector<TreeId>> fullAccess(std::int32_t numDemands,
-                                            std::int32_t numNetworks) {
-  std::vector<TreeId> all(static_cast<std::size_t>(numNetworks));
-  for (TreeId t = 0; t < numNetworks; ++t) {
-    all[static_cast<std::size_t>(t)] = t;
-  }
-  return std::vector<std::vector<TreeId>>(static_cast<std::size_t>(numDemands),
-                                          all);
-}
-
 }  // namespace treesched

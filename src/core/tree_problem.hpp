@@ -36,13 +36,6 @@ struct TreeProblem {
 
   /// True when every demand has unit height (the §2-§5 setting).
   bool isUnitHeight() const;
-
-  /// Ratio pmax/pmin over all demands (1 when there are no demands).
-  double profitSpread() const;
 };
-
-/// Convenience builder: gives every demand access to every network.
-std::vector<std::vector<TreeId>> fullAccess(std::int32_t numDemands,
-                                            std::int32_t numNetworks);
 
 }  // namespace treesched

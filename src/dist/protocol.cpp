@@ -39,6 +39,9 @@ enum class MisStatus : std::uint8_t { Inactive, Undecided, In, Out };
 /// instantiations are bit-identical on the same warm-start set — the
 /// dynamic_universe equivalence gate.
 ///
+/// `active` names the instances the run may raise (ascending; empty =
+/// every instance) and `priorLhs` their warm-start LHS (empty = zeros).
+///
 /// `persistent` empty: the engine builds one context per processor and
 /// owns them (the one-shot run). Otherwise it runs on the caller's
 /// contexts, one per processor with a zero dual view, and zeroes the
@@ -59,7 +62,9 @@ template <class U, class L>
 class ProtocolEngine {
  public:
   ProtocolEngine(const U& universe, const L& layering, Transport& transport,
-                 const DistributedOptions& options, const WarmStart& warm,
+                 const DistributedOptions& options,
+                 std::span<const InstanceId> active,
+                 std::span<const double> priorLhs,
                  std::span<ProcessorContext> persistent = {})
       : u_(universe),
         lay_(layering),
@@ -95,7 +100,7 @@ class ProtocolEngine {
 
     const std::int32_t numInst = u_.numInstances();
     members_.resize(static_cast<std::size_t>(lay_.numGroups));
-    if (warm.activeInstances.empty()) {
+    if (active.empty()) {
       for (InstanceId i = 0; i < numInst; ++i) {
         members_[static_cast<std::size_t>(
                      lay_.group[static_cast<std::size_t>(i)])]
@@ -106,10 +111,10 @@ class ProtocolEngine {
       // The restriction must be ascending so the group member lists come
       // out in the order a full enumeration would produce — the keystone
       // of bit-identity with runTwoPhaseRestricted.
-      for (std::size_t idx = 0; idx < warm.activeInstances.size(); ++idx) {
-        const InstanceId i = warm.activeInstances[idx];
+      for (std::size_t idx = 0; idx < active.size(); ++idx) {
+        const InstanceId i = active[idx];
         checkIndex(i, numInst, "warm-start active instance");
-        checkThat(idx == 0 || warm.activeInstances[idx - 1] < i,
+        checkThat(idx == 0 || active[idx - 1] < i,
                   "warm-start active set sorted ascending", __FILE__,
                   __LINE__);
         members_[static_cast<std::size_t>(
@@ -119,14 +124,14 @@ class ProtocolEngine {
       }
     }
 
-    if (warm.priorLhs.empty()) {
+    if (priorLhs.empty()) {
       lhsLocal_.assign(static_cast<std::size_t>(numInst), 0.0);
     } else {
-      checkThat(warm.priorLhs.size() == static_cast<std::size_t>(numInst),
+      checkThat(priorLhs.size() == static_cast<std::size_t>(numInst),
                 "warm-start priorLhs covers every instance", __FILE__,
                 __LINE__);
-      lhsLocal_.assign(warm.priorLhs.begin(), warm.priorLhs.end());
-      groundLhs_.preload(warm.priorLhs);
+      lhsLocal_.assign(priorLhs.begin(), priorLhs.end());
+      groundLhs_.preload(priorLhs);
     }
     misStatus_.assign(static_cast<std::size_t>(numInst), MisStatus::Inactive);
     priority_.assign(static_cast<std::size_t>(numInst), 0);
@@ -819,35 +824,27 @@ class ProtocolEngine {
 
 DistributedResult runDistributedOverTransport(
     const InstanceUniverse& universe, const Layering& layering,
-    Transport& transport, const DistributedOptions& options) {
-  return runDistributedWarmStart(universe, layering, transport, options,
-                                 WarmStart{});
-}
-
-DistributedResult runDistributedWarmStart(const InstanceUniverse& universe,
-                                          const Layering& layering,
-                                          Transport& transport,
-                                          const DistributedOptions& options,
-                                          const WarmStart& warm) {
-  ProtocolEngine<InstanceUniverse, Layering> engine(universe, layering,
-                                                    transport, options, warm);
+    Transport& transport, const DistributedOptions& options,
+    std::span<const InstanceId> active) {
+  ProtocolEngine<InstanceUniverse, Layering> engine(
+      universe, layering, transport, options, active, {});
   return engine.run();
 }
 
 Phase1Result runDistributedPhase1(const DynamicUniverse& universe,
                                   Transport& transport,
                                   const DistributedOptions& options,
-                                  const WarmStart& warm,
+                                  std::span<const InstanceId> active,
+                                  std::span<const double> priorLhs,
                                   std::span<ProcessorContext> contexts) {
-  checkThat(!warm.activeInstances.empty(),
-            "dynamic warm start names its live active set", __FILE__,
-            __LINE__);
+  checkThat(!active.empty(), "dynamic warm start names its live active set",
+            __FILE__, __LINE__);
   checkThat(contexts.size() ==
                 static_cast<std::size_t>(universe.numDemands()),
             "one persistent context per pool demand", __FILE__, __LINE__);
   const DynamicLayeringView layering = universe.layeringView();
   ProtocolEngine<DynamicUniverse, DynamicLayeringView> engine(
-      universe, layering, transport, options, warm, contexts);
+      universe, layering, transport, options, active, priorLhs, contexts);
   return engine.runPhase1Only();
 }
 

@@ -126,22 +126,6 @@ struct DualRaiseRecord {
   double betaIncrement = 0;
 };
 
-/// Prior dual state + restricted active set for an incremental epoch
-/// re-solve (src/online/). The protocol raises only `activeInstances`
-/// (phase 1) and accepts only from the raise sets it pushed itself
-/// (phase 2); `priorLhs` warm-starts every dual-constraint LHS from the
-/// surviving duals of the previous solution, so an instance already
-/// lambda-satisfied by old raises is never touched again.
-struct WarmStart {
-  /// Instances the run may raise, sorted ascending. Empty = every
-  /// instance (the classic full run).
-  std::vector<InstanceId> activeInstances;
-  /// Per-instance prior LHS, indexed by InstanceId over the whole
-  /// universe. Empty = all zeros (cold start). Borrowed: the storage must
-  /// outlive the run it is passed to.
-  std::span<const double> priorLhs;
-};
-
 struct DistributedResult {
   /// Accepted instances, sorted ascending (collection order is by
   /// processor, not meaningful distributively).
@@ -188,22 +172,15 @@ DistributedResult runDistributedUnitLine(
 /// Transport delivery contract yields a run bit-identical to the
 /// round-synchronous bus — this is the entry point the asynchronous
 /// runner (net/runner.hpp) uses.
+///
+/// `active` restricts phase 1 to those instances (sorted ascending;
+/// empty = every instance, the classic full run). With fixedSchedule-
+/// compatible options a restricted run is bit-identical to
+/// runTwoPhaseRestricted on the same active set.
 DistributedResult runDistributedOverTransport(
     const InstanceUniverse& universe, const Layering& layering,
-    Transport& transport, const DistributedOptions& options = {});
-
-/// Warm-started restricted run (src/online/): like
-/// runDistributedOverTransport, but phase 1 walks only
-/// `warm.activeInstances` with LHS warm-started from `warm.priorLhs`.
-/// With an empty WarmStart this IS runDistributedOverTransport; with a
-/// restriction and fixedSchedule-compatible options it is bit-identical
-/// to runTwoPhaseRestricted on the same active set — the incremental
-/// re-solver's equivalence obligation.
-DistributedResult runDistributedWarmStart(const InstanceUniverse& universe,
-                                          const Layering& layering,
-                                          Transport& transport,
-                                          const DistributedOptions& options,
-                                          const WarmStart& warm);
+    Transport& transport, const DistributedOptions& options = {},
+    std::span<const InstanceId> active = {});
 
 /// What a phase-1-only run reports: its raises and the local-view audit.
 /// No pop happens, so there is no solution, profit or slackness; the
@@ -222,11 +199,16 @@ class DynamicUniverse;
 /// Phase 1 alone, warm-started over a DynamicUniverse — the online
 /// epoch's protocol run (online/incremental.hpp). The incremental
 /// universe carries its own layering (DynamicLayeringView), so no
-/// pool-sized Layering is materialized. `warm.activeInstances` must be
-/// non-empty and name live instances only — a dynamic universe has no
-/// "every pool instance" enumeration to fall back to. Its raise log
-/// equals the phase-1 stack of runTwoPhaseRestricted on the live
-/// restriction (tests/online_test.cpp).
+/// pool-sized Layering is materialized. `active` (the instances the run
+/// may raise, ascending) must be non-empty and name live instances only
+/// — a dynamic universe has no "every pool instance" enumeration to fall
+/// back to. `priorLhs` warm-starts every dual-constraint LHS from the
+/// surviving duals of the previous solution, so an instance already
+/// lambda-satisfied by old raises is never touched again; it is indexed
+/// by InstanceId over the whole pool, empty means all zeros (cold
+/// start), and the storage must outlive the run. The raise log equals
+/// the phase-1 stack of runTwoPhaseRestricted on the live restriction
+/// (tests/online_test.cpp).
 ///
 /// `contexts` are the processors' persistent contexts, one per pool
 /// demand: init-ed for every live demand, empty otherwise, all with a
@@ -236,7 +218,8 @@ class DynamicUniverse;
 Phase1Result runDistributedPhase1(const DynamicUniverse& universe,
                                   Transport& transport,
                                   const DistributedOptions& options,
-                                  const WarmStart& warm,
+                                  std::span<const InstanceId> active,
+                                  std::span<const double> priorLhs,
                                   std::span<ProcessorContext> contexts);
 
 /// Everything a runner needs before choosing a transport: the validated

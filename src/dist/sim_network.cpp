@@ -2,122 +2,13 @@
 
 #include <algorithm>
 
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/check.hpp"
 
 namespace treesched {
 
-SimNetwork::SimNetwork(std::vector<std::vector<std::int32_t>> adjacency)
-    : adjacency_(std::move(adjacency)),
-      plane_(std::max<std::int32_t>(
-          1, static_cast<std::int32_t>(adjacency_.size()))) {
-  validateCommunicationAdjacency(adjacency_);
-}
-
-std::span<const std::int32_t> SimNetwork::neighbors(std::int32_t p) const {
-  checkIndex(p, numProcessors(), "SimNetwork::neighbors");
-  return adjacency_[static_cast<std::size_t>(p)];
-}
-
 void SimNetwork::broadcast(const Message& message) {
   checkIndex(message.from, numProcessors(), "SimNetwork::broadcast");
-  const auto from = static_cast<std::size_t>(message.from);
-  plane_.stageFanout(message, adjacency_[from]);
-}
-
-void SimNetwork::connectDemand(std::int32_t p,
-                               std::span<const std::int32_t> neighbors) {
-  checkIndex(p, numProcessors(), "SimNetwork::connectDemand");
-  checkThat(!plane_.hasStaged(), "topology mutation only between rounds",
-            __FILE__, __LINE__);
-  auto& own = adjacency_[static_cast<std::size_t>(p)];
-  checkThat(own.empty(), "connectDemand target must be isolated", __FILE__,
-            __LINE__);
-  // Validate the whole list before touching any adjacency (strong
-  // guarantee: a rejected call leaves the live graph unchanged).
-  for (std::size_t idx = 0; idx < neighbors.size(); ++idx) {
-    const std::int32_t n = neighbors[idx];
-    checkIndex(n, numProcessors(), "connectDemand neighbour");
-    checkThat(n != p, "no self links", __FILE__, __LINE__);
-    checkThat(idx == 0 || neighbors[idx - 1] < n,
-              "connectDemand neighbours sorted, duplicate-free", __FILE__,
-              __LINE__);
-  }
-  own.assign(neighbors.begin(), neighbors.end());
-  for (const std::int32_t n : neighbors) {
-    auto& theirs = adjacency_[static_cast<std::size_t>(n)];
-    const auto pos = std::lower_bound(theirs.begin(), theirs.end(), p);
-    checkThat(pos == theirs.end() || *pos != p,
-              "connectDemand edge already present", __FILE__, __LINE__);
-    theirs.insert(pos, p);
-  }
-}
-
-void SimNetwork::disconnectDemand(std::int32_t p) {
-  checkIndex(p, numProcessors(), "SimNetwork::disconnectDemand");
-  checkThat(!plane_.hasStaged(), "topology mutation only between rounds",
-            __FILE__, __LINE__);
-  auto& own = adjacency_[static_cast<std::size_t>(p)];
-  for (const std::int32_t n : own) {
-    auto& theirs = adjacency_[static_cast<std::size_t>(n)];
-    const auto pos = std::lower_bound(theirs.begin(), theirs.end(), p);
-    checkThat(pos != theirs.end() && *pos == p,
-              "disconnectDemand edge symmetric", __FILE__, __LINE__);
-    theirs.erase(pos);
-  }
-  own.clear();
-}
-
-void SimNetwork::endRound() {
-  ++stats_.rounds;
-  const std::int64_t before = stats_.messages;
-  plane_.deliver();
-  accountPlaneRound(stats_, plane_);
-  const std::int64_t delivered = stats_.messages - before;
-  if (roundsCtr_ != nullptr) {
-    roundsCtr_->add(1);
-    messagesCtr_->add(delivered);
-    if (delivered > 0) busyRoundsCtr_->add(1);
-  }
-  if (trace_ && delivered > 0) {
-    tracer_->instant("deliver", "net", 0,
-                     {{"round", stats_.rounds}, {"messages", delivered}});
-  }
-}
-
-void SimNetwork::endSilentRounds(std::int64_t count) {
-  checkThat(count >= 0, "silent round count non-negative", __FILE__, __LINE__);
-  checkThat(!plane_.hasStaged(), "silent rounds must not drop queued messages",
-            __FILE__, __LINE__);
-  if (count == 0) return;
-  plane_.clearInboxes();
-  stats_.rounds += count;
-  if (roundsCtr_ != nullptr) roundsCtr_->add(count);
-}
-
-void SimNetwork::attachTelemetry(Tracer* tracer, MetricsRegistry* metrics) {
-  tracer_ = tracer;
-  trace_ = tracer != nullptr && tracer->enabled();
-  if (metrics != nullptr) {
-    roundsCtr_ = &metrics->counter("net.rounds");
-    busyRoundsCtr_ = &metrics->counter("net.busy_rounds");
-    messagesCtr_ = &metrics->counter("net.messages");
-  } else {
-    roundsCtr_ = nullptr;
-    busyRoundsCtr_ = nullptr;
-    messagesCtr_ = nullptr;
-  }
-}
-
-std::span<const Message> SimNetwork::inbox(std::int32_t p) const {
-  checkIndex(p, numProcessors(), "SimNetwork::inbox");
-  return plane_.inbox(p);
-}
-
-void SimNetwork::appendActiveInboxes(std::vector<std::int32_t>& out) const {
-  const auto active = plane_.activeDests();
-  out.insert(out.end(), active.begin(), active.end());
+  plane_.stageFanout(message, adjacencyOf(message.from));
 }
 
 std::vector<std::vector<std::int32_t>> communicationGraph(

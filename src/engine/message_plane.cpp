@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "net/transport.hpp"
 #include "util/check.hpp"
 
 namespace treesched {
@@ -109,24 +108,6 @@ void MessagePlane::clearInboxes() {
   checkThat(!hasStaged(), "clearInboxes must not drop staged messages",
             __FILE__, __LINE__);
   index_.reset();
-}
-
-void accountPlaneRound(NetworkStats& stats, const MessagePlane& plane) {
-  // O(#kinds) from the plane's histogram: no re-scan of the messages.
-  if (plane.deliveredCount() > 0) {
-    ++stats.busyRounds;
-    stats.messages += plane.deliveredCount();
-    const auto& kinds = plane.kindCounts();
-    for (std::size_t kind = 0; kind < kinds.size(); ++kind) {
-      if (kinds[kind] == 0) continue;
-      const std::int32_t units =
-          messagePayloadUnits(static_cast<MessageKind>(kind));
-      stats.payload += kinds[kind] * units;
-      stats.maxMessagePayload = std::max(stats.maxMessagePayload, units);
-    }
-  }
-  stats.planeGrowthEvents = plane.growthEvents();
-  stats.planeLastGrowthRound = plane.lastGrowthRound();
 }
 
 }  // namespace treesched

@@ -39,8 +39,6 @@
 
 namespace treesched {
 
-struct NetworkStats;
-
 class MessagePlane {
  public:
   explicit MessagePlane(std::int32_t numProcessors);
@@ -144,11 +142,5 @@ class MessagePlane {
   std::int64_t growthEvents_ = 0;
   std::int64_t lastGrowthRound_ = -1;
 };
-
-/// Folds the plane's last deliver() into a transport's round accounting:
-/// busy-round flag, message count, per-kind payload, max message size,
-/// and the plane's allocation counters. Shared by SimNetwork and
-/// AlphaSynchronizer so their accounting can never drift apart.
-void accountPlaneRound(NetworkStats& stats, const MessagePlane& plane);
 
 }  // namespace treesched

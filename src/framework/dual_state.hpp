@@ -34,16 +34,8 @@ class DualState {
     beta_[static_cast<std::size_t>(e)] += by;
   }
 
-  /// Overwrites (used by the distributed simulator when adopting received
-  /// values; raises are idempotent there because values only grow).
-  void setBeta(GlobalEdgeId e, double value) {
-    beta_[static_cast<std::size_t>(e)] = value;
-  }
-
   /// val(alpha, beta) = sum of all dual variables.
   double objective() const;
-
-  std::size_t numDemands() const { return alpha_.size(); }
 
  private:
   std::vector<double> alpha_;

@@ -517,31 +517,4 @@ void ShardPlacement::compactProcessor(std::int32_t p) {
   ++compactions;
 }
 
-std::vector<std::vector<std::int32_t>> shardAdjacency(
-    const std::vector<std::vector<std::int32_t>>& demandAdjacency,
-    const ShardPlacement& placement) {
-  checkThat(static_cast<std::int32_t>(demandAdjacency.size()) ==
-                placement.numDemands(),
-            "placement covers the communication graph", __FILE__, __LINE__);
-  std::vector<std::vector<std::int32_t>> adjacency(
-      static_cast<std::size_t>(placement.numProcessors));
-  for (DemandId d = 0; d < placement.numDemands(); ++d) {
-    const std::int32_t p =
-        placement.processorOfDemand[static_cast<std::size_t>(d)];
-    for (const std::int32_t e : demandAdjacency[static_cast<std::size_t>(d)]) {
-      checkIndex(e, placement.numDemands(), "shardAdjacency neighbour");
-      const std::int32_t q =
-          placement.processorOfDemand[static_cast<std::size_t>(e)];
-      if (p != q) {
-        adjacency[static_cast<std::size_t>(p)].push_back(q);
-      }
-    }
-  }
-  for (auto& nbrs : adjacency) {
-    std::sort(nbrs.begin(), nbrs.end());
-    nbrs.erase(std::unique(nbrs.begin(), nbrs.end()), nbrs.end());
-  }
-  return adjacency;
-}
-
 }  // namespace treesched

@@ -93,16 +93,6 @@ struct ShardPlacement {
   /// at least its endpoint).
   void setDemandWeight(DemandId d, std::int64_t weight);
 
-  std::int64_t demandWeight(DemandId d) const {
-    return weightOfDemand[static_cast<std::size_t>(d)];
-  }
-
-  /// Weighted live load hosted by processor `p` (sum of hosted demand
-  /// weights; equals liveDemandCount while every weight is 1).
-  std::int64_t weightedLoad(std::int32_t p) const {
-    return weightedLoadOfProcessor[static_cast<std::size_t>(p)];
-  }
-
   /// Tombstones a placed demand (live pools only) and releases its
   /// home-network anchor reference; compacts the processor's hosted list
   /// when tombstones outnumber live entries.
@@ -198,12 +188,5 @@ struct ShardPlacement {
 /// anchors by it and the targeted-burst churn model attacks by it
 /// (online/arrivals.cpp), so both must share this definition.
 std::int32_t homeNetworkOf(const std::vector<std::int32_t>& access);
-
-/// Collapses a demand-level communication graph to the processor level:
-/// processors P, Q are adjacent iff some demand on P is adjacent to some
-/// demand on Q (P != Q). Lists come back sorted and duplicate-free.
-std::vector<std::vector<std::int32_t>> shardAdjacency(
-    const std::vector<std::vector<std::int32_t>>& demandAdjacency,
-    const ShardPlacement& placement);
 
 }  // namespace treesched

@@ -19,34 +19,21 @@ constexpr std::array<double, 16> kHostedBuckets = {
     1,  2,   4,   8,    16,   32,   64,    128,
     256, 512, 1024, 2048, 4096, 8192, 16384, 32768};
 
-/// Validation must run in the member-init list, before the constructor
-/// body reads placements for the adjacency's endpoints — a malformed
-/// graph would hit out-of-range reads there otherwise.
-std::vector<std::vector<std::int32_t>> validated(
-    std::vector<std::vector<std::int32_t>> adjacency) {
-  validateCommunicationAdjacency(adjacency);
-  return adjacency;
-}
-
 }  // namespace
 
 AlphaSynchronizer::AlphaSynchronizer(
     std::vector<std::vector<std::int32_t>> demandAdjacency,
     ShardPlacement placement, const AsyncConfig& config)
-    : adjacency_(validated(std::move(demandAdjacency))),
+    : PlaneTransport(std::move(demandAdjacency)),
       placement_(std::move(placement)),
       phys_(placement_.numProcessors, config.link, config.seed),
-      silentRoundCost_(config.link.latency.base),
-      plane_(std::max<std::int32_t>(
-          1, static_cast<std::int32_t>(adjacency_.size()))) {
-  checkThat(static_cast<std::int32_t>(adjacency_.size()) ==
-                placement_.numDemands(),
+      silentRoundCost_(config.link.latency.base) {
+  checkThat(numProcessors() == placement_.numDemands(),
             "placement covers the communication graph", __FILE__, __LINE__);
-  remoteProcsOf_.resize(adjacency_.size());
-  isDeclared_.assign(adjacency_.size(), 0);
+  remoteProcsOf_.resize(static_cast<std::size_t>(numProcessors()));
+  isDeclared_.assign(static_cast<std::size_t>(numProcessors()), 0);
   for (DemandId d = 0; d < numProcessors(); ++d) {
-    checkThat(placement_.isPlaced(d) ||
-                  adjacency_[static_cast<std::size_t>(d)].empty(),
+    checkThat(placement_.isPlaced(d) || adjacencyOf(d).empty(),
               "unplaced demands must be isolated", __FILE__, __LINE__);
     rebuildRemoteProcs(d);
   }
@@ -58,7 +45,7 @@ void AlphaSynchronizer::rebuildRemoteProcs(std::int32_t d) {
   auto& remote = remoteProcsOf_[static_cast<std::size_t>(d)];
   remote.clear();
   const std::int32_t home = processorOf(d);
-  for (const std::int32_t e : adjacency_[static_cast<std::size_t>(d)]) {
+  for (const std::int32_t e : adjacencyOf(d)) {
     if (processorOf(e) != home) {
       remote.push_back(processorOf(e));
     }
@@ -69,24 +56,12 @@ void AlphaSynchronizer::rebuildRemoteProcs(std::int32_t d) {
 
 void AlphaSynchronizer::connectDemand(
     std::int32_t d, std::span<const std::int32_t> neighbors) {
-  checkIndex(d, numProcessors(), "AlphaSynchronizer::connectDemand");
-  checkThat(!plane_.hasStaged() && pendingPayload_ == 0,
-            "topology mutation only between rounds", __FILE__, __LINE__);
-  auto& own = adjacency_[static_cast<std::size_t>(d)];
-  checkThat(own.empty(), "connectDemand target must be isolated", __FILE__,
-            __LINE__);
-  // Validate the whole list before touching any state (strong guarantee:
-  // a rejected call leaves the live topology unchanged).
-  for (std::size_t idx = 0; idx < neighbors.size(); ++idx) {
-    const std::int32_t n = neighbors[idx];
-    checkIndex(n, numProcessors(), "connectDemand neighbour");
-    checkThat(n != d, "no self links", __FILE__, __LINE__);
-    checkThat(idx == 0 || neighbors[idx - 1] < n,
-              "connectDemand neighbours sorted, duplicate-free", __FILE__,
-              __LINE__);
-  }
+  checkThat(pendingPayload_ == 0, "topology mutation only between rounds",
+            __FILE__, __LINE__);
+  PlaneTransport::connectDemand(d, neighbors);
   // Live placements host arrivals on demand: d first, then any
-  // still-isolated neighbour, in list order — deterministic.
+  // still-isolated neighbour, in list order — deterministic. The core
+  // has accepted the list, so a rejected connect places nothing.
   const auto place = [&](std::int32_t x) {
     if (placement_.live && !placement_.isPlaced(x)) {
       const std::int32_t proc = placement_.placeDemand(x);
@@ -96,42 +71,21 @@ void AlphaSynchronizer::connectDemand(
   place(d);
   for (const std::int32_t n : neighbors) place(n);
   // Remote-processor sets rebuilt only for the touched demands.
-  own.assign(neighbors.begin(), neighbors.end());
   rebuildRemoteProcs(d);
-  for (const std::int32_t n : neighbors) {
-    auto& theirs = adjacency_[static_cast<std::size_t>(n)];
-    const auto pos = std::lower_bound(theirs.begin(), theirs.end(), d);
-    checkThat(pos == theirs.end() || *pos != d,
-              "connectDemand edge already present", __FILE__, __LINE__);
-    theirs.insert(pos, d);
-    rebuildRemoteProcs(n);
-  }
+  for (const std::int32_t n : neighbors) rebuildRemoteProcs(n);
 }
 
 void AlphaSynchronizer::disconnectDemand(std::int32_t d) {
-  checkIndex(d, numProcessors(), "AlphaSynchronizer::disconnectDemand");
-  checkThat(!plane_.hasStaged() && pendingPayload_ == 0,
-            "topology mutation only between rounds", __FILE__, __LINE__);
-  auto& own = adjacency_[static_cast<std::size_t>(d)];
-  for (const std::int32_t n : own) {
-    auto& theirs = adjacency_[static_cast<std::size_t>(n)];
-    const auto pos = std::lower_bound(theirs.begin(), theirs.end(), d);
-    checkThat(pos != theirs.end() && *pos == d,
-              "disconnectDemand edge symmetric", __FILE__, __LINE__);
-    theirs.erase(pos);
-    rebuildRemoteProcs(n);
-  }
-  own.clear();
+  checkThat(pendingPayload_ == 0, "topology mutation only between rounds",
+            __FILE__, __LINE__);
+  const std::span<const std::int32_t> departing = neighbors(d);
+  touchedScratch_.assign(departing.begin(), departing.end());
+  PlaneTransport::disconnectDemand(d);
+  for (const std::int32_t n : touchedScratch_) rebuildRemoteProcs(n);
   rebuildRemoteProcs(d);
   if (placement_.live && placement_.isPlaced(d)) {
     placement_.removeDemand(d);
   }
-}
-
-std::span<const std::int32_t> AlphaSynchronizer::neighbors(
-    std::int32_t p) const {
-  checkIndex(p, numProcessors(), "AlphaSynchronizer::neighbors");
-  return adjacency_[static_cast<std::size_t>(p)];
 }
 
 void AlphaSynchronizer::broadcast(const Message& message) {
@@ -142,7 +96,7 @@ void AlphaSynchronizer::broadcast(const Message& message) {
   const std::int32_t home = processorOf(message.from);
   // Same-processor neighbours: delivered from local memory at the round
   // boundary, never touching the wire.
-  for (const std::int32_t d : adjacency_[from]) {
+  for (const std::int32_t d : adjacencyOf(message.from)) {
     if (processorOf(d) == home) {
       plane_.stage(d, message);
     }
@@ -199,8 +153,6 @@ void AlphaSynchronizer::sendMarkers() {
 }
 
 void AlphaSynchronizer::endRound() {
-  ++stats_.rounds;
-
   // Safe markers: each possible sender tells its remote processors it has
   // sent everything for this round. The markers ride the same lossy
   // links (acked, retransmitted) — they are the synchronizer's cost.
@@ -221,8 +173,7 @@ void AlphaSynchronizer::endRound() {
   // deliveries were staged at broadcast time) in canonical order.
   for (std::int32_t p = 0; p < placement_.numProcessors; ++p) {
     for (const PhysicalDelivery& delivery : phys_.delivered(p)) {
-      const auto sender = static_cast<std::size_t>(delivery.payload.from);
-      for (const std::int32_t d : adjacency_[sender]) {
+      for (const std::int32_t d : adjacencyOf(delivery.payload.from)) {
         if (processorOf(d) == p) {
           plane_.stage(d, delivery.payload);
         }
@@ -230,10 +181,7 @@ void AlphaSynchronizer::endRound() {
     }
   }
   phys_.drainDeliveries();
-  const std::int64_t before = stats_.messages;
-  plane_.deliver();
-
-  accountPlaneRound(stats_, plane_);
+  deliverRound();
 
   stats_.virtualTime = phys_.now();
   stats_.transmissions = phys_.transmissions();
@@ -242,12 +190,7 @@ void AlphaSynchronizer::endRound() {
   stats_.drops = phys_.drops();
   stats_.duplicates = phys_.duplicates();
   stats_.processorLoad = phys_.endpointLoad();
-
-  const std::int64_t delivered = stats_.messages - before;
-  if (roundsCtr_ != nullptr) {
-    roundsCtr_->add(1);
-    messagesCtr_->add(delivered);
-    if (delivered > 0) busyRoundsCtr_->add(1);
+  if (virtualTimeGauge_ != nullptr) {
     virtualTimeGauge_->set(stats_.virtualTime);
     transmissionsGauge_->set(static_cast<double>(stats_.transmissions));
     markerTransmissionsGauge_->set(
@@ -258,45 +201,33 @@ void AlphaSynchronizer::endRound() {
     dropsGauge_->set(static_cast<double>(stats_.drops));
     duplicatesGauge_->set(static_cast<double>(stats_.duplicates));
   }
-  if (trace_ && delivered > 0) {
-    tracer_->instant("deliver", "net", 0,
-                     {{"round", stats_.rounds}, {"messages", delivered}});
-  }
 }
 
 void AlphaSynchronizer::endSilentRounds(std::int64_t count) {
-  checkThat(count >= 0, "silent round count non-negative", __FILE__, __LINE__);
-  checkThat(!plane_.hasStaged() && pendingPayload_ == 0,
-            "silent rounds must not drop queued messages", __FILE__, __LINE__);
+  checkThat(pendingPayload_ == 0, "silent rounds must not drop queued messages",
+            __FILE__, __LINE__);
+  PlaneTransport::endSilentRounds(count);
   if (count == 0) return;
   endDeclaration();
-  plane_.clearInboxes();
-  stats_.rounds += count;
-  // Known-silent rounds are barrier-only: both sides of the fixed
-  // schedule know nobody transmits, so the synchronizer charges the
-  // nominal per-round cost without simulating marker traffic.
+  // Silent rounds are charged as barrier-only: the nominal per-round cost,
+  // no marker traffic. That is faithful only where every receiver can
+  // compute the silence itself, as for phase 2's unpushed tuples (each
+  // receiver knows which neighbours raised). It is not for a phase-1 step
+  // that is silent because its group is satisfied, nor for the Luby rounds
+  // left after an MIS completes early: there only the owners know their
+  // instances' LHS, and a real synchronizer would pay their markers.
   phys_.advanceTime(static_cast<double>(count) * silentRoundCost_);
   stats_.virtualTime = phys_.now();
-  if (roundsCtr_ != nullptr) {
-    roundsCtr_->add(count);
-    virtualTimeGauge_->set(stats_.virtualTime);
-  }
+  if (virtualTimeGauge_ != nullptr) virtualTimeGauge_->set(stats_.virtualTime);
 }
 
 void AlphaSynchronizer::attachTelemetry(Tracer* tracer,
                                         MetricsRegistry* metrics) {
-  tracer_ = tracer;
-  trace_ = tracer != nullptr && tracer->enabled();
+  PlaneTransport::attachTelemetry(tracer, metrics);
   // A null registry detaches every instrument.
-  const auto counter = [&](std::string_view name) {
-    return metrics != nullptr ? &metrics->counter(name) : nullptr;
-  };
   const auto gauge = [&](std::string_view name) {
     return metrics != nullptr ? &metrics->gauge(name) : nullptr;
   };
-  roundsCtr_ = counter("net.rounds");
-  busyRoundsCtr_ = counter("net.busy_rounds");
-  messagesCtr_ = counter("net.messages");
   virtualTimeGauge_ = gauge("net.virtual_time");
   transmissionsGauge_ = gauge("net.transmissions");
   markerTransmissionsGauge_ = gauge("net.marker_transmissions");
@@ -353,7 +284,6 @@ RebalanceOutcome AlphaSynchronizer::rebalanceShards(
 
   touchedScratch_.clear();
   for (const ShardPlacement::Migration& move : plan.moves) {
-    const auto d = static_cast<std::size_t>(move.demand);
     if (ledgerOn_) {
       LedgerEvent ev;
       ev.demand = move.demand;
@@ -363,8 +293,8 @@ RebalanceOutcome AlphaSynchronizer::rebalanceShards(
       ledger_->record(ev);
     }
     placement_.migrateDemand(move.demand, move.to);
-    touchedScratch_.insert(touchedScratch_.end(), adjacency_[d].begin(),
-                           adjacency_[d].end());
+    const std::span<const std::int32_t> moved = adjacencyOf(move.demand);
+    touchedScratch_.insert(touchedScratch_.end(), moved.begin(), moved.end());
     touchedScratch_.push_back(move.demand);
   }
   for (const auto& [net, to] : plan.anchorMoves) {
@@ -386,17 +316,6 @@ RebalanceOutcome AlphaSynchronizer::rebalanceShards(
                    {"networks_moved", outcome.networksMoved}});
   }
   return outcome;
-}
-
-std::span<const Message> AlphaSynchronizer::inbox(std::int32_t p) const {
-  checkIndex(p, numProcessors(), "AlphaSynchronizer::inbox");
-  return plane_.inbox(p);
-}
-
-void AlphaSynchronizer::appendActiveInboxes(
-    std::vector<std::int32_t>& out) const {
-  const auto active = plane_.activeDests();
-  out.insert(out.end(), active.begin(), active.end());
 }
 
 }  // namespace treesched

@@ -27,14 +27,13 @@
 #include <cstdint>
 #include <vector>
 
-#include "engine/message_plane.hpp"
 #include "net/async_network.hpp"
+#include "net/plane_transport.hpp"
 #include "net/shard.hpp"
 #include "net/transport.hpp"
 
 namespace treesched {
 
-class Counter;
 class Gauge;
 class Histogram;
 
@@ -51,12 +50,13 @@ struct AsyncConfig {
 
 /// The synchronizer's topology is live (MutableTopology): demands can
 /// connect and disconnect between rounds, exactly like on the
-/// round-synchronous bus. The per-demand remote processor sets — what
-/// both payload and safe markers ride on — are rebuilt only for the
-/// demands a mutation touches, never the whole graph. On a live
-/// ShardPlacement arrivals are placed locality-aware and departures
-/// tombstoned (net/shard.hpp).
-class AlphaSynchronizer : public Transport, public MutableTopology {
+/// round-synchronous bus — the live graph, the inboxes and the round
+/// accounting are the plane-transport core's (net/plane_transport.hpp).
+/// The per-demand remote processor sets — what both payload and safe
+/// markers ride on — are rebuilt only for the demands a mutation touches,
+/// never the whole graph. On a live ShardPlacement arrivals are placed
+/// locality-aware and departures tombstoned (net/shard.hpp).
+class AlphaSynchronizer : public PlaneTransport {
  public:
   /// `demandAdjacency` is the protocol's communication graph (validated);
   /// `placement` maps its vertices onto physical processors. Demands may
@@ -65,27 +65,18 @@ class AlphaSynchronizer : public Transport, public MutableTopology {
   AlphaSynchronizer(std::vector<std::vector<std::int32_t>> demandAdjacency,
                     ShardPlacement placement, const AsyncConfig& config);
 
-  std::int32_t numProcessors() const override {
-    return static_cast<std::int32_t>(adjacency_.size());
-  }
-  std::span<const std::int32_t> neighbors(std::int32_t p) const override;
   /// Throws CheckError on a broadcast from a demand the round's
   /// declaration leaves out.
   void broadcast(const Message& message) override;
   void declareSenders(std::span<const std::int32_t> senders) override;
   void endRound() override;
   void endSilentRounds(std::int64_t count) override;
-  std::span<const Message> inbox(std::int32_t p) const override;
-  void appendActiveInboxes(std::vector<std::int32_t>& out) const override;
-  void attachRunner(ParallelRunner* runner) override {
-    plane_.attachRunner(runner);
-  }
 
-  /// Publishes net.{rounds,busy_rounds,messages} counters plus the
-  /// async-wire gauges net.{virtual_time,transmissions,marker_transmissions,
-  /// payload_transmissions,retransmissions,drops,duplicates} (mirrors of
-  /// the cumulative NetworkStats fields, refreshed each round) and emits
-  /// a "deliver" instant per busy round.
+  /// Adds the async-wire gauges net.{virtual_time,transmissions,
+  /// marker_transmissions,payload_transmissions,retransmissions,drops,
+  /// duplicates} (mirrors of the cumulative NetworkStats fields,
+  /// refreshed each round) to the core's net.{rounds,busy_rounds,
+  /// messages} counters and "deliver" instants.
   void attachTelemetry(Tracer* tracer, MetricsRegistry* metrics) override;
 
   /// Records the placement (connectDemand on a live placement) and
@@ -99,28 +90,19 @@ class AlphaSynchronizer : public Transport, public MutableTopology {
   /// registry or on a non-live placement).
   void recordPlacementLoad() override { publishLoadTelemetry(); }
 
-  const NetworkStats& stats() const override { return stats_; }
-
   const ShardPlacement& placement() const { return placement_; }
 
   // ---- MutableTopology -------------------------------------------------
 
-  /// Attaches demand `d` (currently isolated) with the given sorted,
-  /// duplicate-free neighbour list. On a live placement, `d` (and any
-  /// still-unplaced neighbour) is placed locality-aware first.
+  /// The core's connect (which checks the whole list first); then, on a
+  /// live placement, `d` and any still-unplaced neighbour are placed
+  /// locality-aware, in list order.
   void connectDemand(std::int32_t d,
                      std::span<const std::int32_t> neighbors) override;
 
-  /// Detaches demand `d`: every edge is removed (both sides), and on a
-  /// live placement the demand is tombstoned out of its shard.
+  /// The core's disconnect; on a live placement the demand is then
+  /// tombstoned out of its shard.
   void disconnectDemand(std::int32_t d) override;
-
-  std::int32_t numDemands() const override { return numProcessors(); }
-
-  std::span<const std::int32_t> currentNeighbors(
-      std::int32_t demand) const override {
-    return neighbors(demand);
-  }
 
   /// Epoch-boundary hot-shard rebalancing (live placements with > 1
   /// processor; everything else reports current variance and moves
@@ -156,7 +138,6 @@ class AlphaSynchronizer : public Transport, public MutableTopology {
   void sendMarkers();
   void endDeclaration();
 
-  std::vector<std::vector<std::int32_t>> adjacency_;  ///< demand-level
   ShardPlacement placement_;
   /// Remote processors hosting at least one neighbour of demand d —
   /// each broadcast and each of d's markers goes to the wire once per
@@ -171,18 +152,8 @@ class AlphaSynchronizer : public Transport, public MutableTopology {
   AsyncNetwork phys_;
   double silentRoundCost_ = 0;
   std::int64_t pendingPayload_ = 0;  ///< wire packets since last boundary
-  /// Demand-level inboxes: same-processor deliveries are staged during
-  /// the round, wire deliveries at the boundary; one deliver() builds
-  /// every inbox as a flat-buffer segment with zero hot-loop allocation.
-  MessagePlane plane_;
-  NetworkStats stats_;
 
-  // Telemetry plane (null when detached).
-  Tracer* tracer_ = nullptr;
-  bool trace_ = false;  ///< tracer present and enabled
-  Counter* roundsCtr_ = nullptr;
-  Counter* busyRoundsCtr_ = nullptr;
-  Counter* messagesCtr_ = nullptr;
+  // Async-wire telemetry (null when detached).
   Gauge* virtualTimeGauge_ = nullptr;
   Gauge* transmissionsGauge_ = nullptr;
   Gauge* markerTransmissionsGauge_ = nullptr;
@@ -204,7 +175,8 @@ class AlphaSynchronizer : public Transport, public MutableTopology {
   /// refreshed at every recordPlacementLoad call — the online solver's
   /// epoch cadence, rebalancing or not).
   void publishLoadTelemetry();
-  std::vector<std::int32_t> touchedScratch_;  ///< rebalance rebuild set
+  /// Rebuild set of a rebalance, and a departing demand's neighbours.
+  std::vector<std::int32_t> touchedScratch_;
 };
 
 }  // namespace treesched

@@ -4,7 +4,8 @@
 // round-synchronous programming model: broadcast to neighbours, end the
 // round, read the inbox. A Transport supplies that model; how the bits
 // actually move is the implementation's business. Two implementations
-// exist today:
+// exist today, both on one core (net/plane_transport.hpp) that owns the
+// live graph, the inboxes and the round accounting:
 //
 //  * SimNetwork (dist/sim_network.hpp) — the original reliable
 //    round-synchronous bus: a round is an atomic delivery step.
@@ -184,9 +185,10 @@ struct RebalanceOutcome {
 /// engine (src/online/) requires of its transport. Demands arrive and
 /// depart on a *running* transport: buffers, placement and cumulative
 /// stats persist, so consecutive epoch re-solves share one warmed-up
-/// wire. Implemented by SimNetwork (the reference) and AlphaSynchronizer
-/// (async/lossy wire, optionally sharded); a transport that cannot
-/// mutate simply does not derive from this.
+/// wire. Implemented once, by PlaneTransport (net/plane_transport.hpp),
+/// for SimNetwork (the reference) and AlphaSynchronizer (async/lossy
+/// wire, optionally sharded); a transport that cannot mutate simply does
+/// not derive from this.
 ///
 /// Contract (all calls require a round boundary — no staged traffic):
 ///  * connectDemand attaches an isolated demand with a sorted,

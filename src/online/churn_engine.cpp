@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "decomp/layering.hpp"
 #include "util/check.hpp"
 
 namespace treesched {
@@ -106,18 +105,6 @@ ChurnRunResult runChurnOverTransport(DynamicUniverse& universe,
                           : 0.0;
   result.network = solver.transport().stats();
   return result;
-}
-
-ChurnRunResult runChurnTree(const TreeProblem& pool, const ChurnTrace& trace,
-                            const ChurnEngineConfig& config) {
-  DynamicUniverse universe = makeDynamicTreeUniverse(pool);
-  return runChurnOverTrace(universe, trace, config);
-}
-
-ChurnRunResult runChurnLine(const LineProblem& pool, const ChurnTrace& trace,
-                            const ChurnEngineConfig& config) {
-  DynamicUniverse universe = makeDynamicLineUniverse(pool);
-  return runChurnOverTrace(universe, trace, config);
 }
 
 }  // namespace treesched

@@ -22,8 +22,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/line_problem.hpp"
-#include "core/tree_problem.hpp"
 #include "net/live_transport.hpp"
 #include "online/arrivals.hpp"
 #include "online/incremental.hpp"
@@ -92,12 +90,6 @@ ChurnRunResult runChurnOverTransport(DynamicUniverse& universe,
                                      const ChurnTrace& trace,
                                      const ChurnEngineConfig& config,
                                      Transport& transport);
-
-/// Convenience entry points building the dynamic universe first.
-ChurnRunResult runChurnTree(const TreeProblem& pool, const ChurnTrace& trace,
-                            const ChurnEngineConfig& config);
-ChurnRunResult runChurnLine(const LineProblem& pool, const ChurnTrace& trace,
-                            const ChurnEngineConfig& config);
 
 /// Splits the trace into epoch batches of `epochLength` without running
 /// anything (exposed for tests and the demo): batch k holds the netted

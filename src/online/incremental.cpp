@@ -490,16 +490,12 @@ EpochOutcome IncrementalSolver::applyEpoch(
     DistributedOptions options = cfg_;
     options.seed = outcome.protocolSeed;
 
-    WarmStart warm;
-    warm.activeInstances = restricted_;
-    if (!outcome.fullResolve) {
-      warm.priorLhs = lhs_;
-    }
-
+    const std::span<const double> priorLhs =
+        outcome.fullResolve ? std::span<const double>() : lhs_;
     const std::int64_t roundsBefore = bus_.stats().rounds;
     const std::int64_t messagesBefore = bus_.stats().messages;
-    const Phase1Result run =
-        runDistributedPhase1(u_, bus_, options, warm, contexts_);
+    const Phase1Result run = runDistributedPhase1(
+        u_, bus_, options, restricted_, priorLhs, contexts_);
     checkThat(run.localViewsConsistent,
               "epoch phase-1 local dual views match the ground truth",
               __FILE__, __LINE__);

@@ -293,7 +293,7 @@ class IncrementalSolver {
 
   // Persistent primal-dual state: duals/LHS of the surviving raises, the
   // surviving raise log, and the phase-1 stack across epochs. lhs_ is
-  // pool-dense (the WarmStart::priorLhs contract); entries of non-live
+  // pool-dense (runDistributedPhase1's priorLhs contract); entries of non-live
   // instances are zeroed at retirement and reconstructed from the duals
   // at (re-)arrival.
   DualState dual_;

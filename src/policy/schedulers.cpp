@@ -2,7 +2,7 @@
 //
 // The two-phase family runs the paper's LP-dual protocol — distributed
 // over a Transport (a private round-synchronous bus when the context
-// carries none) via runDistributedWarmStart, so the reference entry is
+// carries none) via runDistributedOverTransport, so the reference entry is
 // bit-identical to runTwoPhase under the registry's fixed-schedule
 // contract and pays real wire cost. Variant entries expose the policy
 // axes: the exhaustive-Luby MIS variant, the Panconesi–Sozio threshold
@@ -117,23 +117,20 @@ class TwoPhaseScheduler : public SchedulerBase {
                         ScheduleOutcome& outcome) const {
     DistributedOptions options = config_.distributedOptions();
 
-    WarmStart warm;
-    warm.activeInstances.assign(active.begin(), active.end());
-
     DistributedResult result;
     if (context.transport != nullptr) {
       // External (possibly long-lived) wire: report the traffic delta of
       // this solve, not the transport's cumulative accounting.
       const NetworkStats before = context.transport->stats();
-      result = runDistributedWarmStart(context.universe, context.layering,
-                                       *context.transport, options, warm);
+      result = runDistributedOverTransport(context.universe, context.layering,
+                                           *context.transport, options, active);
       outcome.rounds = result.network.rounds - before.rounds;
       outcome.messages = result.network.messages - before.messages;
     } else {
       SimNetwork bus(communicationGraph(
           context.access, context.universe.numNetworks()));
-      result = runDistributedWarmStart(context.universe, context.layering,
-                                       bus, options, warm);
+      result = runDistributedOverTransport(context.universe, context.layering,
+                                           bus, options, active);
       outcome.rounds = result.network.rounds;
       outcome.messages = result.network.messages;
     }

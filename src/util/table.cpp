@@ -107,8 +107,4 @@ std::string formatDouble(double v, int precision) {
   return os.str();
 }
 
-void printHeading(std::ostream& os, const std::string& title) {
-  os << "\n== " << title << " ==\n\n";
-}
-
 }  // namespace treesched

@@ -50,8 +50,6 @@ class Table {
   /// Starts a row; it is committed when the returned builder is destroyed.
   RowBuilder row() { return RowBuilder(*this); }
 
-  std::size_t rowCount() const { return rows_.size(); }
-
   /// Writes the table as aligned markdown (| a | b |) to `os`.
   void print(std::ostream& os) const;
 
@@ -65,8 +63,5 @@ class Table {
 
 /// Formats a double with fixed precision — shared helper for benches.
 std::string formatDouble(double v, int precision = 3);
-
-/// Prints a section heading ("== title ==") used between benchmark tables.
-void printHeading(std::ostream& os, const std::string& title);
 
 }  // namespace treesched

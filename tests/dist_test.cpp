@@ -470,9 +470,9 @@ TEST(DistProtocol, AuditCatchesAHiddenRaise) {
     dynamic.addDemand(d);
     contexts[static_cast<std::size_t>(d)].init(dynamic, d);
   }
-  WarmStart warm;
+  std::vector<InstanceId> active;
   for (InstanceId i = 0; i < dynamic.numInstances(); ++i) {
-    warm.activeInstances.push_back(i);
+    active.push_back(i);
   }
   DistributedOptions dopt;
   dopt.seed = 7;
@@ -481,7 +481,7 @@ TEST(DistProtocol, AuditCatchesAHiddenRaise) {
 
   SimNetwork cleanBus(prepared.adjacency);
   const Phase1Result clean =
-      runDistributedPhase1(dynamic, cleanBus, dopt, warm, contexts);
+      runDistributedPhase1(dynamic, cleanBus, dopt, active, {}, contexts);
   ASSERT_TRUE(clean.localViewsConsistent);
   const auto [receiver, instance] = informativeRaise(dynamic, clean.raiseLog);
   ASSERT_GE(receiver, 0) << "no raise reaches a demand tracking its edges";
@@ -501,7 +501,7 @@ TEST(DistProtocol, AuditCatchesAHiddenRaise) {
   SimNetwork bus(prepared.adjacency);
   RaiseHidingTransport lossy(bus, receiver, instance);
   const Phase1Result epoch =
-      runDistributedPhase1(dynamic, lossy, dopt, warm, contexts);
+      runDistributedPhase1(dynamic, lossy, dopt, active, {}, contexts);
   EXPECT_TRUE(lossy.hid());
   EXPECT_FALSE(epoch.localViewsConsistent);
   for (DemandId d = 0; d < dynamic.numDemands(); ++d) {

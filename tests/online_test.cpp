@@ -255,11 +255,9 @@ TEST(WarmStartProtocol, RestrictedRunMatchesRestrictedCentralized) {
   dopt.seed = 29;
   dopt.misRoundBudget = 5;
   dopt.stepsPerStage = 3;
-  WarmStart warm;
-  warm.activeInstances = restriction;
   SimNetwork bus(prepared.adjacency);
-  const DistributedResult dist = runDistributedWarmStart(
-      prepared.universe, prepared.layering, bus, dopt, warm);
+  const DistributedResult dist = runDistributedOverTransport(
+      prepared.universe, prepared.layering, bus, dopt, restriction);
 
   FrameworkConfig copt;
   copt.seed = dopt.seed;
@@ -291,7 +289,7 @@ TEST(WarmStartProtocol, RestrictedRunMatchesRestrictedCentralized) {
   }
   SimNetwork bus3(prepared.adjacency);
   const Phase1Result phase1 =
-      runDistributedPhase1(dynamic, bus3, dopt, warm, contexts);
+      runDistributedPhase1(dynamic, bus3, dopt, restriction, {}, contexts);
   EXPECT_TRUE(phase1.localViewsConsistent);
   EXPECT_EQ(static_cast<std::int64_t>(phase1.raiseLog.size()), dist.raises);
   std::vector<std::vector<InstanceId>> stack;
@@ -307,10 +305,10 @@ TEST(WarmStartProtocol, RestrictedRunMatchesRestrictedCentralized) {
   }
   EXPECT_EQ(stack, central.stack);
 
-  // An empty warm start is the classic full run.
+  // An empty restriction is the classic full run.
   SimNetwork bus2(prepared.adjacency);
-  const DistributedResult full = runDistributedWarmStart(
-      prepared.universe, prepared.layering, bus2, dopt, WarmStart{});
+  const DistributedResult full = runDistributedOverTransport(
+      prepared.universe, prepared.layering, bus2, dopt, {});
   const DistributedResult classic = runDistributedUnitTree(problem, dopt);
   EXPECT_EQ(full.solution.instances, classic.solution.instances);
   EXPECT_EQ(full.profit, classic.profit);

@@ -294,6 +294,50 @@ TEST(MutableTopologyEdgeCases, AllLiveTransports) {
   }
 }
 
+TEST(MutableTopologyEdgeCases,
+     RejectedConnectLeavesGraphAndPlacementUnchanged) {
+  for (const LiveTransportKind kind :
+       {LiveTransportKind::SyncBus, LiveTransportKind::Async,
+        LiveTransportKind::Sharded}) {
+    SCOPED_TRACE(liveTransportKindName(kind));
+    LiveTransportConfig config;
+    config.kind = kind;
+    config.async = lossyWire(99);
+    config.async.shardProcessors = 4;
+    const auto transport = makeLiveTransport(5, edgeCaseAccess(), config);
+    MutableTopology& topo = requireMutableTopology(*transport);
+    const auto* synchronizer =
+        dynamic_cast<const AlphaSynchronizer*>(transport.get());
+    topo.connectDemand(0, std::vector<std::int32_t>{1});
+
+    // Every neighbour list, plus the demand -> processor map on the wires
+    // (demands 2, 3 and 4 are still unplaced on the sharded one).
+    const auto snapshot = [&] {
+      std::vector<std::vector<std::int32_t>> state;
+      for (std::int32_t d = 0; d < topo.numDemands(); ++d) {
+        const auto row = topo.currentNeighbors(d);
+        state.emplace_back(row.begin(), row.end());
+      }
+      if (synchronizer != nullptr) {
+        state.push_back(synchronizer->placement().processorOfDemand);
+      }
+      return state;
+    };
+    const auto before = snapshot();
+
+    EXPECT_THROW(topo.connectDemand(4, std::vector<std::int32_t>{3, 2}),
+                 CheckError);  // unsorted
+    EXPECT_THROW(topo.connectDemand(3, std::vector<std::int32_t>{2, 9}),
+                 CheckError);  // out of range
+    EXPECT_THROW(topo.connectDemand(3, std::vector<std::int32_t>{2, 3}),
+                 CheckError);  // self loop
+    EXPECT_THROW(topo.connectDemand(1, std::vector<std::int32_t>{2, 3}),
+                 CheckError);  // target already connected
+    EXPECT_EQ(snapshot(), before);
+    validateLiveTopology(topo);
+  }
+}
+
 TEST(MutableTopologyEdgeCases, ShardedMutationOnZeroDemandShards) {
   // All demands share one home network, so the live locality placement
   // anchors every arrival to ONE processor: the other three shards stay
