@@ -4,33 +4,9 @@
 #include <sstream>
 #include <vector>
 
-#include "util/check.hpp"
+#include "core/tolerances.hpp"
 
 namespace treesched {
-
-double assignmentProfit(const TreeProblem& problem,
-                        const std::vector<TreeAssignment>& assignments) {
-  double total = 0;
-  for (const TreeAssignment& a : assignments) {
-    total += problem.demands[static_cast<std::size_t>(a.demand)].profit;
-  }
-  return total;
-}
-
-double assignmentProfit(const LineProblem& problem,
-                        const std::vector<LineAssignment>& assignments) {
-  double total = 0;
-  for (const LineAssignment& a : assignments) {
-    total += problem.demands[static_cast<std::size_t>(a.demand)].profit;
-  }
-  return total;
-}
-
-namespace {
-
-constexpr double kCapacityTolerance = 1e-9;
-
-}  // namespace
 
 std::string checkAssignments(const TreeProblem& problem,
                              const std::vector<TreeAssignment>& assignments) {

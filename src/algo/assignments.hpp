@@ -26,11 +26,17 @@ struct LineAssignment {
   std::int32_t start = 0;  ///< first slot of the execution segment
 };
 
-/// Total profit of the assigned demands.
-double assignmentProfit(const TreeProblem& problem,
-                        const std::vector<TreeAssignment>& assignments);
-double assignmentProfit(const LineProblem& problem,
-                        const std::vector<LineAssignment>& assignments);
+/// Total profit of the assigned demands (TreeAssignment on a TreeProblem,
+/// LineAssignment on a LineProblem).
+template <typename Problem, typename A>
+double assignmentProfit(const Problem& problem,
+                        const std::vector<A>& assignments) {
+  double total = 0;
+  for (const A& a : assignments) {
+    total += problem.demands[static_cast<std::size_t>(a.demand)].profit;
+  }
+  return total;
+}
 
 /// Checks feasibility at the problem level (accessibility, one assignment
 /// per demand, edge/slot capacity). Empty string when feasible.

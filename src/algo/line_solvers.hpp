@@ -9,39 +9,23 @@
 //    single-stage threshold schedule with lambda = 1/(5+eps), giving
 //    (20+eps) for unit heights. The paper's headline improvement is the
 //    measured gap between these pairs (experiment E6/E7).
+//
+// One pipeline serves trees and lines (algo/solvers.hpp); lines bring the
+// line universe, the §7 length layering and the theorem's Delta = 3.
 #pragma once
 
-#include <optional>
-#include <vector>
-
 #include "algo/assignments.hpp"
-#include "algo/tree_solvers.hpp"
+#include "algo/solvers.hpp"
 #include "core/line_problem.hpp"
 
 namespace treesched {
 
-struct LineSolveResult {
-  std::vector<LineAssignment> assignments;
-  double profit = 0;
-  double dualUpperBound = 0;
-  double certifiedBound = 0;
-  TwoPhaseStats stats;
-};
+using LineSolveResult = SolveResult<LineAssignment>;
+using ArbitraryLineResult = ArbitraryResult<LineAssignment>;
 
 /// Theorem 7.1. Requires a unit-height problem.
 LineSolveResult solveUnitLine(const LineProblem& problem,
                               const SolverOptions& options = {});
-
-struct ArbitraryLineResult {
-  std::vector<LineAssignment> assignments;
-  double profit = 0;
-  double dualUpperBound = 0;
-  double certifiedBound = 0;
-  std::optional<TwoPhaseStats> wideStats;
-  std::optional<TwoPhaseStats> narrowStats;
-  double wideProfit = 0;
-  double narrowProfit = 0;
-};
 
 /// Theorem 7.2. Accepts any heights in (0, 1].
 ArbitraryLineResult solveArbitraryLine(const LineProblem& problem,
@@ -58,11 +42,5 @@ LineSolveResult solvePanconesiSozioUnitLine(const LineProblem& problem,
 /// comparison isolates the paper's staged-slackness contribution.
 ArbitraryLineResult solvePanconesiSozioArbitraryLine(
     const LineProblem& problem, SolverOptions options = {});
-
-/// Shared internals (exposed for ablations): run the framework over the
-/// line universe of `problem` restricted to nothing (rule selects the
-/// raise policy).
-LineSolveResult runLineFramework(const LineProblem& problem,
-                                 const SolverOptions& options, RaiseRule rule);
 
 }  // namespace treesched

@@ -1,9 +1,8 @@
-// Stable counting-sort segment bookkeeping shared by the flat delivery
-// buffers (engine/message_plane.hpp, net/async_network.cpp): rows keyed
-// by an integer in [0, numKeys) are scattered into contiguous per-key
-// segments of one flat buffer the caller owns. The index is fully
-// preallocated at construction, so steady-state rounds perform no heap
-// allocation here.
+// Stable counting-sort segment bookkeeping of the MessagePlane's flat
+// delivery buffer (engine/message_plane.hpp): rows keyed by an integer in
+// [0, numKeys) are scattered into contiguous per-key segments of one flat
+// buffer the caller owns. The index is fully preallocated at
+// construction, so steady-state rounds perform no heap allocation here.
 //
 // A round costs O(rows + numKeys/64): count() sets its key's bit in a
 // bitmap (unconditionally: a branch on "first touch" mispredicts on

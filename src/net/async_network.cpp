@@ -27,7 +27,6 @@ AsyncNetwork::AsyncNetwork(std::int32_t numEndpoints,
                            const AsyncLinkConfig& config, std::uint64_t seed)
     : config_(config),
       seed_(seed),
-      index_(std::max<std::int32_t>(1, numEndpoints)),
       endpointLoad_(static_cast<std::size_t>(numEndpoints), 0) {
   checkThat(numEndpoints > 0, "async network needs endpoints", __FILE__,
             __LINE__);
@@ -157,7 +156,7 @@ void AsyncNetwork::deliverPayload(Flight& flight) {
   flight.delivered = true;
   ++endpointLoad_[static_cast<std::size_t>(flight.to)];
   if (!flight.control) {
-    log_.push_back({flight.from, flight.to, flight.payload, flight.control});
+    log_.push_back({flight.from, flight.to, flight.payload});
   }
 }
 
@@ -224,28 +223,7 @@ double AsyncNetwork::flush() {
     }
   }
   flights_.clear();
-  collateDeliveries();
   return now_;
-}
-
-void AsyncNetwork::collateDeliveries() {
-  // Stable counting sort of the delivery log by receiving endpoint:
-  // within an endpoint, arrival order is preserved.
-  index_.reset();
-  if (log_.empty()) {
-    return;
-  }
-  for (const PhysicalDelivery& delivery : log_) {
-    index_.count(delivery.to);
-  }
-  index_.layout();
-  if (static_cast<std::size_t>(index_.total()) > collated_.size()) {
-    collated_.resize(static_cast<std::size_t>(index_.total()));
-  }
-  for (const PhysicalDelivery& delivery : log_) {
-    collated_[static_cast<std::size_t>(index_.place(delivery.to))] = delivery;
-  }
-  index_.finish();
 }
 
 void AsyncNetwork::advanceTime(double delta) {
@@ -253,22 +231,6 @@ void AsyncNetwork::advanceTime(double delta) {
   checkThat(queue_.empty(), "advanceTime with traffic in flight", __FILE__,
             __LINE__);
   now_ += delta;
-}
-
-std::span<const PhysicalDelivery> AsyncNetwork::delivered(
-    std::int32_t endpoint) const {
-  checkIndex(endpoint, numEndpoints(), "AsyncNetwork::delivered");
-  const std::int32_t length = index_.length(endpoint);
-  if (length == 0) {
-    return {};
-  }
-  return {collated_.data() + index_.begin(endpoint),
-          static_cast<std::size_t>(length)};
-}
-
-void AsyncNetwork::drainDeliveries() {
-  log_.clear();
-  index_.reset();
 }
 
 }  // namespace treesched

@@ -21,10 +21,10 @@
 // a pure function of the seed: neither heap ordering nor drain order can
 // perturb sampled delays or drop decisions.
 //
-// Delivered packets accumulate in one flat append-only log; flush()
-// counting-sorts it by receiving endpoint so `delivered(p)` is a
-// zero-copy span — the same allocation-free flat-buffer discipline as
-// the engine's MessagePlane.
+// Delivered application packets accumulate in one flat append-only log,
+// in arrival order; `deliveries()` is a zero-copy span of it. There is no
+// per-endpoint collation: the synchronizer stages each packet straight
+// into the MessagePlane, which builds the per-demand inboxes.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "dist/message.hpp"
-#include "engine/collate.hpp"
 #include "net/latency.hpp"
 
 namespace treesched {
@@ -70,12 +69,11 @@ struct AsyncLinkConfig {
   double retransmitTimeout = 0.0;
 };
 
-/// One packet handed up to the receiving endpoint.
+/// One application packet handed up to the receiving endpoint.
 struct PhysicalDelivery {
   std::int32_t from = 0;  ///< sending endpoint
   std::int32_t to = 0;    ///< receiving endpoint
   Message payload;
-  bool control = false;  ///< synchronizer marker, not protocol payload
 };
 
 class AsyncNetwork {
@@ -94,8 +92,7 @@ class AsyncNetwork {
             bool control = false);
 
   /// Runs the event loop until every in-flight packet is delivered and
-  /// acknowledged; returns the virtual time afterwards. Collates the
-  /// delivery log so delivered() spans are ready.
+  /// acknowledged; returns the virtual time afterwards.
   double flush();
 
   /// Advances the clock without any traffic (known-silent barrier rounds).
@@ -103,12 +100,11 @@ class AsyncNetwork {
 
   double now() const { return now_; }
 
-  /// Application packets delivered to `endpoint` since the last drain,
-  /// in arrival order. Valid after flush(); a zero-copy span into the
-  /// collated delivery log, invalidated by the next send()/flush()/
-  /// drainDeliveries().
-  std::span<const PhysicalDelivery> delivered(std::int32_t endpoint) const;
-  void drainDeliveries();
+  /// Application packets delivered since the last drain, to every
+  /// endpoint, in arrival order. A zero-copy span into the delivery log,
+  /// invalidated by the next flush()/drainDeliveries().
+  std::span<const PhysicalDelivery> deliveries() const { return log_; }
+  void drainDeliveries() { log_.clear(); }
 
   std::int64_t transmissions() const { return transmissions_; }
   /// The control-packet (synchronizer marker) share of transmissions().
@@ -171,7 +167,6 @@ class AsyncNetwork {
   double timeoutFor(const Flight& flight) const;
   std::int32_t overrideIndex(std::int32_t a, std::int32_t b) const;
   void deliverPayload(Flight& flight);
-  void collateDeliveries();
 
   AsyncLinkConfig config_;
   std::vector<LinkLatencyOverride> overrides_;  ///< validated, a < b
@@ -186,11 +181,7 @@ class AsyncNetwork {
   std::vector<Flight> flights_;  ///< cleared once flush() drains the queue
   std::priority_queue<Event, std::vector<Event>, EventAfter> queue_;
 
-  // Flat delivery log + per-endpoint collated segments (arrival order;
-  // segment bookkeeping shared with the MessagePlane via CollationIndex).
-  std::vector<PhysicalDelivery> log_;
-  std::vector<PhysicalDelivery> collated_;
-  CollationIndex index_;
+  std::vector<PhysicalDelivery> log_;  ///< arrival order, since last drain
 
   std::vector<std::int64_t> endpointLoad_;
   std::int64_t transmissions_ = 0;

@@ -205,21 +205,6 @@ void ShardPlacement::removeDemand(DemandId d) {
   }
 }
 
-double ShardPlacement::loadVariance() const {
-  if (numProcessors <= 0) return 0.0;
-  double mean = 0;
-  for (const std::int64_t n : weightedLoadOfProcessor) {
-    mean += static_cast<double>(n);
-  }
-  mean /= static_cast<double>(numProcessors);
-  double variance = 0;
-  for (const std::int64_t n : weightedLoadOfProcessor) {
-    const double delta = static_cast<double>(n) - mean;
-    variance += delta * delta;
-  }
-  return variance / static_cast<double>(numProcessors);
-}
-
 namespace {
 
 /// A movable unit on one processor during planning: a home network's
@@ -244,6 +229,10 @@ double varianceOf(const std::vector<std::int64_t>& loads) {
 }
 
 }  // namespace
+
+double ShardPlacement::loadVariance() const {
+  return varianceOf(weightedLoadOfProcessor);
+}
 
 ShardPlacement::RebalancePlan ShardPlacement::planRebalance(
     double threshold, std::uint64_t seed, std::int32_t maxMoves) const {

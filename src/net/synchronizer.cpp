@@ -168,15 +168,14 @@ void AlphaSynchronizer::endRound() {
   }
   pendingPayload_ = 0;
 
-  // Stage the fan-out of every wire packet to the hosted neighbours of
-  // its sender; the plane then builds all demand-level inboxes (local
-  // deliveries were staged at broadcast time) in canonical order.
-  for (std::int32_t p = 0; p < placement_.numProcessors; ++p) {
-    for (const PhysicalDelivery& delivery : phys_.delivered(p)) {
-      for (const std::int32_t d : adjacencyOf(delivery.payload.from)) {
-        if (processorOf(d) == p) {
-          plane_.stage(d, delivery.payload);
-        }
+  // Stage the fan-out of every wire packet, in arrival order, to the
+  // sender's neighbours hosted on the receiving processor; the plane then
+  // builds all demand-level inboxes (local deliveries were staged at
+  // broadcast time) and sorts them into canonical order.
+  for (const PhysicalDelivery& delivery : phys_.deliveries()) {
+    for (const std::int32_t d : adjacencyOf(delivery.payload.from)) {
+      if (processorOf(d) == delivery.to) {
+        plane_.stage(d, delivery.payload);
       }
     }
   }

@@ -23,6 +23,7 @@
 #include "algo/assignments.hpp"
 #include "algo/line_solvers.hpp"
 #include "algo/sequential_tree.hpp"
+#include "algo/solvers.hpp"
 #include "algo/tree_solvers.hpp"
 
 // Distributed message-passing execution (paper §5).

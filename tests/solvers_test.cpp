@@ -278,6 +278,39 @@ TEST(SolveArbitraryLine, CertifiedBoundIsTwentyThreePlusEps) {
   EXPECT_NEAR(result.certifiedBound, 23.0 / 0.9, 1e-9);
 }
 
+// ---- Arbitrary-height certificate on both shapes (Theorems 6.3 / 7.2) ----
+
+TEST(SolveArbitrary, CertifiedBoundUsesShapeDeltaAndScheduleLambda) {
+  TreeScenarioConfig cfg;
+  cfg.seed = 31;
+  cfg.numVertices = 16;
+  cfg.numNetworks = 2;
+  cfg.demands.numDemands = 14;
+  cfg.demands.heights = HeightMode::Mixed;
+  cfg.demands.hmin = 0.25;
+  const TreeProblem tree = makeTreeScenario(cfg);
+  const LineProblem line = lineCase(31, 32, 14, 2, 0.5, HeightMode::Mixed);
+  for (const SchedulePolicy schedule :
+       {SchedulePolicy::Staged, SchedulePolicy::Threshold}) {
+    SolverOptions options;
+    options.seed = 32;
+    options.schedule = schedule;
+    const double lambda = schedule == SchedulePolicy::Staged
+                              ? 1.0 - options.epsilon
+                              : 1.0 / (5.0 + options.epsilon);
+    const auto bound = [lambda](std::int32_t delta) {
+      return approximationBound(RaiseRule::Unit, delta, lambda) +
+             approximationBound(RaiseRule::Narrow, delta, lambda);
+    };
+    const char* name =
+        schedule == SchedulePolicy::Staged ? "staged" : "threshold";
+    const ArbitraryTreeResult treeRun = solveArbitraryTree(tree, options);
+    EXPECT_DOUBLE_EQ(treeRun.certifiedBound, bound(6)) << "tree, " << name;
+    const ArbitraryLineResult lineRun = solveArbitraryLine(line, options);
+    EXPECT_DOUBLE_EQ(lineRun.certifiedBound, bound(3)) << "line, " << name;
+  }
+}
+
 // ---- Ablation hooks (E10) ----
 
 TEST(Ablation, BalancingDecompositionStillSound) {
