@@ -7,11 +7,13 @@
 // because windows make the execution segment a choice (§7).
 #pragma once
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "core/line_problem.hpp"
 #include "core/tree_problem.hpp"
+#include "util/check.hpp"
 
 namespace treesched {
 
@@ -44,5 +46,17 @@ std::string checkAssignments(const TreeProblem& problem,
                              const std::vector<TreeAssignment>& assignments);
 std::string checkAssignments(const LineProblem& problem,
                              const std::vector<LineAssignment>& assignments);
+
+/// Sorts `assignments` by demand, then throws CheckError naming the first
+/// violation unless they are feasible on `problem`: how the framework
+/// solvers and the sequential solver finish their results.
+template <typename Problem, typename A>
+void finishAssignments(const Problem& problem, std::vector<A>& assignments) {
+  std::sort(assignments.begin(), assignments.end(),
+            [](const A& a, const A& b) { return a.demand < b.demand; });
+  const std::string err = checkAssignments(problem, assignments);
+  checkThat(err.empty(), "solver produced feasible assignments: " + err,
+            __FILE__, __LINE__);
+}
 
 }  // namespace treesched

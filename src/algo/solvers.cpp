@@ -78,13 +78,6 @@ FrameworkConfig frameworkConfig(const Problem& problem,
   return cfg;
 }
 
-template <typename Problem, typename A>
-void checkFeasible(const Problem& problem, const std::vector<A>& assignments) {
-  const std::string err = checkAssignments(problem, assignments);
-  checkThat(err.empty(), "solver produced feasible assignments: " + err,
-            __FILE__, __LINE__);
-}
-
 template <typename A, typename Problem>
 SolveResult<A> runFramework(const Problem& problem,
                             const SolverOptions& options, RaiseRule rule) {
@@ -98,14 +91,12 @@ SolveResult<A> runFramework(const Problem& problem,
   for (const InstanceId i : run.solution.instances) {
     result.assignments.push_back(assignmentOf(problem, universe.instance(i)));
   }
-  std::sort(result.assignments.begin(), result.assignments.end(),
-            [](const A& a, const A& b) { return a.demand < b.demand; });
+  finishAssignments(problem, result.assignments);
   result.profit = run.profit;
   result.dualUpperBound = run.dualUpperBound;
   result.certifiedBound =
       approximationBound(rule, run.stats.delta, run.stats.lambdaTarget);
   result.stats = run.stats;
-  checkFeasible(problem, result.assignments);
   return result;
 }
 
@@ -197,7 +188,9 @@ ArbitraryResult<A> solveArbitrary(const Problem& problem,
                             .lambdaTarget;
   result.certifiedBound = approximationBound(RaiseRule::Unit, delta, lambda) +
                           approximationBound(RaiseRule::Narrow, delta, lambda);
-  checkFeasible(problem, result.assignments);
+  const std::string err = checkAssignments(problem, result.assignments);
+  checkThat(err.empty(), "combined assignments feasible: " + err, __FILE__,
+            __LINE__);
   return result;
 }
 

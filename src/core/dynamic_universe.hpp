@@ -129,8 +129,8 @@ class DynamicUniverse {
 
   Kind kind() const { return kind_; }
   /// Pool id-space size — NOT the live count. Dense per-instance arrays
-  /// (dual lhs, MIS status) and runDistributedPhase1's priorLhs are sized
-  /// by this.
+  /// (the dual LHS runDistributedPhase1 updates, MIS status) are sized by
+  /// this.
   std::int32_t numInstances() const { return numInstances_; }
   std::int32_t numDemands() const { return numDemands_; }
   std::int32_t numNetworks() const { return numNetworks_; }

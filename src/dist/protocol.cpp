@@ -40,7 +40,8 @@ enum class MisStatus : std::uint8_t { Inactive, Undecided, In, Out };
 /// dynamic_universe equivalence gate.
 ///
 /// `active` names the instances the run may raise (ascending; empty =
-/// every instance) and `priorLhs` their warm-start LHS (empty = zeros).
+/// every instance). `lhs` is the caller's pool-dense LHS: the warm start,
+/// and the ground truth every raise is applied to once.
 ///
 /// `persistent` empty: the engine builds one context per processor and
 /// owns them (the one-shot run). Otherwise it runs on the caller's
@@ -64,7 +65,7 @@ class ProtocolEngine {
   ProtocolEngine(const U& universe, const L& layering, Transport& transport,
                  const DistributedOptions& options,
                  std::span<const InstanceId> active,
-                 std::span<const double> priorLhs,
+                 std::span<double> lhs,
                  std::span<ProcessorContext> persistent = {})
       : u_(universe),
         lay_(layering),
@@ -80,7 +81,7 @@ class ProtocolEngine {
         numProc_(universe.numDemands()),
         persistentContexts_(!persistent.empty()),
         groundDual_(universe),
-        groundLhs_(universe, options.rule) {
+        groundLhs_(lhs) {
     // With a tracer or a registry attached, the adapter becomes the
     // engine's observer (forwarding to the caller's). Without either it
     // is bypassed entirely — the telemetry-off path is the seed path.
@@ -105,7 +106,6 @@ class ProtocolEngine {
         members_[static_cast<std::size_t>(
                      lay_.group[static_cast<std::size_t>(i)])]
             .push_back(i);
-        restricted_.push_back(i);
       }
     } else {
       // The restriction must be ascending so the group member lists come
@@ -120,19 +120,12 @@ class ProtocolEngine {
         members_[static_cast<std::size_t>(
                      lay_.group[static_cast<std::size_t>(i)])]
             .push_back(i);
-        restricted_.push_back(i);
       }
     }
 
-    if (priorLhs.empty()) {
-      lhsLocal_.assign(static_cast<std::size_t>(numInst), 0.0);
-    } else {
-      checkThat(priorLhs.size() == static_cast<std::size_t>(numInst),
-                "warm-start priorLhs covers every instance", __FILE__,
-                __LINE__);
-      lhsLocal_.assign(priorLhs.begin(), priorLhs.end());
-      groundLhs_.preload(priorLhs);
-    }
+    checkThat(groundLhs_.size() == static_cast<std::size_t>(numInst),
+              "warm-start LHS covers every instance", __FILE__, __LINE__);
+    lhsLocal_.assign(groundLhs_.begin(), groundLhs_.end());
     misStatus_.assign(static_cast<std::size_t>(numInst), MisStatus::Inactive);
     priority_.assign(static_cast<std::size_t>(numInst), 0);
 
@@ -227,6 +220,10 @@ class ProtocolEngine {
 
  private:
   DemandId owner(InstanceId i) const { return u_.instance(i).demand; }
+
+  double groundLhs(InstanceId i) const {
+    return groundLhs_[static_cast<std::size_t>(i)];
+  }
 
   /// Declares the owners of `instances` the round's possible senders,
   /// leaving them in senders_.
@@ -555,7 +552,7 @@ class ProtocolEngine {
       ++raises_;
       // Ground truth, applied in the centralized engine's order.
       applyRaise(groundDual_, u_, i, critical, amounts);
-      groundLhs_.onRaise(i, critical, amounts);
+      applyRaiseToLhs(u_, opt_.rule, i, critical, amounts, groundLhs_);
     }
     net_.endRound();
 
@@ -612,11 +609,12 @@ class ProtocolEngine {
   void measureSlackness() {
     double lambda = std::numeric_limits<double>::infinity();
     bool any = false;
-    for (const InstanceId i : restricted_) {
-      if (!aliveP2(owner(i))) continue;
-      any = true;
-      lambda = std::min(lambda,
-                        groundLhs_.lhs(i) / u_.instance(i).profit);
+    for (const std::vector<InstanceId>& group : members_) {
+      for (const InstanceId i : group) {
+        if (!aliveP2(owner(i))) continue;
+        any = true;
+        lambda = std::min(lambda, groundLhs(i) / u_.instance(i).profit);
+      }
     }
     lambdaMeasured_ = any ? lambda : 1.0;
   }
@@ -638,7 +636,7 @@ class ProtocolEngine {
         }
       }
       for (const InstanceId k : u_.instancesOfDemand(p)) {
-        if (lhsLocal_[static_cast<std::size_t>(k)] != groundLhs_.lhs(k)) {
+        if (lhsLocal_[static_cast<std::size_t>(k)] != groundLhs(k)) {
           localViewsConsistent_ = false;
         }
       }
@@ -677,7 +675,7 @@ class ProtocolEngine {
       if (!ledgerOn_) return;
       book.reject(u_, i, t, reason);
       book.flush(
-          u_, [&](InstanceId k) { return groundLhs_.lhs(k); },
+          u_, [&](InstanceId k) { return groundLhs(k); },
           lambdaMeasured_, *opt_.ledger);
     };
 
@@ -762,11 +760,8 @@ class ProtocolEngine {
   std::int32_t numProc_ = 0;
   std::int32_t stepsPerStage_ = 0;
   std::int64_t scheduledSteps_ = 0;
+  /// Per group, the instances this run may raise (ascending).
   std::vector<std::vector<InstanceId>> members_;
-  /// The instances this run may raise (ascending) — everything on a full
-  /// run, the warm-start restriction otherwise. Slackness is measured
-  /// over exactly this set.
-  std::vector<InstanceId> restricted_;
 
   // Per-processor contexts (the caller's persistent ones, or built and
   // owned here) plus the owner-indexed lhs views (entry i is written only
@@ -782,7 +777,7 @@ class ProtocolEngine {
 
   // Ground truth for the audit and the reported dual objective.
   DualState groundDual_;
-  BasicLhsTracker<U> groundLhs_;
+  std::span<double> groundLhs_;
 
   // Faults (uint8, not vector<bool>: read concurrently from shards).
   std::vector<std::uint8_t> crashed_;
@@ -826,8 +821,10 @@ DistributedResult runDistributedOverTransport(
     const InstanceUniverse& universe, const Layering& layering,
     Transport& transport, const DistributedOptions& options,
     std::span<const InstanceId> active) {
+  std::vector<double> lhs(static_cast<std::size_t>(universe.numInstances()),
+                          0.0);
   ProtocolEngine<InstanceUniverse, Layering> engine(
-      universe, layering, transport, options, active, {});
+      universe, layering, transport, options, active, lhs);
   return engine.run();
 }
 
@@ -835,7 +832,7 @@ Phase1Result runDistributedPhase1(const DynamicUniverse& universe,
                                   Transport& transport,
                                   const DistributedOptions& options,
                                   std::span<const InstanceId> active,
-                                  std::span<const double> priorLhs,
+                                  std::span<double> lhs,
                                   std::span<ProcessorContext> contexts) {
   checkThat(!active.empty(), "dynamic warm start names its live active set",
             __FILE__, __LINE__);
@@ -844,7 +841,7 @@ Phase1Result runDistributedPhase1(const DynamicUniverse& universe,
             "one persistent context per pool demand", __FILE__, __LINE__);
   const DynamicLayeringView layering = universe.layeringView();
   ProtocolEngine<DynamicUniverse, DynamicLayeringView> engine(
-      universe, layering, transport, options, active, priorLhs, contexts);
+      universe, layering, transport, options, active, lhs, contexts);
   return engine.runPhase1Only();
 }
 

@@ -202,13 +202,13 @@ class DynamicUniverse;
 /// pool-sized Layering is materialized. `active` (the instances the run
 /// may raise, ascending) must be non-empty and name live instances only
 /// — a dynamic universe has no "every pool instance" enumeration to fall
-/// back to. `priorLhs` warm-starts every dual-constraint LHS from the
-/// surviving duals of the previous solution, so an instance already
-/// lambda-satisfied by old raises is never touched again; it is indexed
-/// by InstanceId over the whole pool, empty means all zeros (cold
-/// start), and the storage must outlive the run. The raise log equals
-/// the phase-1 stack of runTwoPhaseRestricted on the live restriction
-/// (tests/online_test.cpp).
+/// back to. `lhs` is the caller's dual-constraint LHS over the whole pool
+/// (by InstanceId; all zeros is a cold start): the run reads it as the
+/// warm start, so an instance already lambda-satisfied by earlier raises
+/// is never touched again, and applies each raise to it once, in log
+/// order, through applyRaiseToLhs (framework/lhs_tracker.hpp). The raise
+/// log equals the phase-1 stack of runTwoPhaseRestricted on the live
+/// restriction (tests/online_test.cpp).
 ///
 /// `contexts` are the processors' persistent contexts, one per pool
 /// demand: init-ed for every live demand, empty otherwise, all with a
@@ -219,7 +219,7 @@ Phase1Result runDistributedPhase1(const DynamicUniverse& universe,
                                   Transport& transport,
                                   const DistributedOptions& options,
                                   std::span<const InstanceId> active,
-                                  std::span<const double> priorLhs,
+                                  std::span<double> lhs,
                                   std::span<ProcessorContext> contexts);
 
 /// Everything a runner needs before choosing a transport: the validated

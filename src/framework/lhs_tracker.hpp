@@ -9,26 +9,25 @@
 // restriction of the pool-wide update to the live id set.
 #pragma once
 
-#include <algorithm>
 #include <span>
 #include <vector>
 
 #include "core/universe.hpp"
 #include "framework/raise_policy.hpp"
-#include "util/check.hpp"
 
 namespace treesched {
 
 // The single definition of the dual-constraint LHS update rule, shared
-// by the LhsTracker below and the online incremental solver (which
-// applies raises with sign -1 when purging departed demands). Keeping
-// one copy is what makes the online "purge exactly" invariant safe
-// against future raise-rule changes.
+// by the LhsTracker below, the protocol engine's ground truth and the
+// online incremental solver (which applies raises with negated amounts
+// when purging departed demands). Keeping one copy is what makes the
+// online "purge exactly" invariant safe against future raise-rule
+// changes.
 
 /// Adds `by` to the LHS of every instance of demand `d` (alpha part).
 template <class U>
 void applyAlphaToLhs(const U& universe, DemandId d, double by,
-                     std::vector<double>& lhs) {
+                     std::span<double> lhs) {
   for (const InstanceId i : universe.instancesOfDemand(d)) {
     lhs[static_cast<std::size_t>(i)] += by;
   }
@@ -38,7 +37,7 @@ void applyAlphaToLhs(const U& universe, DemandId d, double by,
 /// instance on global edge `e` (beta part).
 template <class U>
 void applyBetaToLhs(const U& universe, RaiseRule rule, GlobalEdgeId e,
-                    double by, std::vector<double>& lhs) {
+                    double by, std::span<double> lhs) {
   for (const InstanceId i : universe.instancesOnEdge(e)) {
     const double factor =
         rule == RaiseRule::Narrow ? universe.instance(i).height : 1.0;
@@ -46,24 +45,28 @@ void applyBetaToLhs(const U& universe, RaiseRule rule, GlobalEdgeId e,
   }
 }
 
+/// Applies one raise of instance `i` to `lhs`: alpha first, then each
+/// critical edge in order — the accumulation order every engine shares,
+/// so any two replays of one raise sequence agree bit for bit.
 template <class U>
-class BasicLhsTracker {
+void applyRaiseToLhs(const U& universe, RaiseRule rule, InstanceId i,
+                     std::span<const GlobalEdgeId> critical,
+                     const RaiseAmounts& amounts, std::span<double> lhs) {
+  applyAlphaToLhs(universe, universe.instance(i).demand,
+                  amounts.alphaIncrement, lhs);
+  for (const GlobalEdgeId e : critical) {
+    applyBetaToLhs(universe, rule, e, amounts.betaIncrement, lhs);
+  }
+}
+
+class LhsTracker {
  public:
-  BasicLhsTracker(const U& universe, RaiseRule rule)
+  LhsTracker(const InstanceUniverse& universe, RaiseRule rule)
       : universe_(universe),
         rule_(rule),
         lhs_(static_cast<std::size_t>(universe.numInstances()), 0.0) {}
 
   double lhs(InstanceId i) const { return lhs_[static_cast<std::size_t>(i)]; }
-
-  /// Warm-starts the tracker from prior per-instance values (the online
-  /// incremental re-solver's surviving duals); `values` must cover every
-  /// instance of the universe.
-  void preload(std::span<const double> values) {
-    checkThat(values.size() == lhs_.size(), "preload covers every instance",
-              __FILE__, __LINE__);
-    std::copy(values.begin(), values.end(), lhs_.begin());
-  }
 
   void onAlphaRaise(DemandId d, double by) {
     applyAlphaToLhs(universe_, d, by, lhs_);
@@ -76,18 +79,13 @@ class BasicLhsTracker {
   /// Applies a computed raise of instance `i` (alpha + its critical edges).
   void onRaise(InstanceId i, std::span<const GlobalEdgeId> critical,
                const RaiseAmounts& amounts) {
-    onAlphaRaise(universe_.instance(i).demand, amounts.alphaIncrement);
-    for (const GlobalEdgeId e : critical) {
-      onBetaRaise(e, amounts.betaIncrement);
-    }
+    applyRaiseToLhs(universe_, rule_, i, critical, amounts, lhs_);
   }
 
  private:
-  const U& universe_;
+  const InstanceUniverse& universe_;
   RaiseRule rule_;
   std::vector<double> lhs_;
 };
-
-using LhsTracker = BasicLhsTracker<InstanceUniverse>;
 
 }  // namespace treesched

@@ -131,10 +131,7 @@ TwoPhaseResult runTwoPhaseRestricted(const InstanceUniverse& universe,
           const RaiseAmounts amounts =
               computeRaise(config.rule, universe, i, critical, slack);
           applyRaise(dual, universe, i, critical, amounts);
-          lhs.onAlphaRaise(rec.demand, amounts.alphaIncrement);
-          for (const GlobalEdgeId e : critical) {
-            lhs.onBetaRaise(e, amounts.betaIncrement);
-          }
+          lhs.onRaise(i, critical, amounts);
           ++result.stats.raises;
         }
         if (!mis.independent.empty()) {

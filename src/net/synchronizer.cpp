@@ -19,6 +19,12 @@ constexpr std::array<double, 16> kHostedBuckets = {
     1,  2,   4,   8,    16,   32,   64,    128,
     256, 512, 1024, 2048, 4096, 8192, 16384, 32768};
 
+/// The rebalancer sheds a processor's live load above this multiple of
+/// the mean, in at most this many iterations (each moves one network or
+/// one overflow slice of demands) per call.
+constexpr double kRebalanceThreshold = 1.25;
+constexpr std::int32_t kRebalanceMaxMoves = 64;
+
 }  // namespace
 
 AlphaSynchronizer::AlphaSynchronizer(
@@ -275,7 +281,7 @@ RebalanceOutcome AlphaSynchronizer::rebalanceShards(
   }
   const std::int64_t begin = trace_ ? tracer_->now() : 0;
   const ShardPlacement::RebalancePlan plan = placement_.planRebalance(
-      config.threshold, config.seed, config.maxMoves);
+      kRebalanceThreshold, config.seed, kRebalanceMaxMoves);
   outcome.networksMoved = plan.networksMoved;
   outcome.demandsMoved = static_cast<std::int32_t>(plan.moves.size());
   outcome.loadVarianceBefore = plan.varianceBefore;

@@ -158,18 +158,13 @@ void validateCommunicationAdjacency(
 /// placements only). Rebalancing moves hosted demands between physical
 /// processors — pure wire accounting, never the schedule — so it is safe
 /// to run between any two epochs; `tests/rebalance_test.cpp` gates that
-/// claim bit-identically.
+/// claim bit-identically. Its load threshold and move cap are constants
+/// of AlphaSynchronizer::rebalanceShards.
 struct ShardRebalanceConfig {
   bool enabled = false;
-  /// A processor triggers migration when its live hosted load exceeds
-  /// `threshold * mean` (mean = live demands / processors).
-  double threshold = 1.25;
   /// Keys the deterministic tie-breaks (candidate network and target
   /// processor choice); never a stateful RNG.
   std::uint64_t seed = 1;
-  /// Cap on migration iterations per rebalance call (each iteration
-  /// moves one network or one overflow slice of demands).
-  std::int32_t maxMoves = 64;
 };
 
 /// What one rebalance call did. Variances are per-processor live-load

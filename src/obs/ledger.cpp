@@ -43,9 +43,7 @@ const char* rejectReasonName(RejectReason reason) {
   return "unknown";
 }
 
-ProvenanceLedger::ProvenanceLedger(MetricsRegistry* metrics,
-                                   LedgerMonitorConfig monitors)
-    : monitors_(monitors) {
+ProvenanceLedger::ProvenanceLedger(MetricsRegistry* metrics) {
   if (metrics != nullptr) {
     alertSla_ = &metrics->counter("obs.alert.sla_breach");
     alertNeverAdmitted_ =
@@ -65,7 +63,7 @@ void ProvenanceLedger::record(const LedgerEvent& event) {
   // here rather than in any one layer.
   switch (stamped.kind) {
     case LedgerEventKind::Admitted:
-      if (stamped.latencyEpochs > monitors_.slaEpochs) {
+      if (stamped.latencyEpochs > kSlaEpochs) {
         ++slaBreaches_;
         if (alertSla_ != nullptr) alertSla_->add(1);
       }
@@ -81,7 +79,7 @@ void ProvenanceLedger::record(const LedgerEvent& event) {
       if (migrationsOfDemand_.size() <= d) {
         migrationsOfDemand_.resize(d + 1, 0);
       }
-      if (++migrationsOfDemand_[d] >= monitors_.migrationThrash) {
+      if (++migrationsOfDemand_[d] >= kMigrationThrash) {
         ++thrashAlerts_;
         if (alertThrash_ != nullptr) alertThrash_->add(1);
       }

@@ -203,17 +203,6 @@ class CertificateBook {
   std::vector<LedgerEvent> pending_;       ///< rejections awaiting lambda
 };
 
-/// Thresholds for the ledger's invariant monitors.
-struct LedgerMonitorConfig {
-  /// Admitted events with latencyEpochs > slaEpochs raise
-  /// obs.alert.sla_breach.
-  std::int64_t slaEpochs = 4;
-  /// A demand's migrationThrash-th migration (and every one after)
-  /// raises obs.alert.migration_thrash: the rebalancer is ping-ponging
-  /// the demand instead of settling it.
-  std::int32_t migrationThrash = 3;
-};
-
 /// In-memory ledger. Records every event, stamps (epoch, seq), runs the
 /// invariant monitors (publishing obs.alert.* counters into an optional
 /// MetricsRegistry), and serializes to JSONL in the canonical
@@ -221,8 +210,15 @@ struct LedgerMonitorConfig {
 /// and tools/ledger_validate.py consume.
 class ProvenanceLedger final : public LedgerSink {
  public:
-  explicit ProvenanceLedger(MetricsRegistry* metrics = nullptr,
-                            LedgerMonitorConfig monitors = {});
+  /// Admitted events with latencyEpochs > kSlaEpochs raise
+  /// obs.alert.sla_breach.
+  static constexpr std::int64_t kSlaEpochs = 4;
+  /// A demand's kMigrationThrash-th migration (and every one after)
+  /// raises obs.alert.migration_thrash: the rebalancer is ping-ponging
+  /// the demand instead of settling it.
+  static constexpr std::int32_t kMigrationThrash = 3;
+
+  explicit ProvenanceLedger(MetricsRegistry* metrics = nullptr);
 
   void record(const LedgerEvent& event) override;
   void beginEpoch(std::int64_t epoch) override { epoch_ = epoch; }
@@ -257,7 +253,6 @@ class ProvenanceLedger final : public LedgerSink {
   std::vector<LedgerEvent> events_;
   std::int64_t epoch_ = 0;
   std::int64_t nextSeq_ = 0;
-  LedgerMonitorConfig monitors_;
   std::vector<std::int32_t> migrationsOfDemand_;
   std::int64_t slaBreaches_ = 0;
   std::int64_t neverAdmittedDepartures_ = 0;

@@ -166,30 +166,18 @@ void IncrementalSolver::deactivate(DemandId d) {
   contexts_[static_cast<std::size_t>(d)].clear();
 }
 
-void IncrementalSolver::applyRaiseSigned(const RaiseRecord& record,
-                                         double sign) {
-  const InstanceRecord& rec = u_.instance(record.instance);
-  const double alphaInc = sign * record.amounts.alphaIncrement;
-  const double betaInc = sign * record.amounts.betaIncrement;
-  // Alpha first, then the critical edges — the exact accumulation order
-  // of the centralized LhsTracker (whose shared helpers define the
-  // update rule), so a post-reset replay reproduces the from-scratch
-  // LHS (and hence lambda) bit for bit.
-  dual_.raiseAlpha(rec.demand, alphaInc);
-  applyAlphaToLhs(u_, rec.demand, alphaInc, lhs_);
-  for (const GlobalEdgeId e : u_.critical(record.instance)) {
-    dual_.raiseBeta(e, betaInc);
-    applyBetaToLhs(u_, cfg_.rule, e, betaInc, lhs_);
-  }
-}
-
 void IncrementalSolver::purgeRaisesOf(DemandId d) {
   for (const std::int32_t idx : raisesOfDemand_[static_cast<std::size_t>(d)]) {
     RaiseRecord& record = raises_[static_cast<std::size_t>(idx)];
     if (!record.live) continue;
     record.live = false;
     ++deadRaises_;
-    applyRaiseSigned(record, -1.0);
+    // Negated amounts undo the raise in the order phase 1 applied it.
+    const RaiseAmounts& added = record.amounts;
+    const RaiseAmounts negated = {-added.alphaIncrement, -added.betaIncrement};
+    const auto critical = u_.critical(record.instance);
+    applyRaise(dual_, u_, record.instance, critical, negated);
+    applyRaiseToLhs(u_, cfg_.rule, record.instance, critical, negated, lhs_);
     auto& set = stack_[static_cast<std::size_t>(record.stackEntry)];
     const auto pos =
         std::lower_bound(set.begin(), set.end(), record.instance);
@@ -490,12 +478,12 @@ EpochOutcome IncrementalSolver::applyEpoch(
     DistributedOptions options = cfg_;
     options.seed = outcome.protocolSeed;
 
-    const std::span<const double> priorLhs =
-        outcome.fullResolve ? std::span<const double>() : lhs_;
+    // Phase 1 warm-starts from lhs_ (zeroed by resetDualState on a full
+    // re-solve) and applies its raises to it in place.
     const std::int64_t roundsBefore = bus_.stats().rounds;
     const std::int64_t messagesBefore = bus_.stats().messages;
-    const Phase1Result run = runDistributedPhase1(
-        u_, bus_, options, restricted_, priorLhs, contexts_);
+    const Phase1Result run =
+        runDistributedPhase1(u_, bus_, options, restricted_, lhs_, contexts_);
     checkThat(run.localViewsConsistent,
               "epoch phase-1 local dual views match the ground truth",
               __FILE__, __LINE__);
@@ -505,8 +493,8 @@ EpochOutcome IncrementalSolver::applyEpoch(
     outcome.engineClaims = run.engineClaims;
     outcome.engineSteals = run.engineSteals;
 
-    // Replay the epoch's raises into the persistent duals/LHS and append
-    // its stack sets (one per schedule tuple that raised).
+    // Record the epoch's raises in the persistent duals and raise log,
+    // and append its stack sets (one per schedule tuple that raised).
     std::int64_t lastTuple = -1;
     for (const DualRaiseRecord& entry : run.raiseLog) {
       if (entry.tuple != lastTuple) {
@@ -523,7 +511,8 @@ EpochOutcome IncrementalSolver::applyEpoch(
                           u_.instance(entry.instance).demand)]
           .push_back(static_cast<std::int32_t>(raises_.size()));
       raises_.push_back(record);
-      applyRaiseSigned(record, 1.0);
+      applyRaise(dual_, u_, entry.instance, u_.critical(entry.instance),
+                 record.amounts);
     }
   }
 
@@ -594,11 +583,8 @@ double IncrementalSolver::maxLhsDeviationFromReplay() const {
   std::vector<double> replay(lhs_.size(), 0.0);
   for (const RaiseRecord& record : raises_) {
     if (!record.live) continue;
-    const InstanceRecord& rec = u_.instance(record.instance);
-    applyAlphaToLhs(u_, rec.demand, record.amounts.alphaIncrement, replay);
-    for (const GlobalEdgeId e : u_.critical(record.instance)) {
-      applyBetaToLhs(u_, cfg_.rule, e, record.amounts.betaIncrement, replay);
-    }
+    applyRaiseToLhs(u_, cfg_.rule, record.instance,
+                    u_.critical(record.instance), record.amounts, replay);
   }
   double deviation = 0;
   for (DemandId d = 0; d < u_.numDemands(); ++d) {

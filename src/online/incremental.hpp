@@ -41,10 +41,11 @@
 //    region by definition — can see their LHS move.
 //  * Phase 1 of the distributed protocol then re-runs ONLY over the
 //    affected region (active demands whose accessible networks
-//    intersect the changed networks), warm-started from the surviving
-//    LHS (dist/protocol.hpp runDistributedPhase1 over the dynamic
-//    universe — no pool-sized layering is materialized — and the
-//    persistent processor contexts, so an epoch builds no context). The
+//    intersect the changed networks), warm-started from the solver's LHS,
+//    which it updates in place (dist/protocol.hpp runDistributedPhase1
+//    over the dynamic universe — no pool-sized layering is materialized
+//    — and the persistent processor contexts, so an epoch builds no
+//    context). The
 //    protocol's own phase 2 does not run: the epoch's raise log joins the
 //    persistent stack instead, so an epoch's rounds and messages are
 //    phase 1's alone. Unaffected instances keep their
@@ -225,9 +226,6 @@ class IncrementalSolver {
   double profit() const { return profit_; }
   const Transport& transport() const { return bus_; }
   const DynamicUniverse& universe() const { return u_; }
-  double lhs(InstanceId i) const {
-    return lhs_[static_cast<std::size_t>(i)];
-  }
 
   // ---- Phase-1 stack accounting (compaction regression surface) ----
   /// Tuple sets currently on the persistent stack; fully-purged sets are
@@ -275,7 +273,6 @@ class IncrementalSolver {
   void activate(DemandId d);
   void deactivate(DemandId d);
   void purgeRaisesOf(DemandId d);
-  void applyRaiseSigned(const RaiseRecord& record, double sign);
   void resetDualState();
   void compactStack();
   void recordAdmissions(EpochOutcome& outcome);
@@ -293,9 +290,9 @@ class IncrementalSolver {
 
   // Persistent primal-dual state: duals/LHS of the surviving raises, the
   // surviving raise log, and the phase-1 stack across epochs. lhs_ is
-  // pool-dense (runDistributedPhase1's priorLhs contract); entries of non-live
-  // instances are zeroed at retirement and reconstructed from the duals
-  // at (re-)arrival.
+  // pool-dense, and each epoch's phase 1 updates it in place; entries of
+  // non-live instances are zeroed at retirement and reconstructed from
+  // the duals at (re-)arrival.
   DualState dual_;
   std::vector<double> lhs_;
   /// One processor context per pool demand (empty while not live), handed

@@ -14,7 +14,8 @@ namespace treesched {
 
 namespace {
 
-/// Active instances of the masked demands, ascending.
+/// Active instances of the masked demands, ascending (instance ids are
+/// numbered demand by demand).
 std::vector<InstanceId> activeInstancesOf(
     const InstanceUniverse& universe, const std::vector<std::uint8_t>& mask) {
   std::vector<InstanceId> ids;
@@ -23,7 +24,6 @@ std::vector<InstanceId> activeInstancesOf(
     const auto span = universe.instancesOfDemand(d);
     ids.insert(ids.end(), span.begin(), span.end());
   }
-  std::sort(ids.begin(), ids.end());
   return ids;
 }
 

@@ -11,6 +11,7 @@
 #include "decomp/layering.hpp"
 #include "dist/protocol.hpp"
 #include "dist/sim_network.hpp"
+#include "framework/lhs_tracker.hpp"
 #include "framework/two_phase.hpp"
 #include "gen/scenario.hpp"
 #include "net/synchronizer.hpp"
@@ -480,8 +481,9 @@ TEST(DistProtocol, AuditCatchesAHiddenRaise) {
   dopt.stepsPerStage = 4;
 
   SimNetwork cleanBus(prepared.adjacency);
+  std::vector<double> cleanLhs(active.size(), 0.0);
   const Phase1Result clean =
-      runDistributedPhase1(dynamic, cleanBus, dopt, active, {}, contexts);
+      runDistributedPhase1(dynamic, cleanBus, dopt, active, cleanLhs, contexts);
   ASSERT_TRUE(clean.localViewsConsistent);
   const auto [receiver, instance] = informativeRaise(dynamic, clean.raiseLog);
   ASSERT_GE(receiver, 0) << "no raise reaches a demand tracking its edges";
@@ -500,8 +502,9 @@ TEST(DistProtocol, AuditCatchesAHiddenRaise) {
   // false, and the contexts still come back with a zero dual view.
   SimNetwork bus(prepared.adjacency);
   RaiseHidingTransport lossy(bus, receiver, instance);
+  std::vector<double> lossyLhs(active.size(), 0.0);
   const Phase1Result epoch =
-      runDistributedPhase1(dynamic, lossy, dopt, active, {}, contexts);
+      runDistributedPhase1(dynamic, lossy, dopt, active, lossyLhs, contexts);
   EXPECT_TRUE(lossy.hid());
   EXPECT_FALSE(epoch.localViewsConsistent);
   for (DemandId d = 0; d < dynamic.numDemands(); ++d) {
@@ -509,6 +512,57 @@ TEST(DistProtocol, AuditCatchesAHiddenRaise) {
     fresh.init(dynamic, d);
     EXPECT_TRUE(contexts[static_cast<std::size_t>(d)] == fresh)
         << "demand " << d;
+  }
+}
+
+// ---- Protocol: phase 1 updates the caller's LHS in place ----
+
+TEST(DistProtocol, Phase1AppliesEachRaiseToTheWarmLhsOnce) {
+  const TreeProblem problem = treeCase(23, 32, 30, 3);
+  const PreparedRun prepared = prepareUnitTreeRun(problem);
+  DynamicUniverse dynamic = makeDynamicTreeUniverse(problem);
+  std::vector<ProcessorContext> contexts(
+      static_cast<std::size_t>(dynamic.numDemands()));
+  for (DemandId d = 0; d < dynamic.numDemands(); ++d) {
+    dynamic.addDemand(d);
+    contexts[static_cast<std::size_t>(d)].init(dynamic, d);
+  }
+  std::vector<InstanceId> odd;
+  std::vector<InstanceId> even;
+  for (InstanceId i = 0; i < dynamic.numInstances(); ++i) {
+    (dynamic.instance(i).demand % 2 == 0 ? even : odd).push_back(i);
+  }
+
+  // A first run over the odd demands leaves the warm start: its beta
+  // raises reach the even demands' instances on shared edges.
+  DistributedOptions dopt;
+  dopt.seed = 7;
+  dopt.misRoundBudget = 8;
+  dopt.stepsPerStage = 4;
+  std::vector<double> lhs(static_cast<std::size_t>(dynamic.numInstances()),
+                          0.0);
+  SimNetwork firstBus(prepared.adjacency);
+  runDistributedPhase1(dynamic, firstBus, dopt, odd, lhs, contexts);
+  const std::vector<double> warm = lhs;
+
+  // The second run, over the even demands, starts from it. Its beta
+  // raises move the odd demands' instances too.
+  dopt.seed = 8;
+  SimNetwork bus(prepared.adjacency);
+  const Phase1Result run =
+      runDistributedPhase1(dynamic, bus, dopt, even, lhs, contexts);
+  EXPECT_TRUE(run.localViewsConsistent);
+  ASSERT_FALSE(run.raiseLog.empty());
+
+  // lhs == warm with the raise log applied once, in log order.
+  std::vector<double> expected = warm;
+  for (const DualRaiseRecord& raise : run.raiseLog) {
+    applyRaiseToLhs(dynamic, dopt.rule, raise.instance,
+                    dynamic.critical(raise.instance),
+                    {raise.alphaIncrement, raise.betaIncrement}, expected);
+  }
+  for (std::size_t i = 0; i < lhs.size(); ++i) {
+    EXPECT_EQ(lhs[i], expected[i]) << "instance " << i;
   }
 }
 

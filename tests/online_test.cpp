@@ -288,8 +288,10 @@ TEST(WarmStartProtocol, RestrictedRunMatchesRestrictedCentralized) {
     contexts[static_cast<std::size_t>(d)].init(dynamic, d);
   }
   SimNetwork bus3(prepared.adjacency);
+  std::vector<double> lhs(static_cast<std::size_t>(dynamic.numInstances()),
+                          0.0);
   const Phase1Result phase1 =
-      runDistributedPhase1(dynamic, bus3, dopt, restriction, {}, contexts);
+      runDistributedPhase1(dynamic, bus3, dopt, restriction, lhs, contexts);
   EXPECT_TRUE(phase1.localViewsConsistent);
   EXPECT_EQ(static_cast<std::int64_t>(phase1.raiseLog.size()), dist.raises);
   std::vector<std::vector<InstanceId>> stack;

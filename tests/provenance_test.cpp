@@ -425,7 +425,7 @@ TEST(Provenance, ChurnLifecycleAndCertificateReplay) {
       ++admittedEvents;
       ++admittedPerDemand[ev.demand];
       EXPECT_GE(ev.latencyEpochs, 0);
-      if (ev.latencyEpochs > LedgerMonitorConfig{}.slaEpochs) {
+      if (ev.latencyEpochs > ProvenanceLedger::kSlaEpochs) {
         ++slowAdmissions;
       }
     }
@@ -488,7 +488,7 @@ TEST(Provenance, ShardedPlacementAndMigrationEvents) {
       EXPECT_GE(ev.toProcessor, 0);
       EXPECT_NE(ev.fromProcessor, ev.toProcessor);
       if (++migrationsPerDemand[ev.demand] >=
-          LedgerMonitorConfig{}.migrationThrash) {
+          ProvenanceLedger::kMigrationThrash) {
         ++expectedThrash;
       }
     }
