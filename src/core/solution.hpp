@@ -87,18 +87,6 @@ void requireFeasible(const U& universe, const Solution& sol) {
             __FILE__, __LINE__);
 }
 
-/// Per-network profit split (used by the §6 wide/narrow combine step).
-template <class U>
-std::vector<double> profitByNetwork(const U& universe, const Solution& sol) {
-  std::vector<double> result(static_cast<std::size_t>(universe.numNetworks()),
-                             0.0);
-  for (const InstanceId i : sol.instances) {
-    const InstanceRecord& rec = universe.instance(i);
-    result[static_cast<std::size_t>(rec.network)] += rec.profit;
-  }
-  return result;
-}
-
 /// Incremental feasibility oracle used by phase 2 of the framework and by
 /// exact solvers: maintains per-edge residual capacity and per-demand use.
 template <class U>

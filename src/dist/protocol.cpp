@@ -191,8 +191,7 @@ class ProtocolEngine {
     result.lambdaTarget = plan_.lambdaTarget;
     result.lambdaMeasured = lambdaMeasured_;
     result.dualUpperBound =
-        lambdaMeasured_ > 0 ? result.dualObjective / lambdaMeasured_
-                            : std::numeric_limits<double>::infinity();
+        weakDualityBound(result.dualObjective, lambdaMeasured_);
     result.network = net_.stats();
     result.scheduledSteps = scheduledSteps_;
     result.activeSteps = activeSteps_;

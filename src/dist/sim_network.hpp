@@ -30,11 +30,11 @@ namespace treesched {
 /// Deterministic message bus over an undirected communication graph.
 ///
 /// Construction validates the adjacency (symmetric, loop-free, in-range,
-/// duplicate-free) and throws CheckError otherwise. The graph is live:
-/// SimNetwork is the reference implementation of the MutableTopology
-/// capability (net/transport.hpp) alongside the Transport contract; the
-/// graph, the inboxes and the round accounting are the plane-transport
-/// core's (net/plane_transport.hpp).
+/// duplicate-free) and throws CheckError otherwise. The graph is live
+/// (the online churn engine splices it between rounds): the graph, its
+/// splice, the inboxes and the round accounting are the plane-transport
+/// core's (net/plane_transport.hpp), whose placement hooks SimNetwork
+/// leaves at their no-op defaults.
 class SimNetwork : public PlaneTransport {
  public:
   explicit SimNetwork(std::vector<std::vector<std::int32_t>> adjacency)

@@ -6,6 +6,7 @@
 // duality once every instance is lambda-satisfied.
 #pragma once
 
+#include <limits>
 #include <vector>
 
 #include "core/universe.hpp"
@@ -41,5 +42,13 @@ class DualState {
   std::vector<double> alpha_;
   std::vector<double> beta_;
 };
+
+/// The certified upper bound on OPT: objective / lambda once every
+/// instance is lambda-satisfied (weak duality); infinite when lambda <= 0,
+/// where the duals certify nothing.
+inline double weakDualityBound(double objective, double lambda) {
+  return lambda > 0 ? objective / lambda
+                    : std::numeric_limits<double>::infinity();
+}
 
 }  // namespace treesched

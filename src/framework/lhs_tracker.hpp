@@ -68,14 +68,6 @@ class LhsTracker {
 
   double lhs(InstanceId i) const { return lhs_[static_cast<std::size_t>(i)]; }
 
-  void onAlphaRaise(DemandId d, double by) {
-    applyAlphaToLhs(universe_, d, by, lhs_);
-  }
-
-  void onBetaRaise(GlobalEdgeId e, double by) {
-    applyBetaToLhs(universe_, rule_, e, by, lhs_);
-  }
-
   /// Applies a computed raise of instance `i` (alpha + its critical edges).
   void onRaise(InstanceId i, std::span<const GlobalEdgeId> critical,
                const RaiseAmounts& amounts) {

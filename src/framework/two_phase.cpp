@@ -155,8 +155,7 @@ TwoPhaseResult runTwoPhaseRestricted(const InstanceUniverse& universe,
   result.stats.lambdaMeasured = lambdaMeasured;
   result.dualObjective = dual.objective();
   result.dualUpperBound =
-      lambdaMeasured > 0 ? result.dualObjective / lambdaMeasured
-                         : std::numeric_limits<double>::infinity();
+      weakDualityBound(result.dualObjective, lambdaMeasured);
 
   // ---- Phase 2 ----
   const FeasibilityOracle oracle = popStack(universe, result.stack);

@@ -1,8 +1,8 @@
 // Factory for mutable-topology transports (the online churn engine).
 //
 // The online incremental re-solver (online/incremental.hpp) owns only a
-// Transport& with the MutableTopology capability; this factory is where
-// a concrete wire is chosen. Every transport comes up with all pool
+// PlaneTransport& (the core whose live graph it splices); this factory is
+// where a concrete wire is chosen. Every transport comes up with all pool
 // demands isolated — the churn engine connects them as they arrive —
 // and every kind runs the protocol bit-identically (the Transport
 // contract), so the choice moves only the wire accounting: virtual
@@ -41,7 +41,7 @@ struct LiveTransportConfig {
 /// `access[d]` lists the networks demand d may use — the locality signal
 /// of the Sharded kind (SyncBus/Async ignore it). Sharded with
 /// `async.shardProcessors <= 0` defaults to max(1, numDemands / 8)
-/// processors. The returned transport implements MutableTopology.
+/// processors. The returned transport is a PlaneTransport.
 std::unique_ptr<Transport> makeLiveTransport(
     std::int32_t numDemands,
     const std::vector<std::vector<std::int32_t>>& access,

@@ -65,6 +65,10 @@ void PlaneTransport::disconnectDemand(std::int32_t p) {
   own.clear();
 }
 
+void PlaneTransport::validateTopology() const {
+  validateCommunicationAdjacency(adjacency_);
+}
+
 void PlaneTransport::deliverRound() {
   ++stats_.rounds;
   plane_.deliver();
@@ -124,6 +128,14 @@ std::span<const Message> PlaneTransport::inbox(std::int32_t p) const {
 void PlaneTransport::appendActiveInboxes(std::vector<std::int32_t>& out) const {
   const auto active = plane_.activeDests();
   out.insert(out.end(), active.begin(), active.end());
+}
+
+PlaneTransport& requirePlaneTransport(Transport& transport) {
+  auto* plane = dynamic_cast<PlaneTransport*>(&transport);
+  checkThat(plane != nullptr,
+            "transport supports live topology mutation (PlaneTransport)",
+            __FILE__, __LINE__);
+  return *plane;
 }
 
 }  // namespace treesched

@@ -10,11 +10,13 @@
 // neighbours at once and wire deliveries at the round boundary. This base
 // owns the shared part, so the two can never drift apart:
 //
-//  * the validated adjacency and its queries (neighbors,
-//    currentNeighbors, numDemands);
-//  * the MutableTopology splice: connectDemand checks the whole list
-//    before it touches any row (a rejected call changes nothing), and
-//    disconnectDemand removes both sides of every edge;
+//  * the validated adjacency and its queries (neighbors, validateTopology);
+//  * the live-topology splice the online churn engine (src/online/)
+//    drives: connectDemand checks the whole list before it touches any
+//    row (a rejected call changes nothing), and disconnectDemand removes
+//    both sides of every edge;
+//  * the online path's placement hooks (rebalanceShards,
+//    setDemandWeight, attachLedger, recordPlacementLoad);
 //  * the inboxes (inbox, appendActiveInboxes, attachRunner);
 //  * the round accounting: NetworkStats plus the net.{rounds,busy_rounds,
 //    messages} counters and the "deliver" instant of deliverRound(), and
@@ -32,13 +34,38 @@
 namespace treesched {
 
 class Counter;
+class LedgerSink;
 
-class PlaneTransport : public Transport, public MutableTopology {
+/// Knobs of the epoch-boundary hot-shard rebalancer (live sharded
+/// placements only). Rebalancing moves hosted demands between physical
+/// processors — pure wire accounting, never the schedule — so it is safe
+/// to run between any two epochs; `tests/rebalance_test.cpp` gates that
+/// claim bit-identically. Its load threshold and move cap are constants
+/// of AlphaSynchronizer::rebalanceShards.
+struct ShardRebalanceConfig {
+  bool enabled = false;
+  /// Keys the deterministic tie-breaks (candidate network and target
+  /// processor choice); never a stateful RNG.
+  std::uint64_t seed = 1;
+};
+
+/// What one rebalance call did. Variances are per-processor live-load
+/// population variances; before == after when nothing moved.
+struct RebalanceOutcome {
+  std::int32_t networksMoved = 0;
+  std::int32_t demandsMoved = 0;
+  double loadVarianceBefore = 0;
+  double loadVarianceAfter = 0;
+};
+
+class PlaneTransport : public Transport {
  public:
   std::int32_t numProcessors() const override {
     return static_cast<std::int32_t>(adjacency_.size());
   }
 
+  /// The live neighbour list of `p`; invalidated by the next
+  /// connectDemand/disconnectDemand.
   std::span<const std::int32_t> neighbors(std::int32_t p) const override;
 
   /// Advances `count` rounds in which no processor transmits. Inboxes are
@@ -62,29 +89,64 @@ class PlaneTransport : public Transport, public MutableTopology {
 
   const NetworkStats& stats() const override { return stats_; }
 
-  // ---- MutableTopology (the online churn engine, src/online/) ----
+  // ---- Live topology (the online churn engine, src/online/) ----
   //
   // Demands arrive and depart on a *running* transport: the plane, the
-  // stats and the untouched adjacency lists all persist, so consecutive
-  // epoch re-solves share one warmed-up transport. Both calls require a
-  // round boundary (no staged traffic).
+  // stats, the placement and the untouched adjacency lists all persist,
+  // so consecutive epoch re-solves share one warmed-up wire. Every call
+  // below that mutates requires a round boundary (no staged traffic).
+  // The no-op defaults are the reliable bus's (SimNetwork): it has no
+  // placement, so only AlphaSynchronizer overrides them.
 
   /// Attaches demand `p` (currently isolated) with the given sorted,
   /// duplicate-free neighbour list; every neighbour's list gains `p`.
-  void connectDemand(std::int32_t p,
-                     std::span<const std::int32_t> neighbors) override;
+  virtual void connectDemand(std::int32_t p,
+                             std::span<const std::int32_t> neighbors);
 
   /// Detaches demand `p`: removes every edge of `p` (both sides). The
   /// processor stays addressable — it simply has no neighbours, exactly
-  /// like a demand that has departed.
-  void disconnectDemand(std::int32_t p) override;
+  /// like a demand that has departed. Disconnecting an isolated
+  /// (never-connected or already-departed) demand is a no-op.
+  virtual void disconnectDemand(std::int32_t p);
 
-  std::int32_t numDemands() const override { return numProcessors(); }
+  /// Re-runs validateCommunicationAdjacency on the live adjacency — the
+  /// post-mutation audit: after any mutation the graph must still be
+  /// symmetric, loop-free, in-range and duplicate-free.
+  void validateTopology() const;
 
-  std::span<const std::int32_t> currentNeighbors(
-      std::int32_t demand) const override {
-    return neighbors(demand);
+  /// Rebalances hosted demands across physical processors. Placement is
+  /// transport accounting, not protocol state, so the schedule is
+  /// bit-identical with or without rebalancing. The default reports
+  /// zero variances and moves nothing.
+  virtual RebalanceOutcome rebalanceShards(
+      const ShardRebalanceConfig& /*config*/) {
+    return {};
   }
+
+  /// Sets demand `demand`'s placement load weight — its live instance
+  /// count, threaded in by the online solver as the dynamic universe
+  /// grows each arrival's instances. Weighted loads feed placement
+  /// (least-loaded choice), the rebalance planner and the variance
+  /// accounting; they are wire accounting only and never change the
+  /// schedule.
+  virtual void setDemandWeight(std::int32_t /*demand*/,
+                               std::int64_t /*weight*/) {}
+
+  /// Attaches the decision provenance ledger (obs/ledger.hpp): a
+  /// transport owning live shard placement records the demand lifecycle
+  /// events it alone can see — placement on arrival, migration at
+  /// rebalance. nullptr (or a disabled sink) detaches. Same read-only,
+  /// bit-identity-preserving contract as attachTelemetry. The sink must
+  /// stay alive until detached.
+  virtual void attachLedger(LedgerSink* /*ledger*/) {}
+
+  /// Publishes the current placement load into the attached metrics
+  /// registry (net.shard_hosted_demands histogram +
+  /// net.shard_load_variance gauge on a live sharded placement). The
+  /// online solver calls this once per epoch boundary so the load
+  /// time-series exists whether or not rebalancing is enabled.
+  /// Read-only observation; never changes delivery behaviour.
+  virtual void recordPlacementLoad() {}
 
  protected:
   /// Validates the adjacency (symmetric, loop-free, in-range,
@@ -116,5 +178,9 @@ class PlaneTransport : public Transport, public MutableTopology {
   Counter* busyRoundsCtr_ = nullptr;
   Counter* messagesCtr_ = nullptr;
 };
+
+/// `transport` as the plane transport whose live topology the online
+/// path mutates; throws CheckError for any other Transport.
+PlaneTransport& requirePlaneTransport(Transport& transport);
 
 }  // namespace treesched

@@ -48,10 +48,10 @@ struct AsyncConfig {
   std::int32_t shardProcessors = 0;
 };
 
-/// The synchronizer's topology is live (MutableTopology): demands can
-/// connect and disconnect between rounds, exactly like on the
-/// round-synchronous bus — the live graph, the inboxes and the round
-/// accounting are the plane-transport core's (net/plane_transport.hpp).
+/// The synchronizer's topology is live: demands can connect and
+/// disconnect between rounds, exactly like on the round-synchronous bus
+/// — the live graph, the inboxes, the round accounting and the splice
+/// are the plane-transport core's (net/plane_transport.hpp).
 /// The per-demand remote processor sets — what both payload and safe
 /// markers ride on — are rebuilt only for the demands a mutation touches,
 /// never the whole graph. On a live ShardPlacement arrivals are placed
@@ -92,7 +92,7 @@ class AlphaSynchronizer : public PlaneTransport {
 
   const ShardPlacement& placement() const { return placement_; }
 
-  // ---- MutableTopology -------------------------------------------------
+  // ---- Live topology ---------------------------------------------------
 
   /// The core's connect (which checks the whole list first); then, on a
   /// live placement, `d` and any still-unplaced neighbour are placed

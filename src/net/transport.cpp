@@ -22,41 +22,6 @@ void Transport::attachRunner(ParallelRunner* /*runner*/) {}
 void Transport::attachTelemetry(Tracer* /*tracer*/,
                                 MetricsRegistry* /*metrics*/) {}
 
-void Transport::attachLedger(LedgerSink* /*ledger*/) {}
-
-void Transport::recordPlacementLoad() {}
-
-RebalanceOutcome MutableTopology::rebalanceShards(
-    const ShardRebalanceConfig& /*config*/) {
-  return {};
-}
-
-void MutableTopology::setDemandWeight(std::int32_t /*demand*/,
-                                      std::int64_t /*weight*/) {}
-
-MutableTopology* mutableTopologyOf(Transport& transport) {
-  return dynamic_cast<MutableTopology*>(&transport);
-}
-
-MutableTopology& requireMutableTopology(Transport& transport) {
-  MutableTopology* topology = mutableTopologyOf(transport);
-  checkThat(topology != nullptr,
-            "transport supports live topology mutation (MutableTopology)",
-            __FILE__, __LINE__);
-  return *topology;
-}
-
-void validateLiveTopology(const MutableTopology& topology) {
-  std::vector<std::vector<std::int32_t>> adjacency(
-      static_cast<std::size_t>(topology.numDemands()));
-  for (std::int32_t d = 0; d < topology.numDemands(); ++d) {
-    const auto neighbors = topology.currentNeighbors(d);
-    adjacency[static_cast<std::size_t>(d)].assign(neighbors.begin(),
-                                                  neighbors.end());
-  }
-  validateCommunicationAdjacency(adjacency);
-}
-
 void validateCommunicationAdjacency(
     const std::vector<std::vector<std::int32_t>>& adjacency) {
   const auto n = static_cast<std::int32_t>(adjacency.size());

@@ -14,6 +14,10 @@
 //    physical network (net/async_network.hpp), optionally sharded so one
 //    simulated processor hosts many demands (net/shard.hpp).
 //
+// The online churn engine (src/online/) also splices the live graph
+// between rounds; that capability is the core's (PlaneTransport), not
+// part of this engine-facing interface.
+//
 // The contract every Transport must honour for protocol correctness:
 // a message broadcast in round r is present in every neighbour's inbox
 // after endRound() — exactly once, with inboxes sorted canonically
@@ -38,7 +42,6 @@ namespace treesched {
 class ParallelRunner;
 class Tracer;
 class MetricsRegistry;
-class LedgerSink;
 
 /// Communication accounting of one protocol run. The first block is
 /// filled by every transport; the async/lossy extensions stay zero/empty
@@ -127,23 +130,6 @@ class Transport {
   /// Both objects must stay alive until detached.
   virtual void attachTelemetry(Tracer* tracer, MetricsRegistry* metrics);
 
-  /// Attaches the decision provenance ledger (obs/ledger.hpp): a
-  /// transport owning live shard placement records the demand lifecycle
-  /// events it alone can see — placement on arrival, migration at
-  /// rebalance. nullptr (or a disabled sink) detaches; the default
-  /// ignores it. Same read-only, bit-identity-preserving contract as
-  /// attachTelemetry. The sink must stay alive until detached.
-  virtual void attachLedger(LedgerSink* ledger);
-
-  /// Publishes the transport's current placement load into the attached
-  /// metrics registry (net.shard_hosted_demands histogram +
-  /// net.shard_load_variance gauge on a live sharded placement). The
-  /// online solver calls this once per epoch boundary so the load
-  /// time-series exists whether or not rebalancing is enabled; the
-  /// default — and any transport with no placement — does nothing.
-  /// Read-only observation; never changes delivery behaviour.
-  virtual void recordPlacementLoad();
-
   virtual const NetworkStats& stats() const = 0;
 };
 
@@ -153,92 +139,5 @@ class Transport {
 /// linear in the edge count plus a sort of each unsorted row.
 void validateCommunicationAdjacency(
     const std::vector<std::vector<std::int32_t>>& adjacency);
-
-/// Knobs of the epoch-boundary hot-shard rebalancer (live sharded
-/// placements only). Rebalancing moves hosted demands between physical
-/// processors — pure wire accounting, never the schedule — so it is safe
-/// to run between any two epochs; `tests/rebalance_test.cpp` gates that
-/// claim bit-identically. Its load threshold and move cap are constants
-/// of AlphaSynchronizer::rebalanceShards.
-struct ShardRebalanceConfig {
-  bool enabled = false;
-  /// Keys the deterministic tie-breaks (candidate network and target
-  /// processor choice); never a stateful RNG.
-  std::uint64_t seed = 1;
-};
-
-/// What one rebalance call did. Variances are per-processor live-load
-/// population variances; before == after when nothing moved.
-struct RebalanceOutcome {
-  std::int32_t networksMoved = 0;
-  std::int32_t demandsMoved = 0;
-  double loadVarianceBefore = 0;
-  double loadVarianceAfter = 0;
-};
-
-/// Live demand-level topology mutation — the capability the online churn
-/// engine (src/online/) requires of its transport. Demands arrive and
-/// depart on a *running* transport: buffers, placement and cumulative
-/// stats persist, so consecutive epoch re-solves share one warmed-up
-/// wire. Implemented once, by PlaneTransport (net/plane_transport.hpp),
-/// for SimNetwork (the reference) and AlphaSynchronizer (async/lossy
-/// wire, optionally sharded); a transport that cannot mutate simply does
-/// not derive from this.
-///
-/// Contract (all calls require a round boundary — no staged traffic):
-///  * connectDemand attaches an isolated demand with a sorted,
-///    duplicate-free neighbour list; every neighbour's list gains it.
-///  * disconnectDemand removes every edge of the demand (both sides);
-///    the endpoint stays addressable with no neighbours, exactly like a
-///    departed demand. Disconnecting an isolated (never-connected or
-///    already-departed) demand is a no-op.
-///  * After any mutation the live adjacency must still satisfy
-///    validateCommunicationAdjacency — validateLiveTopology() re-checks.
-class MutableTopology {
- public:
-  virtual ~MutableTopology() = default;
-
-  virtual void connectDemand(std::int32_t demand,
-                             std::span<const std::int32_t> neighbors) = 0;
-
-  virtual void disconnectDemand(std::int32_t demand) = 0;
-
-  /// Number of demand-level endpoints the topology addresses.
-  virtual std::int32_t numDemands() const = 0;
-
-  /// Current neighbours of `demand` (sorted, duplicate-free); the live
-  /// adjacency query. Invalidated by the next mutation.
-  virtual std::span<const std::int32_t> currentNeighbors(
-      std::int32_t demand) const = 0;
-
-  /// Rebalances hosted demands across physical processors (requires a
-  /// round boundary, like every mutation). Placement is transport
-  /// accounting, not protocol state, so the schedule is bit-identical
-  /// with or without rebalancing. The default — and any transport with
-  /// no sharded placement, like SimNetwork — does nothing and reports
-  /// zero variances.
-  virtual RebalanceOutcome rebalanceShards(const ShardRebalanceConfig& config);
-
-  /// Sets demand `demand`'s placement load weight — its live instance
-  /// count, threaded in by the online solver as the dynamic universe
-  /// grows each arrival's instances. Weighted loads feed placement
-  /// (least-loaded choice), the rebalance planner and the variance
-  /// accounting; they are wire accounting only and never change the
-  /// schedule. The default — and any transport with no placement —
-  /// ignores it.
-  virtual void setDemandWeight(std::int32_t demand, std::int64_t weight);
-};
-
-/// The mutable-topology facet of `transport`, or nullptr when the
-/// transport's topology is fixed.
-MutableTopology* mutableTopologyOf(Transport& transport);
-
-/// Checked variant: throws CheckError when the transport cannot mutate
-/// its topology. The online solver funnels through this.
-MutableTopology& requireMutableTopology(Transport& transport);
-
-/// Re-runs validateCommunicationAdjacency on the live adjacency — the
-/// post-mutation audit of the MutableTopology contract.
-void validateLiveTopology(const MutableTopology& topology);
 
 }  // namespace treesched

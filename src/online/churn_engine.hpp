@@ -85,7 +85,7 @@ ChurnRunResult runChurnOverTrace(DynamicUniverse& universe,
                                  const ChurnEngineConfig& config);
 
 /// Same, over a caller-owned live transport (must expose one isolated
-/// endpoint per pool demand and support MutableTopology).
+/// endpoint per pool demand and be a PlaneTransport).
 ChurnRunResult runChurnOverTransport(DynamicUniverse& universe,
                                      const ChurnTrace& trace,
                                      const ChurnEngineConfig& config,

@@ -44,8 +44,7 @@ IncrementalSolver::IncrementalSolver(DynamicUniverse& universe,
                                      Transport& transport)
     : u_(universe),
       cfg_(config),
-      bus_(transport),
-      topo_(requireMutableTopology(transport)),
+      bus_(requirePlaneTransport(transport)),
       networkMembers_(static_cast<std::size_t>(universe.numNetworks())),
       dual_(universe),
       lhs_(static_cast<std::size_t>(universe.numInstances()), 0.0),
@@ -91,7 +90,7 @@ IncrementalSolver::IncrementalSolver(DynamicUniverse& universe,
             "transport exposes one endpoint per pool demand", __FILE__,
             __LINE__);
   for (DemandId d = 0; d < u_.numDemands(); ++d) {
-    checkThat(topo_.currentNeighbors(d).empty(),
+    checkThat(bus_.neighbors(d).empty(),
               "pool demands start isolated on the live transport", __FILE__,
               __LINE__);
   }
@@ -121,7 +120,7 @@ void IncrementalSolver::activate(DemandId d) {
   // accounting before placement, so the least-loaded choice below
   // already sees the weight. Wire accounting only; a demand with an
   // empty instance set still costs its endpoint.
-  topo_.setDemandWeight(
+  bus_.setDemandWeight(
       d, std::max<std::int64_t>(
              1, static_cast<std::int64_t>(newInstances.size())));
 
@@ -136,7 +135,7 @@ void IncrementalSolver::activate(DemandId d) {
   std::sort(newNeighbors_.begin(), newNeighbors_.end());
   newNeighbors_.erase(std::unique(newNeighbors_.begin(), newNeighbors_.end()),
                       newNeighbors_.end());
-  topo_.connectDemand(d, newNeighbors_);
+  bus_.connectDemand(d, newNeighbors_);
 }
 
 void IncrementalSolver::deactivate(DemandId d) {
@@ -153,7 +152,7 @@ void IncrementalSolver::deactivate(DemandId d) {
               __FILE__, __LINE__);
     members.erase(pos);
   }
-  topo_.disconnectDemand(d);
+  bus_.disconnectDemand(d);
 
   // Zero the departing instances' pool-dense LHS entries (they still
   // hold other demands' beta contributions on shared edges) and
@@ -350,7 +349,7 @@ EpochOutcome IncrementalSolver::applyEpoch(
     ShardRebalanceConfig rb = cfg_.rebalance;
     rb.seed = keyedHash(cfg_.rebalance.seed, kRebalanceSeedSalt,
                         static_cast<std::uint64_t>(epoch_));
-    const RebalanceOutcome moved = topo_.rebalanceShards(rb);
+    const RebalanceOutcome moved = bus_.rebalanceShards(rb);
     outcome.loadVarianceBefore = moved.loadVarianceBefore;
     outcome.loadVarianceAfter = moved.loadVarianceAfter;
     outcome.demandsMigrated = moved.demandsMoved;
@@ -366,9 +365,7 @@ EpochOutcome IncrementalSolver::applyEpoch(
     outcome.profit = profit_;
     outcome.lambdaMeasured = lambdaMeasured_;
     outcome.dualObjective = dualObjective_;
-    outcome.dualUpperBound =
-        lambdaMeasured_ > 0 ? dualObjective_ / lambdaMeasured_
-                            : std::numeric_limits<double>::infinity();
+    outcome.dualUpperBound = weakDualityBound(dualObjective_, lambdaMeasured_);
     if (activeGauge_ != nullptr) {
       activeGauge_->set(static_cast<double>(u_.numLiveDemands()));
     }
@@ -560,9 +557,7 @@ EpochOutcome IncrementalSolver::applyEpoch(
   outcome.lambdaMeasured = lambdaMeasured_;
   outcome.dualObjective = dualObjective_;
   outcome.dualUpperBound =
-      outcome.lambdaMeasured > 0
-          ? outcome.dualObjective / outcome.lambdaMeasured
-          : std::numeric_limits<double>::infinity();
+      weakDualityBound(outcome.dualObjective, outcome.lambdaMeasured);
 
   if (activeGauge_ != nullptr) {
     activeGauge_->set(static_cast<double>(u_.numLiveDemands()));

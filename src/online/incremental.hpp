@@ -20,12 +20,12 @@
 //    with it (however many they share); departure removes d's edges.
 //    Never a full rebuild, and the transport (with its warmed-up buffers
 //    and cumulative stats) persists across every epoch. The solver speaks
-//    only the Transport + MutableTopology contracts (net/transport.hpp):
-//    the same solver runs over the synchronous bus, the asynchronous
-//    lossy wire and the sharded wire (net/live_transport.hpp), and every
-//    epoch is bit-identical across them. Each arrival's live instance
-//    count is threaded into the transport as its placement weight
-//    (MutableTopology::setDemandWeight) so shard load means instances
+//    only the PlaneTransport contract (net/plane_transport.hpp): the
+//    same solver runs over the synchronous bus, the asynchronous lossy
+//    wire and the sharded wire (net/live_transport.hpp), and every epoch
+//    is bit-identical across them. Each arrival's live instance count is
+//    threaded into the transport as its placement weight
+//    (PlaneTransport::setDemandWeight) so shard load means instances
 //    hosted, not demands hosted.
 //  * Departures are *purged exactly*: every surviving dual is the dual
 //    of a raise owned by a still-active demand. A departed demand's
@@ -81,7 +81,7 @@
 #include "dist/protocol.hpp"
 #include "framework/dual_state.hpp"
 #include "framework/raise_policy.hpp"
-#include "net/transport.hpp"
+#include "net/plane_transport.hpp"
 #include "obs/ledger.hpp"
 #include "obs/metrics.hpp"
 
@@ -98,7 +98,7 @@ class EpochSeries;
 ///    pop, which reports no accept or reject;
 ///  * `ledger`, when set AND enabled, records the full per-demand
 ///    lifecycle — arrival, placement/migration (via
-///    Transport::attachLedger), every dual raise (recorded by phase 1),
+///    PlaneTransport::attachLedger), every dual raise (recorded by phase 1),
 ///    admission (first only, with latency) and rejection (from the
 ///    admission pop, with the blocking dual certificate finalized against
 ///    the epoch's measured lambda), and departure;
@@ -122,8 +122,8 @@ struct OnlineSolverConfig : DistributedOptions {
   /// solver snapshots `metrics` into one JSONL row at the end of every
   /// applyEpoch call. Read-only.
   EpochSeries* series = nullptr;
-  /// Epoch-boundary hot-shard rebalancing (net/transport.hpp). When
-  /// enabled, every epoch starts with a MutableTopology::rebalanceShards
+  /// Epoch-boundary hot-shard rebalancing (net/plane_transport.hpp). When
+  /// enabled, every epoch starts with a PlaneTransport::rebalanceShards
   /// call (seed re-keyed per epoch); transports without a live sharded
   /// placement no-op. Placement is wire accounting — enabling this never
   /// changes any epoch's schedule (tests/rebalance_test.cpp gates it).
@@ -203,10 +203,10 @@ struct AdmissionSla {
 class IncrementalSolver {
  public:
   /// `universe` must start with zero live demands (the solver owns the
-  /// live set from here on); `transport` must expose one endpoint per
-  /// pool demand, all isolated, and support MutableTopology
-  /// (net/live_transport.hpp builds one). The references must outlive
-  /// the solver.
+  /// live set from here on); `transport` must be a PlaneTransport
+  /// (net/live_transport.hpp builds one; CheckError otherwise) exposing
+  /// one endpoint per pool demand, all isolated. The references must
+  /// outlive the solver.
   IncrementalSolver(DynamicUniverse& universe,
                     const OnlineSolverConfig& config, Transport& transport);
 
@@ -218,7 +218,6 @@ class IncrementalSolver {
 
   std::int32_t numEpochs() const { return epoch_; }
   std::int32_t activeDemands() const { return u_.numLiveDemands(); }
-  bool isActive(DemandId d) const { return u_.isLive(d); }
   /// Active instances, ascending (rebuilt on demand; ids are numbered
   /// demand by demand, so the live demands' ranges join in order).
   std::vector<InstanceId> activeInstanceIds() const;
@@ -281,8 +280,7 @@ class IncrementalSolver {
   DynamicUniverse& u_;  ///< live universe, mutated by the epoch batches
   OnlineSolverConfig cfg_;
 
-  Transport& bus_;         ///< the live transport, persistent across epochs
-  MutableTopology& topo_;  ///< its mutation facet (same object)
+  PlaneTransport& bus_;  ///< the live transport, persistent across epochs
 
   // Incremental communication-graph bookkeeping (the live set itself is
   // the universe's).

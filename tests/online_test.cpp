@@ -414,7 +414,7 @@ TEST(IncrementalSolver, StackCompactionDropsFullyPurgedSets) {
   std::vector<DemandId> everyone;
   std::vector<ProcessorContext> contextsBefore;
   for (DemandId d = 0; d < scenario.pool.numDemands(); ++d) {
-    if (!engine.isActive(d)) continue;
+    if (!engine.universe().isLive(d)) continue;
     everyone.push_back(d);
     contextsBefore.push_back(engine.processorContext(d));
   }

@@ -1,6 +1,6 @@
 // Acceptance gate of the mutable-topology transport refactor: the online
-// incremental re-solver speaks only Transport + MutableTopology
-// (net/transport.hpp), so the SAME churn run must be bit-identical over
+// incremental re-solver speaks only the PlaneTransport contract
+// (net/plane_transport.hpp), so the SAME churn run must be bit-identical over
 // the synchronous bus, the asynchronous lossy wire (AlphaSynchronizer on
 // AsyncNetwork, any latency/drop config) and the live-sharded wire —
 // extending the PR-2/PR-3 equivalence chain to churn workloads.
@@ -11,7 +11,7 @@
 // outcome — solution, profit, duals, lambda, raises, rounds, messages,
 // SLA — to equal the SimNetwork reference exactly; only the wire
 // accounting (virtual time, transmissions, drops, processor load) may
-// differ. Plus unit coverage of the MutableTopology edge cases, the
+// differ. Plus unit coverage of the live-topology edge cases, the
 // live shard placement and the targeted-burst arrival process.
 #include <gtest/gtest.h>
 
@@ -22,6 +22,7 @@
 
 #include "gen/scenario.hpp"
 #include "net/live_transport.hpp"
+#include "net/plane_transport.hpp"
 #include "net/transport.hpp"
 #include "online/churn_engine.hpp"
 #include "util/check.hpp"
@@ -214,7 +215,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, OnlineTransportSweep,
                            return "seed" + std::to_string(i.param);
                          });
 
-// ---- MutableTopology edge cases (every mutable transport) ----
+// ---- Live-topology edge cases (every mutable transport) ----
 
 std::vector<std::vector<std::int32_t>> edgeCaseAccess() {
   // Demands 0-1 share network 0, demands 2-3 share network 1, demand 4
@@ -223,26 +224,26 @@ std::vector<std::vector<std::int32_t>> edgeCaseAccess() {
 }
 
 void exerciseTopologyEdgeCases(Transport& transport, const char* label) {
-  MutableTopology& topo = requireMutableTopology(transport);
-  ASSERT_EQ(topo.numDemands(), 5) << label;
+  PlaneTransport& topo = requirePlaneTransport(transport);
+  ASSERT_EQ(topo.numProcessors(), 5) << label;
 
   // Disconnect of a never-connected demand: a no-op, not an error.
   topo.disconnectDemand(3);
-  validateLiveTopology(topo);
-  for (std::int32_t d = 0; d < topo.numDemands(); ++d) {
-    EXPECT_TRUE(topo.currentNeighbors(d).empty()) << label;
+  topo.validateTopology();
+  for (std::int32_t d = 0; d < topo.numProcessors(); ++d) {
+    EXPECT_TRUE(topo.neighbors(d).empty()) << label;
   }
 
   // Connect both pairs; the current-adjacency query sees every edge from
   // both sides.
   topo.connectDemand(0, std::vector<std::int32_t>{1});
-  validateLiveTopology(topo);
+  topo.validateTopology();
   topo.connectDemand(2, std::vector<std::int32_t>{3});
-  validateLiveTopology(topo);
-  ASSERT_EQ(topo.currentNeighbors(1).size(), 1u) << label;
-  EXPECT_EQ(topo.currentNeighbors(1)[0], 0) << label;
-  ASSERT_EQ(topo.currentNeighbors(3).size(), 1u) << label;
-  EXPECT_EQ(topo.currentNeighbors(3)[0], 2) << label;
+  topo.validateTopology();
+  ASSERT_EQ(topo.neighbors(1).size(), 1u) << label;
+  EXPECT_EQ(topo.neighbors(1)[0], 0) << label;
+  ASSERT_EQ(topo.neighbors(3).size(), 1u) << label;
+  EXPECT_EQ(topo.neighbors(3)[0], 2) << label;
 
   // Malformed connects are rejected without touching the live graph.
   EXPECT_THROW(topo.connectDemand(0, std::vector<std::int32_t>{2}),
@@ -254,22 +255,22 @@ void exerciseTopologyEdgeCases(Transport& transport, const char* label) {
   EXPECT_THROW(topo.connectDemand(4, std::vector<std::int32_t>{4}),
                CheckError)
       << label;  // self loop
-  validateLiveTopology(topo);
+  topo.validateTopology();
 
   // Departure then re-arrival with a different neighbour set.
   topo.disconnectDemand(0);
-  validateLiveTopology(topo);
-  EXPECT_TRUE(topo.currentNeighbors(0).empty()) << label;
-  EXPECT_TRUE(topo.currentNeighbors(1).empty()) << label;
+  topo.validateTopology();
+  EXPECT_TRUE(topo.neighbors(0).empty()) << label;
+  EXPECT_TRUE(topo.neighbors(1).empty()) << label;
   topo.connectDemand(1, std::vector<std::int32_t>{0});
-  validateLiveTopology(topo);
-  ASSERT_EQ(topo.currentNeighbors(0).size(), 1u) << label;
-  EXPECT_EQ(topo.currentNeighbors(0)[0], 1) << label;
+  topo.validateTopology();
+  ASSERT_EQ(topo.neighbors(0).size(), 1u) << label;
+  EXPECT_EQ(topo.neighbors(0)[0], 1) << label;
 
   // A second disconnect of an already-departed demand stays a no-op.
   topo.disconnectDemand(0);
   topo.disconnectDemand(0);
-  validateLiveTopology(topo);
+  topo.validateTopology();
 
   // The mutated graph still carries traffic.
   transport.broadcast({MessageKind::MisActive, 2, 7, 0.5});
@@ -305,7 +306,7 @@ TEST(MutableTopologyEdgeCases,
     config.async = lossyWire(99);
     config.async.shardProcessors = 4;
     const auto transport = makeLiveTransport(5, edgeCaseAccess(), config);
-    MutableTopology& topo = requireMutableTopology(*transport);
+    PlaneTransport& topo = requirePlaneTransport(*transport);
     const auto* synchronizer =
         dynamic_cast<const AlphaSynchronizer*>(transport.get());
     topo.connectDemand(0, std::vector<std::int32_t>{1});
@@ -314,8 +315,8 @@ TEST(MutableTopologyEdgeCases,
     // (demands 2, 3 and 4 are still unplaced on the sharded one).
     const auto snapshot = [&] {
       std::vector<std::vector<std::int32_t>> state;
-      for (std::int32_t d = 0; d < topo.numDemands(); ++d) {
-        const auto row = topo.currentNeighbors(d);
+      for (std::int32_t d = 0; d < topo.numProcessors(); ++d) {
+        const auto row = topo.neighbors(d);
         state.emplace_back(row.begin(), row.end());
       }
       if (synchronizer != nullptr) {
@@ -334,7 +335,7 @@ TEST(MutableTopologyEdgeCases,
     EXPECT_THROW(topo.connectDemand(1, std::vector<std::int32_t>{2, 3}),
                  CheckError);  // target already connected
     EXPECT_EQ(snapshot(), before);
-    validateLiveTopology(topo);
+    topo.validateTopology();
   }
 }
 
@@ -351,12 +352,12 @@ TEST(MutableTopologyEdgeCases, ShardedMutationOnZeroDemandShards) {
   const auto transport = makeLiveTransport(4, access, config);
   auto* synchronizer = dynamic_cast<AlphaSynchronizer*>(transport.get());
   ASSERT_NE(synchronizer, nullptr);
-  MutableTopology& topo = requireMutableTopology(*transport);
+  PlaneTransport& topo = requirePlaneTransport(*transport);
 
   topo.connectDemand(0, std::vector<std::int32_t>{});
   topo.connectDemand(1, std::vector<std::int32_t>{0});
   topo.connectDemand(2, std::vector<std::int32_t>{0, 1});
-  validateLiveTopology(topo);
+  topo.validateTopology();
   const ShardPlacement& placement = synchronizer->placement();
   const std::int32_t home = placement.processorOfDemand[0];
   EXPECT_EQ(placement.processorOfDemand[1], home);
@@ -380,14 +381,14 @@ TEST(MutableTopologyEdgeCases, ShardedMutationOnZeroDemandShards) {
   topo.disconnectDemand(2);
   topo.disconnectDemand(1);
   topo.disconnectDemand(0);
-  validateLiveTopology(topo);
+  topo.validateTopology();
   EXPECT_EQ(placement.liveDemandCount(home), 0);
   topo.connectDemand(3, std::vector<std::int32_t>{});
-  validateLiveTopology(topo);
+  topo.validateTopology();
   EXPECT_TRUE(placement.isPlaced(3));
 }
 
-// ---- requireMutableTopology on an immutable transport ----
+// ---- requirePlaneTransport on an immutable transport ----
 
 class FixedTopologyTransport : public Transport {
  public:
@@ -407,8 +408,12 @@ class FixedTopologyTransport : public Transport {
 
 TEST(MutableTopologyEdgeCases, ImmutableTransportIsRejected) {
   FixedTopologyTransport fixed;
-  EXPECT_EQ(mutableTopologyOf(fixed), nullptr);
-  EXPECT_THROW(requireMutableTopology(fixed), CheckError);
+  EXPECT_THROW(requirePlaneTransport(fixed), CheckError);
+  // The online solver funnels its transport through the same check.
+  const ChurnTreeScenario scenario = makeHotspotTree50k(3, 1);
+  DynamicUniverse universe = makeDynamicTreeUniverse(scenario.pool);
+  EXPECT_THROW(IncrementalSolver(universe, OnlineSolverConfig{}, fixed),
+               CheckError);
 }
 
 // ---- Live shard placement ----

@@ -104,10 +104,8 @@ ReplayStats checkCertificates(const InstanceUniverse& u, const Layering& lay,
 
   const auto apply = [&](InstanceId i, double alpha, double beta,
                          double sign) {
-    applyAlphaToLhs(u, u.instance(i).demand, sign * alpha, lhs);
-    for (const GlobalEdgeId e : lay.critical(i)) {
-      applyBetaToLhs(u, rule, e, sign * beta, lhs);
-    }
+    const RaiseAmounts amounts{sign * alpha, sign * beta};
+    applyRaiseToLhs(u, rule, i, lay.critical(i), amounts, lhs);
   };
   const auto reset = [&] {
     std::fill(lhs.begin(), lhs.end(), 0.0);

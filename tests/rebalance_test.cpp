@@ -1,6 +1,6 @@
 // Acceptance gate of epoch-boundary hot-shard rebalancing: shard
 // placement is wire accounting, never the schedule. Enabling
-// MutableTopology::rebalanceShards on the live-sharded wire must leave
+// PlaneTransport::rebalanceShards on the live-sharded wire must leave
 // every epoch outcome bit-identical to the SimNetwork reference — same
 // solution, profit, duals, lambda, raises, rounds and messages — at any
 // thread count; only processor loads and physical transmissions move.

@@ -85,19 +85,6 @@ TEST(Solution, RequireFeasibleThrowsOnViolation) {
   EXPECT_THROW(requireFeasible(u, s), CheckError);
 }
 
-TEST(Solution, ProfitByNetworkSplitsCorrectly) {
-  const TreeProblem problem = fixtureProblem();
-  const InstanceUniverse u = InstanceUniverse::fromTreeProblem(problem);
-  Solution s;
-  s.instances = {u.instancesOfDemand(0)[1],   // network 1
-                 u.instancesOfDemand(1)[0],   // network 0
-                 u.instancesOfDemand(2)[0]};  // network 0
-  const std::vector<double> split = profitByNetwork(u, s);
-  ASSERT_EQ(split.size(), 2u);
-  EXPECT_DOUBLE_EQ(split[0], 5.0);  // demands 1 + 2
-  EXPECT_DOUBLE_EQ(split[1], 4.0);  // demand 0
-}
-
 TEST(Solution, FractionalHeightsAtExactCapacity) {
   // Two 0.5-height demands on the same edge must be feasible (sum == 1).
   TreeProblem problem;
