@@ -106,6 +106,7 @@ void report(Table& table, bench::JsonReport& json, const PatternRun& run) {
       .field("scratch_profit", run.scratchProfit)
       .field("revenue_ratio", revenueRatio)
       .field("rounds", run.churn.totalRounds)
+      .field("silent_rounds", run.churn.network.silentRounds)
       .field("messages", run.churn.totalMessages)
       .field("transmissions", run.churn.network.transmissions)
       .field("retransmissions", run.churn.network.retransmissions)

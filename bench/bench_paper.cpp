@@ -747,6 +747,7 @@ bool runDist(const CliFlags& flags, bench::Telemetry& telemetry) {
         .field("r", c.r)
         .field("rounds", dist.network.rounds)
         .field("busy_rounds", dist.network.busyRounds)
+        .field("silent_rounds", dist.network.silentRounds)
         .field("messages", dist.network.messages)
         .field("payload", dist.network.payload)
         .field("max_message_payload", dist.network.maxMessagePayload)
@@ -831,6 +832,7 @@ bool runAsync(const CliFlags& flags, bench::Telemetry& telemetry) {
         .field("shard_processors", shards)
         .field("rounds", async.network.rounds)
         .field("busy_rounds", async.network.busyRounds)
+        .field("silent_rounds", async.network.silentRounds)
         .field("messages", async.network.messages)
         .field("payload", async.network.payload)
         .field("transmissions", async.network.transmissions)

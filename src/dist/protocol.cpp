@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "core/dynamic_universe.hpp"
-#include "core/tolerances.hpp"
 #include "core/universe.hpp"
 #include "decomp/layering.hpp"
 #include "dist/sim_network.hpp"
@@ -51,14 +51,32 @@ enum class MisStatus : std::uint8_t { Inactive, Undecided, In, Out };
 /// Every communication round starts with a declaration of its possible
 /// senders (Transport::declareSenders), derived only from what every
 /// receiver already holds — the fixed schedule, the groups instances
-/// were born into and earlier rounds' inboxes:
-///  * a step's first MIS announce round: the owners of the group's
-///    members in this run;
+/// were born into, earlier rounds' inboxes and earlier markers' promises:
+///  * a stage's first step, first MIS announce round: the group's due
+///    owners (at stage 1 every owner of a group member in this run);
+///  * a later step's first announce round: the previous step's
+///    announcers (a stage's active set only shrinks);
 ///  * a join round: that round's announcers;
 ///  * a later announce round: the previous announcers, minus the
 ///    joiners' owners (a joiner's owner has nothing left undecided);
 ///  * a raise round: the owners of the MIS members;
 ///  * phase 2's pop of tuple t: the owners of t's raises.
+///
+/// A declared owner with nothing to announce in a step's first round
+/// sends only its safe marker, and the marker carries a promise: silence
+/// until the first later stage at which one of its instances could fall
+/// short (firstShortStage: LHS only grows in phase 1 and stage targets
+/// rise), when the owner is due again. An owner still short after a
+/// stage's last step is due at the next stage. A live promise proves its
+/// owner has no short instance, so a stage's first step scans only the
+/// due owners' members.
+///
+/// Silence only the owners know is paid for in markers, as a real
+/// synchronizer would: a step silent by satisfaction spends its first
+/// round on the declared owners' markers, and an MIS that finishes early
+/// spends one round on the markers of the owners its last round knocked
+/// out. Every round charged silent (endSilentRounds) is one whose
+/// silence every receiver can compute.
 template <class U, class L>
 class ProtocolEngine {
  public:
@@ -98,6 +116,7 @@ class ProtocolEngine {
     }
     scheduledSteps_ = static_cast<std::int64_t>(lay_.numGroups) *
                       plan_.numStages * stepsPerStage_;
+    targets_ = plan_.stageTargets();
 
     const std::int32_t numInst = u_.numInstances();
     members_.resize(static_cast<std::size_t>(lay_.numGroups));
@@ -122,6 +141,16 @@ class ProtocolEngine {
             .push_back(i);
       }
     }
+    // A group has at most as many owners as members: size the owner-run
+    // buffers once instead of growing them group by group.
+    std::size_t largestGroup = 0;
+    for (const std::vector<InstanceId>& group : members_) {
+      largestGroup = std::max(largestGroup, group.size());
+    }
+    groupOwners_.reserve(largestGroup);
+    runStart_.reserve(largestGroup + 1);
+    dueNext_.reserve(largestGroup);
+    declaredRuns_.reserve(largestGroup);
 
     checkThat(groundLhs_.size() == static_cast<std::size_t>(numInst),
               "warm-start LHS covers every instance", __FILE__, __LINE__);
@@ -294,31 +323,122 @@ class ProtocolEngine {
   void runPhase1() {
     std::int64_t tuple = 0;
     for (std::int32_t epoch = 0; epoch < lay_.numGroups; ++epoch) {
-      obs_->onEpochBegin(epoch,
-                         static_cast<std::int32_t>(
-                             members_[static_cast<std::size_t>(epoch)].size()));
-      groupOwners_.clear();
-      for (const InstanceId i : members_[static_cast<std::size_t>(epoch)]) {
-        groupOwners_.push_back(owner(i));
-      }
-      std::sort(groupOwners_.begin(), groupOwners_.end());
-      groupOwners_.erase(
-          std::unique(groupOwners_.begin(), groupOwners_.end()),
-          groupOwners_.end());
+      const std::vector<InstanceId>& group =
+          members_[static_cast<std::size_t>(epoch)];
+      obs_->onEpochBegin(epoch, static_cast<std::int32_t>(group.size()));
+      buildOwnerRuns(group);
+      // Every owner is due at stage 1; promises fill the later queues.
+      dueHead_.assign(static_cast<std::size_t>(plan_.numStages) + 1, -1);
+      dueNext_.resize(groupOwners_.size());
+      declaredRuns_.resize(groupOwners_.size());
+      std::iota(declaredRuns_.begin(), declaredRuns_.end(), 0);
       for (std::int32_t stage = 1; stage <= plan_.numStages; ++stage) {
-        const double target = plan_.stageTarget(stage);
+        const double target = targets_[static_cast<std::size_t>(stage - 1)];
         obs_->onStageBegin(epoch, stage, target);
-        // The stage's active set: lhs only grows within a stage, so an
-        // instance observed satisfied for this target never re-enters —
-        // steps scan survivors, not the whole group.
-        stageActive_ = members_[static_cast<std::size_t>(epoch)];
+        if (stage > 1) popDue(stage);
+        // The stage's active set: the due owners' members. lhs only grows
+        // within a stage, so an instance observed satisfied for this
+        // target never re-enters — steps scan survivors.
+        stageActive_.clear();
+        for (const std::int32_t k : declaredRuns_) {
+          const auto run = static_cast<std::size_t>(k);
+          stageActive_.insert(stageActive_.end(),
+                              group.begin() + runStart_[run],
+                              group.begin() + runStart_[run + 1]);
+        }
         for (std::int32_t step = 1; step <= stepsPerStage_; ++step) {
-          runStep(epoch, stage, step, tuple, target);
+          runStep(group, epoch, stage, step, tuple, target);
           ++tuple;
         }
+        // Owners still short after the stage's last step.
+        for (const std::int32_t k : declaredRuns_) enqueue(k, stage + 1);
       }
     }
     obs_->onPhase1Complete(activeSteps_, raises_);
+  }
+
+  /// One pass over a group's members (ascending, and numbered demand by
+  /// demand): its owners, ascending, and owner k's run of members
+  /// group[runStart_[k], runStart_[k + 1]).
+  void buildOwnerRuns(const std::vector<InstanceId>& group) {
+    groupOwners_.clear();
+    runStart_.clear();
+    for (std::size_t idx = 0; idx < group.size(); ++idx) {
+      const DemandId d = owner(group[idx]);
+      if (!groupOwners_.empty() && groupOwners_.back() == d) continue;
+      checkThat(groupOwners_.empty() || groupOwners_.back() < d,
+                "each owner's group members are contiguous", __FILE__,
+                __LINE__);
+      groupOwners_.push_back(d);
+      runStart_.push_back(static_cast<std::int32_t>(idx));
+    }
+    runStart_.push_back(static_cast<std::int32_t>(group.size()));
+  }
+
+  /// Queues owner run k at `stage`, the first one at which it is due
+  /// again; a stage past the plan drops it for the rest of the group.
+  void enqueue(std::int32_t k, std::int32_t stage) {
+    if (stage > plan_.numStages) return;
+    dueNext_[static_cast<std::size_t>(k)] =
+        dueHead_[static_cast<std::size_t>(stage)];
+    dueHead_[static_cast<std::size_t>(stage)] = k;
+  }
+
+  /// The owners due at `stage`, ascending, into declaredRuns_.
+  void popDue(std::int32_t stage) {
+    declaredRuns_.clear();
+    for (std::int32_t k = dueHead_[static_cast<std::size_t>(stage)]; k >= 0;
+         k = dueNext_[static_cast<std::size_t>(k)]) {
+      declaredRuns_.push_back(k);
+    }
+    std::sort(declaredRuns_.begin(), declaredRuns_.end());
+  }
+
+  /// Leaves the step's first-round declaration, the owners it scanned
+  /// (declaredRuns_), in senders_, and splits them: an owner with an
+  /// unsatisfied instance announces and stays declared for the next step;
+  /// every other one stays silent, and its marker promises silence until
+  /// its first possible shortfall, the stage it is queued for.
+  void promiseSilence(const std::vector<InstanceId>& group,
+                      std::int32_t stage,
+                      const std::vector<InstanceId>& unsatisfied) {
+    senders_.clear();
+    std::size_t next = 0;
+    std::size_t kept = 0;
+    for (const std::int32_t k : declaredRuns_) {
+      const auto run = static_cast<std::size_t>(k);
+      const DemandId d = groupOwners_[run];
+      senders_.push_back(d);
+      if (next < unsatisfied.size() && owner(unsatisfied[next]) == d) {
+        declaredRuns_[kept++] = k;
+        while (next < unsatisfied.size() && owner(unsatisfied[next]) == d) {
+          ++next;
+        }
+        continue;
+      }
+      std::int32_t due = plan_.numStages + 1;
+      for (std::int32_t idx = runStart_[run];
+           idx < runStart_[run + 1] && due > stage + 1; ++idx) {
+        const InstanceId i = group[static_cast<std::size_t>(idx)];
+        const double lhs = lhsLocal_[static_cast<std::size_t>(i)];
+        const double profit = u_.instance(i).profit;
+        due = std::min(due, firstShortStage(targets_, stage, lhs, profit));
+      }
+      enqueue(k, due);
+    }
+    declaredRuns_.resize(kept);
+  }
+
+  /// Advances `rounds` rounds that carry no payload. No receiver can
+  /// compute the silence of the owners in senders_, so the first round
+  /// declares them and carries their safe markers; the rest are silent.
+  void quietRounds(std::int64_t rounds) {
+    if (rounds > 0 && !senders_.empty()) {
+      net_.declareSenders(senders_);
+      net_.endRound();
+      --rounds;
+    }
+    net_.endSilentRounds(rounds);
   }
 
   /// Reports crash-stop faults taking effect: fires onCrash once per
@@ -347,8 +467,9 @@ class ProtocolEngine {
     }
   }
 
-  void runStep(std::int32_t epoch, std::int32_t stage, std::int32_t step,
-               std::int64_t tuple, double target) {
+  void runStep(const std::vector<InstanceId>& group, std::int32_t epoch,
+               std::int32_t stage, std::int32_t step, std::int64_t tuple,
+               double target) {
     announceCrashes(tuple);
     const std::int32_t budget = opt_.misRoundBudget;
 
@@ -356,19 +477,19 @@ class ProtocolEngine {
     // scheduled group against the stage target (purely local knowledge).
     // Satisfied and crashed instances leave the active set for good.
     filterInstances(stageActive_, unsatisfied_, [&](InstanceId i) {
-      if (!aliveAt(owner(i), tuple)) return false;
-      const double p = u_.instance(i).profit;
-      return lhsLocal_[static_cast<std::size_t>(i)] <
-             target * p - kSatisfyTolerance * p;
+      return aliveAt(owner(i), tuple) &&
+             fallsShort(lhsLocal_[static_cast<std::size_t>(i)],
+                        u_.instance(i).profit, target);
     });
     stageActive_.swap(unsatisfied_);
     const std::vector<InstanceId>& unsatisfied = stageActive_;
+    promiseSilence(group, stage, unsatisfied);
 
     if (unsatisfied.empty()) {
-      // The fixed schedule still spends the step's rounds; nobody
-      // transmits. Run-to-completion MIS (budget <= 0) costs only the
+      // The fixed schedule still spends the step's rounds, with no
+      // payload. Run-to-completion MIS (budget <= 0) costs only the
       // raise round.
-      net_.endSilentRounds(budget > 0 ? 2 * budget + 1 : 1);
+      quietRounds(budget > 0 ? 2 * static_cast<std::int64_t>(budget) + 1 : 1);
       return;
     }
 
@@ -393,10 +514,12 @@ class ProtocolEngine {
 
   /// Runs the step's MIS as messages: per Luby round, one communication
   /// round announcing undecided instances and one announcing joiners.
-  /// Leaves the MIS in misMembers_, sorted ascending; charges exactly
-  /// 2*budget rounds when a budget is set (silent once the MIS completes
-  /// early). Round-B decisions and join-propagation are per-instance
-  /// independent, so both run as parallel shard sections.
+  /// senders_ holds the first round's declaration. Leaves the MIS in
+  /// misMembers_, sorted ascending; charges exactly 2*budget rounds when
+  /// a budget is set (once the MIS completes early, one round of the
+  /// knocked-out owners' markers, then silence). Round-B decisions and
+  /// join-propagation are per-instance independent, so both run as
+  /// parallel shard sections.
   void lubyOverMessages(const std::vector<InstanceId>& unsatisfied,
                         std::uint64_t stepSeed, std::int32_t budget) {
     for (const InstanceId i : unsatisfied) {
@@ -405,7 +528,6 @@ class ProtocolEngine {
     undecided_ = unsatisfied;
     misMembers_.clear();
     lastLubyRounds_ = 0;
-    senders_ = groupOwners_;
 
     while (!undecided_.empty() &&
            (budget <= 0 || lastLubyRounds_ < budget)) {
@@ -505,8 +627,7 @@ class ProtocolEngine {
     }
 
     if (budget > 0) {
-      net_.endSilentRounds(
-          2 * static_cast<std::int64_t>(budget - lastLubyRounds_));
+      quietRounds(2 * static_cast<std::int64_t>(budget - lastLubyRounds_));
     }
     std::sort(misMembers_.begin(), misMembers_.end());
   }
@@ -756,6 +877,7 @@ class ProtocolEngine {
   Transport& net_;
   ParallelRunner runner_;
   StagePlan plan_;
+  std::vector<double> targets_;  ///< plan_.stageTargets()
   std::int32_t numProc_ = 0;
   std::int32_t stepsPerStage_ = 0;
   std::int64_t scheduledSteps_ = 0;
@@ -792,9 +914,19 @@ class ProtocolEngine {
   std::vector<InstanceId> undecided_;
   std::vector<InstanceId> joiners_;
   std::vector<InstanceId> misMembers_;
-  /// Round declarations: the current group's owners (ascending, unique),
-  /// the next round's possible senders, and the joiners' owners.
+  /// The current group's owners (ascending) and their member runs
+  /// (buildOwnerRuns).
   std::vector<DemandId> groupOwners_;
+  std::vector<std::int32_t> runStart_;
+  /// The due queue: dueHead_[s] heads the list, linked through dueNext_,
+  /// of the owner runs due at stage s (-1 ends it). An owner is queued at
+  /// one stage at a time, so one link each suffices.
+  std::vector<std::int32_t> dueHead_;
+  std::vector<std::int32_t> dueNext_;
+  /// The owner runs (ascending) the next step's first round declares.
+  std::vector<std::int32_t> declaredRuns_;
+  /// Round declarations: the next round's possible senders and the
+  /// joiners' owners.
   std::vector<DemandId> senders_;
   std::vector<DemandId> joinerOwners_;
   std::vector<std::vector<InstanceId>> shardLists_;

@@ -17,6 +17,28 @@ double StagePlan::stageTarget(std::int32_t j) const {
   throw CheckError("unknown SchedulePolicy");
 }
 
+std::vector<double> StagePlan::stageTargets() const {
+  std::vector<double> targets;
+  targets.reserve(static_cast<std::size_t>(numStages));
+  for (std::int32_t j = 1; j <= numStages; ++j) {
+    targets.push_back(stageTarget(j));
+    checkThat(j == 1 || targets[targets.size() - 2] <= targets.back(),
+              "stage targets rise", __FILE__, __LINE__);
+  }
+  return targets;
+}
+
+std::int32_t firstShortStage(std::span<const double> targets,
+                             std::int32_t stage, double lhs, double profit) {
+  checkThat(stage >= 0 && static_cast<std::size_t>(stage) <= targets.size(),
+            "stage within the plan", __FILE__, __LINE__);
+  // Short at one stage means short at every later one: binary search.
+  const auto first = std::partition_point(
+      targets.begin() + stage, targets.end(),
+      [&](double target) { return !fallsShort(lhs, profit, target); });
+  return static_cast<std::int32_t>(first - targets.begin()) + 1;
+}
+
 StagePlan makeStagePlan(SchedulePolicy policy, RaiseRule rule, double epsilon,
                         std::int32_t delta, double hmin) {
   checkThat(epsilon > 0 && epsilon < 1, "epsilon in (0,1)", __FILE__, __LINE__);

@@ -19,7 +19,10 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
+#include "core/tolerances.hpp"
 #include "framework/raise_policy.hpp"
 
 namespace treesched {
@@ -36,7 +39,27 @@ struct StagePlan {
 
   /// Satisfaction target of stage j (1-based).
   double stageTarget(std::int32_t j) const;
+
+  /// Every stage's target, stage j's at index j - 1. Checked to rise,
+  /// which is what makes firstShortStage's binary search exact.
+  std::vector<double> stageTargets() const;
 };
+
+/// Phase 1's satisfaction test: an instance of profit `profit` whose LHS
+/// is `lhs` falls short of the stage target `target`. The one predicate
+/// of the centralized engine and the protocol, whose schedules must agree
+/// bit for bit.
+inline bool fallsShort(double lhs, double profit, double target) {
+  return lhs < target * profit - kSatisfyTolerance * profit;
+}
+
+/// The first stage after `stage` at which an instance of LHS `lhs` and
+/// profit `profit` falls short of `targets` (StagePlan::stageTargets);
+/// targets.size() + 1 when it never does. LHS only grows in phase 1 and
+/// targets rise, so an owner that knows this for each of its instances
+/// knows the first stage at which it could have anything to say.
+std::int32_t firstShortStage(std::span<const double> targets,
+                             std::int32_t stage, double lhs, double profit);
 
 /// Builds the plan. `delta` is the layering's critical-set size; `hmin`
 /// is only read for RaiseRule::Narrow.

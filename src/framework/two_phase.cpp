@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "core/tolerances.hpp"
 #include "framework/lhs_tracker.hpp"
 #include "framework/mis.hpp"
 #include "util/check.hpp"
@@ -102,8 +101,7 @@ TwoPhaseResult runTwoPhaseRestricted(const InstanceUniverse& universe,
                   __LINE__);
         unsatisfied.clear();
         for (const InstanceId i : group) {
-          const double p = universe.instance(i).profit;
-          if (lhs.lhs(i) < target * p - kSatisfyTolerance * p) {
+          if (fallsShort(lhs.lhs(i), universe.instance(i).profit, target)) {
             unsatisfied.push_back(i);
           }
         }

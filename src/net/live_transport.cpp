@@ -16,7 +16,7 @@ std::vector<std::vector<std::int32_t>> isolatedAdjacency(std::int32_t n) {
 
 }  // namespace
 
-std::unique_ptr<Transport> makeLiveTransport(
+std::unique_ptr<PlaneTransport> makeLiveTransport(
     std::int32_t numDemands,
     const std::vector<std::vector<std::int32_t>>& access,
     const LiveTransportConfig& config) {

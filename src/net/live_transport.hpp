@@ -22,8 +22,8 @@
 #include <string>
 #include <vector>
 
+#include "net/plane_transport.hpp"
 #include "net/synchronizer.hpp"
-#include "net/transport.hpp"
 
 namespace treesched {
 
@@ -41,8 +41,8 @@ struct LiveTransportConfig {
 /// `access[d]` lists the networks demand d may use — the locality signal
 /// of the Sharded kind (SyncBus/Async ignore it). Sharded with
 /// `async.shardProcessors <= 0` defaults to max(1, numDemands / 8)
-/// processors. The returned transport is a PlaneTransport.
-std::unique_ptr<Transport> makeLiveTransport(
+/// processors.
+std::unique_ptr<PlaneTransport> makeLiveTransport(
     std::int32_t numDemands,
     const std::vector<std::vector<std::int32_t>>& access,
     const LiveTransportConfig& config);

@@ -106,7 +106,11 @@ void PlaneTransport::endSilentRounds(std::int64_t count) {
   if (count == 0) return;
   plane_.clearInboxes();
   stats_.rounds += count;
-  if (roundsCtr_ != nullptr) roundsCtr_->add(count);
+  stats_.silentRounds += count;
+  if (roundsCtr_ != nullptr) {
+    roundsCtr_->add(count);
+    silentRoundsCtr_->add(count);
+  }
 }
 
 void PlaneTransport::attachTelemetry(Tracer* tracer, MetricsRegistry* metrics) {
@@ -118,6 +122,8 @@ void PlaneTransport::attachTelemetry(Tracer* tracer, MetricsRegistry* metrics) {
       metrics != nullptr ? &metrics->counter("net.busy_rounds") : nullptr;
   messagesCtr_ =
       metrics != nullptr ? &metrics->counter("net.messages") : nullptr;
+  silentRoundsCtr_ =
+      metrics != nullptr ? &metrics->counter("net.silent_rounds") : nullptr;
 }
 
 std::span<const Message> PlaneTransport::inbox(std::int32_t p) const {

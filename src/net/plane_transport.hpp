@@ -19,8 +19,8 @@
 //    setDemandWeight, attachLedger, recordPlacementLoad);
 //  * the inboxes (inbox, appendActiveInboxes, attachRunner);
 //  * the round accounting: NetworkStats plus the net.{rounds,busy_rounds,
-//    messages} counters and the "deliver" instant of deliverRound(), and
-//    the common part of endSilentRounds.
+//    messages,silent_rounds} counters and the "deliver" instant of
+//    deliverRound(), and the common part of endSilentRounds.
 #pragma once
 
 #include <cstdint>
@@ -69,7 +69,9 @@ class PlaneTransport : public Transport {
   std::span<const std::int32_t> neighbors(std::int32_t p) const override;
 
   /// Advances `count` rounds in which no processor transmits. Inboxes are
-  /// cleared; busyRounds is unchanged. A zero count changes nothing.
+  /// cleared; busyRounds is unchanged and silentRounds (and the
+  /// net.silent_rounds counter) grows by `count`. A zero count changes
+  /// nothing.
   void endSilentRounds(std::int64_t count) override;
 
   /// Messages delivered to `p` by the last round boundary.
@@ -81,8 +83,9 @@ class PlaneTransport : public Transport {
     plane_.attachRunner(runner);
   }
 
-  /// Publishes net.{rounds,busy_rounds,messages} counters into `metrics`
-  /// and emits a "deliver" instant per busy round through `tracer`.
+  /// Publishes net.{rounds,busy_rounds,messages,silent_rounds} counters
+  /// into `metrics` and emits a "deliver" instant per busy round through
+  /// `tracer`.
   /// Instruments are resolved here, once; the round hot loop stays
   /// allocation-free.
   void attachTelemetry(Tracer* tracer, MetricsRegistry* metrics) override;
@@ -177,6 +180,7 @@ class PlaneTransport : public Transport {
   Counter* roundsCtr_ = nullptr;
   Counter* busyRoundsCtr_ = nullptr;
   Counter* messagesCtr_ = nullptr;
+  Counter* silentRoundsCtr_ = nullptr;
 };
 
 /// `transport` as the plane transport whose live topology the online

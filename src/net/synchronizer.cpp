@@ -215,12 +215,9 @@ void AlphaSynchronizer::endSilentRounds(std::int64_t count) {
   if (count == 0) return;
   endDeclaration();
   // Silent rounds are charged as barrier-only: the nominal per-round cost,
-  // no marker traffic. That is faithful only where every receiver can
-  // compute the silence itself, as for phase 2's unpushed tuples (each
-  // receiver knows which neighbours raised). It is not for a phase-1 step
-  // that is silent because its group is satisfied, nor for the Luby rounds
-  // left after an MIS completes early: there only the owners know their
-  // instances' LHS, and a real synchronizer would pay their markers.
+  // no marker traffic. Every silence the protocol charges here is one
+  // every receiver can compute; silence only its owners know goes through
+  // a declared endRound() and pays their markers.
   phys_.advanceTime(static_cast<double>(count) * silentRoundCost_);
   stats_.virtualTime = phys_.now();
   if (virtualTimeGauge_ != nullptr) virtualTimeGauge_->set(stats_.virtualTime);

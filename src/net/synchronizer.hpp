@@ -7,15 +7,21 @@
 // round r+1 once the round-r markers of all its possible senders have
 // arrived. The possible senders are the round's declaration
 // (Transport::declareSenders), a set every receiver computes from what it
-// already holds, or every demand when the round declares none. Because the
-// underlying ack/retransmission links are reliable
-// (net/async_network.hpp), every payload message broadcast in round r is
-// in the recipients' inboxes before round r+1 — so, after canonical
-// sorting, the protocol consumes exactly the inboxes the synchronous bus
-// would produce, and the whole run is bit-identical to the
-// round-synchronous execution under ANY latency model and ANY drop rate.
-// Latency and loss cost virtual time, retransmissions and control traffic,
-// never correctness.
+// already holds, or every demand when the round declares none. A marker
+// can carry a promise: the protocol's silent group owners promise silence
+// until their next possible shortfall (a Chandy–Misra lookahead null
+// message), and later declarations leave them out until then. A round
+// with no payload still pays the markers of the senders whose silence no
+// receiver can compute; only a round whose silence every receiver can
+// compute is charged silent (endSilentRounds: the nominal barrier cost,
+// no markers). Because the underlying ack/retransmission links are
+// reliable (net/async_network.hpp), every payload message broadcast in
+// round r is in the recipients' inboxes before round r+1 — so, after
+// canonical sorting, the protocol consumes exactly the inboxes the
+// synchronous bus would produce, and the whole run is bit-identical to
+// the round-synchronous execution under ANY latency model and ANY drop
+// rate. Latency and loss cost virtual time, retransmissions and control
+// traffic, never correctness.
 //
 // With a non-identity ShardPlacement one physical processor hosts many
 // demands: intra-processor messages are local memory operations (free,

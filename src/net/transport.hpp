@@ -27,8 +27,10 @@
 // A round may declare its possible senders (declareSenders) so that a
 // synchronizer waits only for them. Every receiver must be able to
 // compute the declared set from what it already holds — the fixed
-// schedule and earlier inboxes — never from who actually sends, which is
-// what the round itself reveals.
+// schedule, earlier inboxes and the promises earlier safe markers
+// carried — never from who actually sends, which is what the round
+// itself reveals. Likewise a round may be charged silent
+// (endSilentRounds) only when every receiver can compute its silence.
 #pragma once
 
 #include <cstdint>
@@ -49,6 +51,9 @@ class MetricsRegistry;
 struct NetworkStats {
   std::int64_t rounds = 0;      ///< synchronous (protocol-level) rounds
   std::int64_t busyRounds = 0;  ///< rounds that delivered >= 1 message
+  /// The share of `rounds` charged by endSilentRounds: no transmission at
+  /// all, not even a safe marker. The rest are endRound() boundaries.
+  std::int64_t silentRounds = 0;
   std::int64_t messages = 0;    ///< demand-level point-to-point deliveries
   std::int64_t payload = 0;     ///< total delivered payload (units of M)
   std::int32_t maxMessagePayload = 0;  ///< largest single message
@@ -92,7 +97,9 @@ class Transport {
 
   /// Promises that only `senders` (any order, repeats allowed; calls
   /// accumulate) broadcast in the current round; an undeclared round may
-  /// hear from every demand. The default ignores it.
+  /// hear from every demand. The set must follow from what every
+  /// receiver already holds; a promise of silence that a sender's earlier
+  /// safe marker carried counts among it. The default ignores it.
   virtual void declareSenders(std::span<const std::int32_t> senders);
 
   /// Ends the current round: every message broadcast since the previous
@@ -100,8 +107,9 @@ class Transport {
   /// this returns.
   virtual void endRound() = 0;
 
-  /// Advances `count` rounds in which no processor transmits. Inboxes are
-  /// cleared; busyRounds is unchanged.
+  /// Advances `count` rounds in which no processor transmits, a silence
+  /// every receiver can compute. Inboxes are cleared; busyRounds is
+  /// unchanged and silentRounds grows by `count`.
   virtual void endSilentRounds(std::int64_t count) = 0;
 
   /// Messages delivered to `p` by the last endRound(). A zero-copy view

@@ -55,7 +55,7 @@ std::vector<EpochBatch> batchTrace(const ChurnTrace& trace,
 ChurnRunResult runChurnOverTrace(DynamicUniverse& universe,
                                  const ChurnTrace& trace,
                                  const ChurnEngineConfig& config) {
-  const std::unique_ptr<Transport> transport = makeLiveTransport(
+  const std::unique_ptr<PlaneTransport> transport = makeLiveTransport(
       universe.numDemands(), universe.access(), config.transport);
   return runChurnOverTransport(universe, trace, config, *transport);
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -12,6 +13,7 @@
 #include "dist/protocol.hpp"
 #include "dist/sim_network.hpp"
 #include "framework/lhs_tracker.hpp"
+#include "framework/schedule.hpp"
 #include "framework/two_phase.hpp"
 #include "gen/scenario.hpp"
 #include "net/synchronizer.hpp"
@@ -707,6 +709,317 @@ TEST(DistProtocol, MarkerAndPayloadGaugesSumToTransmissions) {
   EXPECT_EQ(metrics.gauge("net.transmissions").value(),
             static_cast<double>(result.network.transmissions));
   EXPECT_GT(result.network.retransmissions, 0);
+}
+
+// ---- Protocol: lookahead safe markers ----
+
+/// One round boundary as a recording transport saw it.
+struct RoundRecord {
+  bool silent = false;             ///< charged by endSilentRounds
+  std::vector<DemandId> declared;  ///< sorted, duplicate-free
+  std::vector<Message> sent;       ///< the round's broadcasts
+  std::int64_t markers = 0;        ///< marker transmissions it cost
+};
+
+/// Forwards to another transport and records every round: its
+/// declaration, its broadcasts and the marker transmissions it cost. A
+/// silent batch records one entry per round it charges.
+class RecordingTransport final : public Transport {
+ public:
+  explicit RecordingTransport(Transport& inner) : inner_(inner) {}
+
+  const std::vector<RoundRecord>& rounds() const { return rounds_; }
+  std::int64_t endRoundCalls() const { return endRoundCalls_; }
+
+  std::int32_t numProcessors() const override {
+    return inner_.numProcessors();
+  }
+  std::span<const std::int32_t> neighbors(std::int32_t p) const override {
+    return inner_.neighbors(p);
+  }
+  void broadcast(const Message& message) override {
+    current_.sent.push_back(message);
+    inner_.broadcast(message);
+  }
+  void declareSenders(std::span<const std::int32_t> senders) override {
+    current_.declared.insert(current_.declared.end(), senders.begin(),
+                             senders.end());
+    inner_.declareSenders(senders);
+  }
+  void endRound() override {
+    const std::int64_t markersBefore = inner_.stats().markerTransmissions;
+    inner_.endRound();
+    ++endRoundCalls_;
+    auto& declared = current_.declared;
+    std::sort(declared.begin(), declared.end());
+    declared.erase(std::unique(declared.begin(), declared.end()),
+                   declared.end());
+    current_.markers = inner_.stats().markerTransmissions - markersBefore;
+    rounds_.push_back(std::move(current_));
+    current_ = {};
+  }
+  void endSilentRounds(std::int64_t count) override {
+    inner_.endSilentRounds(count);
+    RoundRecord silent;
+    silent.silent = true;
+    rounds_.insert(rounds_.end(), static_cast<std::size_t>(count), silent);
+  }
+  std::span<const Message> inbox(std::int32_t p) const override {
+    return inner_.inbox(p);
+  }
+  void appendActiveInboxes(std::vector<std::int32_t>& out) const override {
+    inner_.appendActiveInboxes(out);
+  }
+  void attachRunner(ParallelRunner* runner) override {
+    inner_.attachRunner(runner);
+  }
+  void attachTelemetry(Tracer* tracer, MetricsRegistry* metrics) override {
+    inner_.attachTelemetry(tracer, metrics);
+  }
+  const NetworkStats& stats() const override { return inner_.stats(); }
+
+ private:
+  Transport& inner_;
+  std::vector<RoundRecord> rounds_;
+  RoundRecord current_;
+  std::int64_t endRoundCalls_ = 0;
+};
+
+/// The demands that broadcast a `kind` message in `round`, ascending.
+std::vector<DemandId> sendersOf(const RoundRecord& round, MessageKind kind) {
+  std::vector<DemandId> out;
+  for (const Message& m : round.sent) {
+    if (m.kind == kind) out.push_back(m.from);
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+TEST(LookaheadMarkers, QuietRoundsPayTheMarkersOfSilenceOnlyOwnersKnow) {
+  const TreeProblem problem = treeCase(31, 32, 30, 3);
+  const PreparedRun prepared = prepareUnitTreeRun(problem);
+  const DistributedOptions dopt = declarationRunOptions();
+  // Lossless, one processor per demand: a declared owner's markers are
+  // one transmission per neighbour.
+  AlphaSynchronizer wire(prepared.adjacency,
+                         ShardPlacement::identity(
+                             static_cast<std::int32_t>(problem.demands.size())),
+                         AsyncConfig{});
+  RecordingTransport recorder(wire);
+  const DistributedResult result = runDistributedOverTransport(
+      prepared.universe, prepared.layering, recorder, dopt);
+  ASSERT_EQ(result.network.retransmissions, 0);
+  const auto markerPairs = [&](const std::vector<DemandId>& owners) {
+    std::int64_t pairs = 0;
+    for (const DemandId d : owners) {
+      pairs += static_cast<std::int64_t>(wire.neighbors(d).size());
+    }
+    return pairs;
+  };
+
+  const std::int32_t budget = dopt.misRoundBudget;
+  const std::int64_t roundsPerStep = 2 * budget + 1;
+  const std::vector<RoundRecord>& rounds = recorder.rounds();
+  ASSERT_GE(static_cast<std::int64_t>(rounds.size()),
+            result.scheduledSteps * roundsPerStep);
+  std::int64_t silentSteps = 0;
+  std::int64_t earlyFinishes = 0;
+  for (std::int64_t step = 0; step < result.scheduledSteps; ++step) {
+    const auto first = static_cast<std::size_t>(step * roundsPerStep);
+    const RoundRecord& head = rounds[first];
+    if (head.sent.empty()) {
+      // Silent by satisfaction: the first round carries the declared
+      // owners' markers, and every later round is silent.
+      if (!head.silent) {
+        ++silentSteps;
+        EXPECT_FALSE(head.declared.empty());
+        EXPECT_EQ(head.markers, markerPairs(head.declared)) << "step " << step;
+      }
+      for (std::int64_t r = 1; r < roundsPerStep; ++r) {
+        EXPECT_TRUE(rounds[first + static_cast<std::size_t>(r)].silent)
+            << "step " << step << " round " << r;
+      }
+      continue;
+    }
+    // An MIS that finished in Luby round j < budget: announce round j + 1
+    // carries no payload, only the markers of the owners round j knocked
+    // out (its announcers that did not join); the rest is silent.
+    for (std::int32_t j = 1; j < budget; ++j) {
+      const RoundRecord& next = rounds[first + static_cast<std::size_t>(2 * j)];
+      if (next.silent || !next.sent.empty()) continue;
+      const std::vector<DemandId> announcers = sendersOf(
+          rounds[first + static_cast<std::size_t>(2 * j - 2)],
+          MessageKind::MisActive);
+      const std::vector<DemandId> joiners = sendersOf(
+          rounds[first + static_cast<std::size_t>(2 * j - 1)],
+          MessageKind::MisJoin);
+      std::vector<DemandId> knockedOut;
+      std::set_difference(announcers.begin(), announcers.end(),
+                          joiners.begin(), joiners.end(),
+                          std::back_inserter(knockedOut));
+      EXPECT_EQ(next.declared, knockedOut) << "step " << step;
+      EXPECT_EQ(next.markers, markerPairs(knockedOut)) << "step " << step;
+      for (std::int32_t r = 2 * j + 1; r < 2 * budget; ++r) {
+        EXPECT_TRUE(rounds[first + static_cast<std::size_t>(r)].silent)
+            << "step " << step << " round " << r;
+      }
+      ++earlyFinishes;
+      break;
+    }
+  }
+  EXPECT_GT(silentSteps, 0) << "no step was silent by satisfaction";
+  EXPECT_GT(earlyFinishes, 0) << "no MIS finished early";
+}
+
+TEST(LookaheadMarkers, PromiseCoversExactlyTheStagesItNames) {
+  // Four demands on disjoint paths of one network: no two instances
+  // conflict, but all four demands neighbour each other.
+  TreeProblem problem;
+  problem.numVertices = 8;
+  problem.networks.push_back(makePathTree(0, 8));
+  for (DemandId d = 0; d < 4; ++d) {
+    Demand demand;
+    demand.id = d;
+    demand.u = 2 * d;
+    demand.v = 2 * d + 1;
+    demand.profit = 2.0 + d;
+    problem.demands.push_back(demand);
+    problem.access.push_back({0});
+  }
+  const PreparedRun prepared = prepareUnitTreeRun(problem);
+  DynamicUniverse dynamic = makeDynamicTreeUniverse(problem);
+  std::vector<ProcessorContext> contexts(4);
+  for (DemandId d = 0; d < 4; ++d) {
+    dynamic.addDemand(d);
+    contexts[static_cast<std::size_t>(d)].init(dynamic, d);
+  }
+  std::vector<InstanceId> active;
+  for (DemandId d = 0; d < 4; ++d) {
+    const auto owned = dynamic.instancesOfDemand(d);
+    active.insert(active.end(), owned.begin(), owned.end());
+  }
+  std::sort(active.begin(), active.end());
+  DistributedOptions dopt;
+  dopt.misRoundBudget = 4;
+  dopt.stepsPerStage = 2;
+  const DynamicLayeringView layering = dynamic.layeringView();
+  const StagePlan plan =
+      makeStagePlan(SchedulePolicy::Staged, dopt.rule, dopt.epsilon,
+                    std::max<std::int32_t>(1, layering.maxCriticalSize),
+                    dopt.hmin);
+  const std::vector<double> targets = plan.stageTargets();
+  const std::int32_t due = 5;
+  ASSERT_GT(plan.numStages, due);
+
+  // Demand 0's instance starts satisfied up to stage due - 1 only.
+  const InstanceId watched = dynamic.instancesOfDemand(0)[0];
+  const double profit = dynamic.instance(watched).profit;
+  std::vector<double> lhs(static_cast<std::size_t>(dynamic.numInstances()),
+                          0.0);
+  lhs[static_cast<std::size_t>(watched)] =
+      0.5 * (targets[due - 2] + targets[due - 1]) * profit;
+  ASSERT_EQ(firstShortStage(targets, 1, lhs[static_cast<std::size_t>(watched)],
+                            profit),
+            due);
+
+  SimNetwork bus(prepared.adjacency);
+  RecordingTransport recorder(bus);
+  const Phase1Result run =
+      runDistributedPhase1(dynamic, recorder, dopt, active, lhs, contexts);
+  EXPECT_TRUE(run.localViewsConsistent);
+
+  const std::int64_t roundsPerStep = 2 * dopt.misRoundBudget + 1;
+  const std::int64_t group = layering.group[static_cast<std::size_t>(watched)];
+  const auto firstRound = [&](std::int32_t stage) -> const RoundRecord& {
+    const std::int64_t tuple =
+        (group * plan.numStages + stage - 1) * dopt.stepsPerStage;
+    return recorder.rounds()[static_cast<std::size_t>(tuple * roundsPerStep)];
+  };
+  const auto declares = [](const RoundRecord& round, DemandId d) {
+    return std::binary_search(round.declared.begin(), round.declared.end(),
+                              d);
+  };
+  EXPECT_TRUE(declares(firstRound(1), 0)) << "every owner is due at stage 1";
+  for (std::int32_t stage = 2; stage < due; ++stage) {
+    EXPECT_FALSE(declares(firstRound(stage), 0)) << "stage " << stage;
+  }
+  EXPECT_TRUE(declares(firstRound(due), 0));
+  EXPECT_EQ(sendersOf(firstRound(due), MessageKind::MisActive),
+            std::vector<DemandId>{0});
+
+  // ... and it is raised at that stage, not before.
+  const std::int64_t dueTuple =
+      (group * plan.numStages + due - 1) * dopt.stepsPerStage;
+  std::int64_t raisedAt = -1;
+  for (const DualRaiseRecord& raise : run.raiseLog) {
+    if (raise.instance == watched) raisedAt = raise.tuple;
+  }
+  EXPECT_GE(raisedAt, dueTuple);
+  EXPECT_LT(raisedAt, dueTuple + dopt.stepsPerStage);
+}
+
+TEST(LookaheadMarkers, FewStepsPerStageStillMatchTheCentralizedEngine) {
+  // With one or two steps per stage, owners are still short after a
+  // stage's last step; they must be due at the next stage.
+  for (const std::int32_t steps : {1, 2}) {
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      const TreeProblem problem = treeCase(40 + seed, 24, 24, 3);
+      InstanceUniverse universe = InstanceUniverse::fromTreeProblem(problem);
+      const Layering layering = buildTreeLayering(problem, universe);
+
+      DistributedOptions dopt;
+      dopt.seed = seed;
+      dopt.misRoundBudget = 4;
+      dopt.stepsPerStage = steps;
+      const DistributedResult dist = runDistributedUnitTree(problem, dopt);
+
+      FrameworkConfig copt;
+      copt.seed = dopt.seed;
+      copt.misRoundBudget = dopt.misRoundBudget;
+      copt.fixedSchedule = true;
+      copt.stepsPerStage = steps;
+      const TwoPhaseResult central = runTwoPhase(universe, layering, copt);
+
+      std::vector<InstanceId> centralSorted = central.solution.instances;
+      std::sort(centralSorted.begin(), centralSorted.end());
+      EXPECT_EQ(dist.solution.instances, centralSorted)
+          << "steps " << steps << " seed " << seed;
+      EXPECT_EQ(dist.raises, central.stats.raises)
+          << "steps " << steps << " seed " << seed;
+      EXPECT_EQ(dist.dualObjective, central.dualObjective)
+          << "steps " << steps << " seed " << seed;
+      EXPECT_EQ(dist.lambdaMeasured, central.stats.lambdaMeasured)
+          << "steps " << steps << " seed " << seed;
+      EXPECT_TRUE(dist.localViewsConsistent);
+    }
+  }
+}
+
+TEST(LookaheadMarkers, SilentRoundsSplitTheRoundCount) {
+  const TreeProblem problem = treeCase(31, 32, 30, 3);
+  const PreparedRun prepared = prepareUnitTreeRun(problem);
+  DistributedOptions dopt = declarationRunOptions();
+
+  const auto check = [&](Transport& transport) {
+    RecordingTransport recorder(transport);
+    MetricsRegistry metrics;
+    dopt.metrics = &metrics;
+    const DistributedResult result = runDistributedOverTransport(
+        prepared.universe, prepared.layering, recorder, dopt);
+    EXPECT_GT(result.network.silentRounds, 0);
+    EXPECT_EQ(result.network.rounds,
+              result.network.silentRounds + recorder.endRoundCalls());
+    EXPECT_EQ(metrics.counter("net.silent_rounds").value(),
+              result.network.silentRounds);
+    return result.network;
+  };
+  SimNetwork bus(prepared.adjacency);
+  const NetworkStats sync = check(bus);
+  AlphaSynchronizer wire = lossyShardedWire(problem, prepared);
+  const NetworkStats async = check(wire);
+  EXPECT_EQ(sync.rounds, async.rounds);
+  EXPECT_EQ(sync.silentRounds, async.silentRounds);
 }
 
 }  // namespace

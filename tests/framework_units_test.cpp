@@ -1,10 +1,16 @@
 // Focused unit tests for the framework primitives: dual state, raise
-// rules, and the LHS tracker — the arithmetic Lemmas 3.1/6.1 lean on.
+// rules, the LHS tracker — the arithmetic Lemmas 3.1/6.1 lean on — and
+// the stage schedule's satisfaction test.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
+#include "core/tolerances.hpp"
 #include "core/universe.hpp"
 #include "framework/lhs_tracker.hpp"
 #include "framework/raise_policy.hpp"
+#include "framework/schedule.hpp"
 #include "gen/scenario.hpp"
 #include "util/check.hpp"
 
@@ -155,6 +161,51 @@ TEST(LhsTracker, OnRaiseAppliesAlphaThenEdges) {
   EXPECT_DOUBLE_EQ(tracker.lhs(1), 1.0);
   // Instance 2 (demand 1 on path, edge 1): untouched.
   EXPECT_DOUBLE_EQ(tracker.lhs(2), 0.0);
+}
+
+/// The first stage after `stage` at which fallsShort holds, by scanning.
+std::int32_t firstShortByScan(const std::vector<double>& targets,
+                              std::int32_t stage, double lhs, double profit) {
+  for (std::size_t j = static_cast<std::size_t>(stage); j < targets.size();
+       ++j) {
+    if (fallsShort(lhs, profit, targets[j])) {
+      return static_cast<std::int32_t>(j) + 1;
+    }
+  }
+  return static_cast<std::int32_t>(targets.size()) + 1;
+}
+
+TEST(StageSchedule, FirstShortStageMatchesAScanOfTheSharedPredicate) {
+  for (const RaiseRule rule : {RaiseRule::Unit, RaiseRule::Narrow}) {
+    const StagePlan plan =
+        makeStagePlan(SchedulePolicy::Staged, rule, 0.1, 3, 0.5);
+    const std::vector<double> targets = plan.stageTargets();
+    ASSERT_EQ(static_cast<std::int32_t>(targets.size()), plan.numStages);
+    for (const double profit : {1.0, 3.5, 8.0}) {
+      // Each stage's threshold exactly (not short there) and its
+      // neighbouring doubles, plus LHS values of 0 and >= p.
+      std::vector<double> lhsValues = {0.0, profit, 2.0 * profit};
+      for (const double target : targets) {
+        const double threshold = target * profit - kSatisfyTolerance * profit;
+        EXPECT_FALSE(fallsShort(threshold, profit, target));
+        EXPECT_TRUE(fallsShort(std::nextafter(threshold, 0.0), profit, target));
+        lhsValues.push_back(threshold);
+        lhsValues.push_back(std::nextafter(threshold, 0.0));
+        lhsValues.push_back(std::nextafter(threshold, 2.0 * profit));
+      }
+      for (const double lhs : lhsValues) {
+        for (std::int32_t stage = 0; stage <= plan.numStages; ++stage) {
+          EXPECT_EQ(firstShortStage(targets, stage, lhs, profit),
+                    firstShortByScan(targets, stage, lhs, profit))
+              << "lhs " << lhs << " profit " << profit << " stage " << stage;
+        }
+      }
+      // lhs >= p is never short: targets stay below 1.
+      EXPECT_EQ(firstShortStage(targets, 0, profit, profit),
+                plan.numStages + 1);
+      EXPECT_EQ(firstShortStage(targets, 0, 0.0, profit), 1);
+    }
+  }
 }
 
 }  // namespace
