@@ -3,6 +3,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "core/universe.hpp"
@@ -13,6 +14,7 @@
 #include "framework/two_phase.hpp"
 #include "gen/scenario.hpp"
 #include "gen/tree_gen.hpp"
+#include "net/async_network.hpp"
 #include "util/rng.hpp"
 
 namespace treesched {
@@ -154,6 +156,44 @@ void BM_ForShards(benchmark::State& state) {
 BENCHMARK(BM_ForShards)
     ->ArgsProduct({{1, 2, 4}, {64, 1'024, 65'536}})
     ->UseRealTime();
+
+// One flush of the async lossy wire on hotspot_async's link (heavy-tail
+// latency, base 1, Pareto shape 1.5, cap 64; 5% drops; timeout 16): N
+// packets between random endpoints of a 300-endpoint network, two in
+// three of them control packets, as safe markers are on that workload.
+// Arg: packets per flush.
+void BM_AsyncFlush(benchmark::State& state) {
+  const auto packets = static_cast<std::size_t>(state.range(0));
+  constexpr std::int32_t kEndpoints = 300;
+  AsyncLinkConfig link;
+  link.latency.model = LatencyModel::HeavyTail;
+  link.latency.base = 1.0;
+  link.latency.tailShape = 1.5;
+  link.latency.tailCap = 64.0;
+  link.dropProbability = 0.05;
+  link.retransmitTimeout = 16.0;
+  AsyncNetwork net(kEndpoints, link, 1);
+  Rng rng(8);
+  std::vector<std::pair<std::int32_t, std::int32_t>> links(packets);
+  for (auto& [from, to] : links) {
+    from = static_cast<std::int32_t>(rng.nextBounded(kEndpoints));
+    const auto hop = static_cast<std::int32_t>(rng.nextBounded(kEndpoints - 1));
+    to = (from + 1 + hop) % kEndpoints;
+  }
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < packets; ++i) {
+      const auto [from, to] = links[i];
+      net.send(from, to,
+               {MessageKind::MisActive, from, static_cast<InstanceId>(i), 0.0},
+               /*control=*/i % 3 != 0);
+    }
+    benchmark::DoNotOptimize(net.flush());
+    net.drainDeliveries();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(packets));
+}
+BENCHMARK(BM_AsyncFlush)->Arg(64)->Arg(1'024)->Arg(16'384);
 
 }  // namespace
 }  // namespace treesched

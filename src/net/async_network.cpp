@@ -1,6 +1,8 @@
 #include "net/async_network.hpp"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -115,11 +117,6 @@ const LatencyConfig& AsyncNetwork::linkLatency(const Flight& flight) const {
   return overrides_[static_cast<std::size_t>(flight.latencyOverride)].latency;
 }
 
-void AsyncNetwork::schedule(double time, EventKind kind, std::uint32_t flight,
-                            std::int32_t attempt) {
-  queue_.push({time, nextEventSeq_++, kind, flight, attempt});
-}
-
 bool AsyncNetwork::chance(double probability, std::uint64_t packetId,
                           std::int32_t attempt, std::uint64_t salt) const {
   if (probability <= 0) return false;
@@ -147,80 +144,134 @@ void AsyncNetwork::send(std::int32_t from, std::int32_t to,
   flight.control = control;
   flight.id = nextPacketId_++;
   flight.latencyOverride = overrideIndex(from, to);
-  const auto index = static_cast<std::uint32_t>(flights_.size());
   flights_.push_back(flight);
-  schedule(now_, EventKind::Attempt, index, 0);
 }
 
-void AsyncNetwork::deliverPayload(Flight& flight) {
-  flight.delivered = true;
-  ++endpointLoad_[static_cast<std::size_t>(flight.to)];
-  if (!flight.control) {
-    log_.push_back({flight.from, flight.to, flight.payload});
+double AsyncNetwork::runFlight(std::uint32_t index, double start) {
+  const Flight& flight = flights_[index];
+  const double timeout = timeoutFor(flight);
+  // The one pending retransmit timer: attempt `attempt` at `timerAt`,
+  // scheduled `timerSeq`-th on this timeline. Each attempt re-arms it.
+  std::int32_t attempt = 0;
+  double timerAt = start;
+  std::uint32_t timerSeq = 0;
+  std::uint32_t nextSeq = 1;
+  bool delivered = false;
+  bool acked = false;
+  double last = start;
+  arrivals_.clear();
+  const auto schedule = [&](double time, ArrivalKind kind,
+                            std::int32_t sentBy) {
+    arrivals_.push_back({time, nextSeq++, kind, sentBy});
+    std::push_heap(arrivals_.begin(), arrivals_.end(), ArrivalAfter{});
+  };
+  for (;;) {
+    // The timer fires unless the ack has landed (the timer is cancelled
+    // and never reaches the clock) or an arrival comes first.
+    if (!acked &&
+        (arrivals_.empty() ||
+         ArrivalAfter{}(arrivals_.front(), {timerAt, timerSeq}))) {
+      checkThat(attempt < kMaxAttempts, "retransmission cap", __FILE__,
+                __LINE__);
+      last = timerAt;
+      ++transmissions_;
+      if (flight.control) ++markerTransmissions_;
+      if (attempt > 0) ++retransmissions_;
+      if (chance(config_.dropProbability, flight.id, attempt,
+                 kSaltPayloadDrop)) {
+        ++drops_;
+      } else {
+        schedule(timerAt + delay(flight, attempt, kSaltPayloadDelay),
+                 ArrivalKind::Deliver, attempt);
+      }
+      timerAt += timeout;
+      timerSeq = nextSeq++;
+      ++attempt;
+      continue;
+    }
+    if (arrivals_.empty()) break;
+    std::pop_heap(arrivals_.begin(), arrivals_.end(), ArrivalAfter{});
+    const Arrival arrival = arrivals_.back();
+    arrivals_.pop_back();
+    last = arrival.time;
+    if (arrival.kind == ArrivalKind::Ack) {
+      acked = true;
+      continue;
+    }
+    if (!delivered) {
+      delivered = true;
+      ++endpointLoad_[static_cast<std::size_t>(flight.to)];
+      if (!flight.control) {
+        firstDeliveries_.push_back({arrival.time, arrival.attempt, index});
+      }
+      // Duplicating-link fault: the same packet arrives once more a
+      // little later; the dedup branch below absorbs it.
+      if (arrival.kind == ArrivalKind::Deliver &&
+          chance(config_.duplicateProbability, flight.id, arrival.attempt,
+                 kSaltDuplicateDraw)) {
+        schedule(arrival.time +
+                     delay(flight, arrival.attempt, kSaltDuplicateDelay),
+                 ArrivalKind::DuplicateDeliver, arrival.attempt);
+      }
+    } else {
+      // Dedup path: retransmission races and duplicating links.
+      ++duplicates_;
+    }
+    // Duplicates are acked too, else a lost first ack livelocks.
+    if (chance(config_.dropProbability, flight.id, arrival.attempt,
+               kSaltAckDrop)) {
+      ++drops_;
+    } else {
+      schedule(arrival.time + delay(flight, arrival.attempt, kSaltAckDelay),
+               ArrivalKind::Ack, arrival.attempt);
+    }
   }
+  return last;
+}
+
+bool AsyncNetwork::deliveredBefore(const FirstDelivery& a,
+                                   const FirstDelivery& b,
+                                   double start) const {
+  if (a.time != b.time) return a.time < b.time;
+  // A global queue pops equal times in schedule order, i.e. in the order
+  // it ran the two delivering attempts: by their times, then again by
+  // what scheduled them, back to the first attempts, which send() queued
+  // at `start` in send order.
+  const double timeoutA = timeoutFor(flights_[a.flight]);
+  const double timeoutB = timeoutFor(flights_[b.flight]);
+  if (timeoutA != timeoutB) {
+    // Attempt m runs at start + m timeouts, summed one at a time.
+    const auto attemptTimes = [start](std::int32_t attempt, double timeout) {
+      std::vector<double> times(static_cast<std::size_t>(attempt) + 1, start);
+      for (std::size_t m = 1; m < times.size(); ++m) {
+        times[m] = times[m - 1] + timeout;
+      }
+      return times;
+    };
+    const std::vector<double> timesA = attemptTimes(a.attempt, timeoutA);
+    const std::vector<double> timesB = attemptTimes(b.attempt, timeoutB);
+    for (auto i = timesA.size(), j = timesB.size(); i > 0 && j > 0; --i, --j) {
+      if (timesA[i - 1] != timesB[j - 1]) return timesA[i - 1] < timesB[j - 1];
+    }
+  }
+  // On one timer chain (or two that agree back to `start`) the lower
+  // attempt ran first; the same attempt ran in send order.
+  return std::pair(a.attempt, a.flight) < std::pair(b.attempt, b.flight);
 }
 
 double AsyncNetwork::flush() {
-  while (!queue_.empty()) {
-    const Event event = queue_.top();
-    queue_.pop();
-    Flight& flight = flights_[event.flight];
-    if (event.kind == EventKind::Attempt && flight.acked) {
-      // A retransmit timer cancelled by the ack: it neither transmits
-      // nor advances the clock.
-      continue;
-    }
-    now_ = std::max(now_, event.time);
-    switch (event.kind) {
-      case EventKind::Attempt: {
-        checkThat(flight.attempts < kMaxAttempts, "retransmission cap",
-                  __FILE__, __LINE__);
-        ++flight.attempts;
-        ++transmissions_;
-        if (flight.control) ++markerTransmissions_;
-        if (event.attempt > 0) ++retransmissions_;
-        if (chance(config_.dropProbability, flight.id, event.attempt,
-                   kSaltPayloadDrop)) {
-          ++drops_;
-        } else {
-          schedule(now_ + delay(flight, event.attempt, kSaltPayloadDelay),
-                   EventKind::Deliver, event.flight, event.attempt);
-        }
-        // The next attempt fires unless the ack lands first.
-        schedule(now_ + timeoutFor(flight), EventKind::Attempt, event.flight,
-                 event.attempt + 1);
-        break;
-      }
-      case EventKind::Deliver:
-      case EventKind::DuplicateDeliver: {
-        if (!flight.delivered) {
-          deliverPayload(flight);
-          // Duplicating-link fault: the same packet arrives once more a
-          // little later; the dedup branch below absorbs it.
-          if (event.kind == EventKind::Deliver &&
-              chance(config_.duplicateProbability, flight.id, event.attempt,
-                     kSaltDuplicateDraw)) {
-            schedule(now_ + delay(flight, event.attempt, kSaltDuplicateDelay),
-                     EventKind::DuplicateDeliver, event.flight, event.attempt);
-          }
-        } else {
-          // Dedup path: retransmission races and duplicating links.
-          ++duplicates_;
-        }
-        // Duplicates are acked too, else a lost first ack livelocks.
-        if (chance(config_.dropProbability, flight.id, event.attempt,
-                   kSaltAckDrop)) {
-          ++drops_;
-        } else {
-          schedule(now_ + delay(flight, event.attempt, kSaltAckDelay),
-                   EventKind::AckArrive, event.flight, event.attempt);
-        }
-        break;
-      }
-      case EventKind::AckArrive:
-        flight.acked = true;
-        break;
-    }
+  const double start = now_;
+  firstDeliveries_.clear();
+  for (std::uint32_t i = 0; i < flights_.size(); ++i) {
+    now_ = std::max(now_, runFlight(i, start));
+  }
+  std::sort(firstDeliveries_.begin(), firstDeliveries_.end(),
+            [&](const FirstDelivery& a, const FirstDelivery& b) {
+              return deliveredBefore(a, b, start);
+            });
+  for (const FirstDelivery& first : firstDeliveries_) {
+    const Flight& flight = flights_[first.flight];
+    log_.push_back({flight.from, flight.to, flight.payload});
   }
   flights_.clear();
   return now_;
@@ -228,7 +279,7 @@ double AsyncNetwork::flush() {
 
 void AsyncNetwork::advanceTime(double delta) {
   checkThat(delta >= 0, "time advances forward", __FILE__, __LINE__);
-  checkThat(queue_.empty(), "advanceTime with traffic in flight", __FILE__,
+  checkThat(flights_.empty(), "advanceTime with traffic in flight", __FILE__,
             __LINE__);
   now_ += delta;
 }

@@ -1,4 +1,4 @@
-// Asynchronous, lossy physical network: a priority-queue event simulator.
+// Asynchronous, lossy physical network: a per-packet timeline simulator.
 //
 // Endpoints exchange packets over point-to-point links. Each transmission
 // attempt samples a delay from the configured latency model and is lost
@@ -18,8 +18,18 @@
 // the receiver's dedup path must (and does) absorb it.
 //
 // All randomness is hash-keyed by (seed, packet id, attempt), so a run is
-// a pure function of the seed: neither heap ordering nor drain order can
-// perturb sampled delays or drop decisions.
+// a pure function of the seed: no processing order can perturb sampled
+// delays or drop decisions.
+//
+// Packets never interact: every draw is keyed by the packet and the
+// links model no contention (no bandwidth share, no queueing). So
+// flush() runs each packet's own timeline — its attempts, deliveries,
+// duplicate deliveries and acks, in (time, the packet's schedule order)
+// — one packet after another on a small reused queue, and merges only
+// the sums, the latest event time and the delivery order. That is
+// exactly what one global event queue over every packet produces
+// (tests/net_test.cpp keeps such a queue as the reference). A link model
+// with contention would couple the packets and need the global queue.
 //
 // Delivered application packets accumulate in one flat append-only log,
 // in arrival order; `deliveries()` is a zero-copy span of it. There is no
@@ -28,7 +38,6 @@
 #pragma once
 
 #include <cstdint>
-#include <queue>
 #include <span>
 #include <vector>
 
@@ -91,17 +100,20 @@ class AsyncNetwork {
   void send(std::int32_t from, std::int32_t to, const Message& payload,
             bool control = false);
 
-  /// Runs the event loop until every in-flight packet is delivered and
-  /// acknowledged; returns the virtual time afterwards.
+  /// Runs every packet sent since the last flush until it is delivered
+  /// and acknowledged; returns the virtual time afterwards, the latest
+  /// event of any packet.
   double flush();
 
-  /// Advances the clock without any traffic (known-silent barrier rounds).
+  /// Advances the clock without any traffic (known-silent barrier
+  /// rounds); no packet may be pending.
   void advanceTime(double delta);
 
   double now() const { return now_; }
 
   /// Application packets delivered since the last drain, to every
-  /// endpoint, in arrival order. A zero-copy span into the delivery log,
+  /// endpoint, in arrival order (equal times in the order a global event
+  /// queue pops them). A zero-copy span into the delivery log,
   /// invalidated by the next flush()/drainDeliveries().
   std::span<const PhysicalDelivery> deliveries() const { return log_; }
   void drainDeliveries() { log_.clear(); }
@@ -121,44 +133,50 @@ class AsyncNetwork {
   }
 
  private:
-  enum class EventKind : std::uint8_t {
-    Attempt,
-    Deliver,
-    DuplicateDeliver,
-    AckArrive
-  };
-
-  struct Event {
-    double time = 0;
-    std::uint64_t seq = 0;  ///< schedule order, breaks time ties
-    EventKind kind = EventKind::Attempt;
-    std::uint32_t flight = 0;  ///< index into flights_
-    std::int32_t attempt = 0;
-  };
-
-  struct EventAfter {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-
-  /// One packet in flight: retransmitted until acked.
+  /// One packet sent since the last flush. Every pending packet starts
+  /// at now(): advanceTime() refuses pending packets.
   struct Flight {
     std::int32_t from = 0;
     std::int32_t to = 0;
     Message payload;
     bool control = false;
     std::uint64_t id = 0;  ///< globally unique, keys the hash draws
-    std::int32_t attempts = 0;
     /// Index into overrides_ for this flight's link; -1 = global model.
     std::int32_t latencyOverride = -1;
-    bool delivered = false;
-    bool acked = false;
   };
 
-  void schedule(double time, EventKind kind, std::uint32_t flight,
-                std::int32_t attempt);
+  enum class ArrivalKind : std::uint8_t { Deliver, DuplicateDeliver, Ack };
+
+  /// A packet copy or an ack in flight on one packet's timeline.
+  struct Arrival {
+    double time = 0;
+    std::uint32_t seq = 0;  ///< the packet's schedule order, breaks ties
+    ArrivalKind kind = ArrivalKind::Deliver;
+    std::int32_t attempt = 0;
+  };
+
+  struct ArrivalAfter {
+    bool operator()(const Arrival& a, const Arrival& b) const {
+      if (a.time != b.time) return a.time > b.time;
+      return a.seq > b.seq;
+    }
+  };
+
+  /// An application packet's first delivery, held until the flush
+  /// orders the log.
+  struct FirstDelivery {
+    double time = 0;
+    std::int32_t attempt = 0;  ///< the delivering attempt
+    std::uint32_t flight = 0;  ///< index into flights_: send order
+  };
+
+  /// Runs one flight's timeline from `start`; returns its last event
+  /// time.
+  double runFlight(std::uint32_t index, double start);
+  /// The order in which a global event queue would hand out two first
+  /// deliveries of one flush that started at `start`.
+  bool deliveredBefore(const FirstDelivery& a, const FirstDelivery& b,
+                       double start) const;
   bool chance(double probability, std::uint64_t packetId, std::int32_t attempt,
               std::uint64_t salt) const;
   double delay(const Flight& flight, std::int32_t attempt,
@@ -166,7 +184,6 @@ class AsyncNetwork {
   const LatencyConfig& linkLatency(const Flight& flight) const;
   double timeoutFor(const Flight& flight) const;
   std::int32_t overrideIndex(std::int32_t a, std::int32_t b) const;
-  void deliverPayload(Flight& flight);
 
   AsyncLinkConfig config_;
   std::vector<LinkLatencyOverride> overrides_;  ///< validated, a < b
@@ -177,9 +194,10 @@ class AsyncNetwork {
   std::vector<double> overrideTimeout_;
   double now_ = 0;
   std::uint64_t nextPacketId_ = 0;
-  std::uint64_t nextEventSeq_ = 0;
-  std::vector<Flight> flights_;  ///< cleared once flush() drains the queue
-  std::priority_queue<Event, std::vector<Event>, EventAfter> queue_;
+  std::vector<Flight> flights_;  ///< sent since the last flush
+  /// The running flight's pending arrivals (a heap), reused per flight.
+  std::vector<Arrival> arrivals_;
+  std::vector<FirstDelivery> firstDeliveries_;  ///< this flush's, unordered
 
   std::vector<PhysicalDelivery> log_;  ///< arrival order, since last drain
 

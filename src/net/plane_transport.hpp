@@ -169,7 +169,9 @@ class PlaneTransport : public Transport {
   void deliverRound();
 
   MessagePlane plane_;
-  NetworkStats stats_;
+  /// Mutable so a wire can refresh a per-processor field when read
+  /// rather than every round (AlphaSynchronizer::stats).
+  mutable NetworkStats stats_;
 
   // Telemetry plane (null when detached).
   Tracer* tracer_ = nullptr;

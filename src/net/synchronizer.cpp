@@ -43,8 +43,6 @@ AlphaSynchronizer::AlphaSynchronizer(
               "unplaced demands must be isolated", __FILE__, __LINE__);
     rebuildRemoteProcs(d);
   }
-  stats_.processorLoad.assign(
-      static_cast<std::size_t>(placement_.numProcessors), 0);
 }
 
 void AlphaSynchronizer::rebuildRemoteProcs(std::int32_t d) {
@@ -148,7 +146,11 @@ void AlphaSynchronizer::sendMarkers() {
     for (DemandId d = 0; d < numProcessors(); ++d) addSender(d);
   }
   endDeclaration();
-  std::sort(markers_.begin(), markers_.end());
+  // Identity placement under an ascending declaration, which is what the
+  // engine declares, already yields ascending keys.
+  if (!std::is_sorted(markers_.begin(), markers_.end())) {
+    std::sort(markers_.begin(), markers_.end());
+  }
   markers_.erase(std::unique(markers_.begin(), markers_.end()),
                  markers_.end());
   for (const std::uint64_t key : markers_) {
@@ -194,7 +196,6 @@ void AlphaSynchronizer::endRound() {
   stats_.retransmissions = phys_.retransmissions();
   stats_.drops = phys_.drops();
   stats_.duplicates = phys_.duplicates();
-  stats_.processorLoad = phys_.endpointLoad();
   if (virtualTimeGauge_ != nullptr) {
     virtualTimeGauge_->set(stats_.virtualTime);
     transmissionsGauge_->set(static_cast<double>(stats_.transmissions));
@@ -221,6 +222,11 @@ void AlphaSynchronizer::endSilentRounds(std::int64_t count) {
   phys_.advanceTime(static_cast<double>(count) * silentRoundCost_);
   stats_.virtualTime = phys_.now();
   if (virtualTimeGauge_ != nullptr) virtualTimeGauge_->set(stats_.virtualTime);
+}
+
+const NetworkStats& AlphaSynchronizer::stats() const {
+  stats_.processorLoad = phys_.endpointLoad();
+  return stats_;
 }
 
 void AlphaSynchronizer::attachTelemetry(Tracer* tracer,

@@ -78,6 +78,10 @@ class AlphaSynchronizer : public PlaneTransport {
   void endRound() override;
   void endSilentRounds(std::int64_t count) override;
 
+  /// The core's stats with processorLoad copied from the wire: an
+  /// O(processors) copy made when read, not every round.
+  const NetworkStats& stats() const override;
+
   /// Adds the async-wire gauges net.{virtual_time,transmissions,
   /// marker_transmissions,payload_transmissions,retransmissions,drops,
   /// duplicates} (mirrors of the cumulative NetworkStats fields,

@@ -1,10 +1,14 @@
 // Unit tests of the net/ building blocks: latency models, the lossy
-// event-driven AsyncNetwork, and the alpha-synchronizer's Transport
-// behaviour (mirroring the SimNetwork tests in dist_test.cpp).
+// AsyncNetwork (per-packet timelines, gated bit for bit against a global
+// event queue), and the alpha-synchronizer's Transport behaviour
+// (mirroring the SimNetwork tests in dist_test.cpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <queue>
 #include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -359,6 +363,324 @@ TEST(AsyncNetwork, DuplicatingLinkDeliversExactlyOnce) {
   // ...and the faults actually fired.
   EXPECT_GT(net.duplicates(), 0);
   EXPECT_LT(net.duplicates(), kPackets);
+}
+
+// ---- Differential gate: per-packet timelines vs one global queue ----
+
+// The reference for AsyncNetwork's per-packet timelines: a minimal
+// simulator of the same wire with every packet's attempts, deliveries,
+// duplicate deliveries and acks on one priority queue in (time, schedule
+// order); a retransmit timer the ack cancelled is popped and dropped
+// without touching the clock. Its hash salts 1–6 are async_network.cpp's:
+// payload drop, payload delay, ack drop, ack delay, duplicate draw,
+// duplicate delay.
+class GlobalQueueNetwork {
+ public:
+  GlobalQueueNetwork(std::int32_t endpoints, const AsyncLinkConfig& config,
+                     std::uint64_t seed)
+      : endpointLoad(static_cast<std::size_t>(endpoints), 0),
+        config_(config),
+        seed_(seed) {}
+
+  void send(std::int32_t from, std::int32_t to, const Message& payload,
+            bool control) {
+    flights_.push_back({from, to, payload, control, nextPacketId_++});
+    schedule(now, Kind::Attempt, flights_.size() - 1, 0);
+  }
+
+  double flush() {
+    while (!queue_.empty()) {
+      const Event event = queue_.top();
+      queue_.pop();
+      Flight& flight = flights_[event.flight];
+      if (event.kind != Kind::Attempt) --flight.inFlight;
+      if (event.kind == Kind::Attempt && flight.acked) continue;
+      now = std::max(now, event.time);
+      switch (event.kind) {
+        case Kind::Attempt:
+          ++transmissions;
+          if (flight.control) ++markerTransmissions;
+          if (event.attempt > 0) ++retransmissions;
+          if (chance(config_.dropProbability, flight, event.attempt, 1)) {
+            ++drops;
+          } else {
+            schedule(now + delay(flight, event.attempt, 2), Kind::Deliver,
+                     event.flight, event.attempt);
+          }
+          schedule(now + timeout(flight), Kind::Attempt, event.flight,
+                   event.attempt + 1);
+          break;
+        case Kind::Deliver:
+        case Kind::DuplicateDeliver:
+          if (!flight.delivered) {
+            flight.delivered = true;
+            ++endpointLoad[static_cast<std::size_t>(flight.to)];
+            if (!flight.control) {
+              log.push_back({flight.from, flight.to, flight.payload});
+            }
+            if (event.kind == Kind::Deliver &&
+                chance(config_.duplicateProbability, flight, event.attempt,
+                       5)) {
+              schedule(now + delay(flight, event.attempt, 6),
+                       Kind::DuplicateDeliver, event.flight, event.attempt);
+            }
+          } else {
+            ++duplicates;
+          }
+          if (chance(config_.dropProbability, flight, event.attempt, 3)) {
+            ++drops;
+          } else {
+            schedule(now + delay(flight, event.attempt, 4), Kind::Ack,
+                     event.flight, event.attempt);
+          }
+          break;
+        case Kind::Ack:
+          flight.acked = true;
+          break;
+      }
+    }
+    flights_.clear();
+    return now;
+  }
+
+  double now = 0;
+  std::vector<PhysicalDelivery> log;
+  std::vector<std::int64_t> endpointLoad;
+  std::int64_t transmissions = 0;
+  std::int64_t markerTransmissions = 0;
+  std::int64_t retransmissions = 0;
+  std::int64_t drops = 0;
+  std::int64_t duplicates = 0;
+  /// The most copies and acks of one packet in flight at once.
+  std::int32_t mostInFlight = 0;
+
+ private:
+  enum class Kind { Attempt, Deliver, DuplicateDeliver, Ack };
+  struct Event {
+    double time;
+    std::uint64_t seq;
+    Kind kind;
+    std::size_t flight;
+    std::int32_t attempt;
+  };
+  struct EventAfter {
+    bool operator()(const Event& a, const Event& b) const {
+      return std::pair(a.time, a.seq) > std::pair(b.time, b.seq);
+    }
+  };
+  struct Flight {
+    std::int32_t from;
+    std::int32_t to;
+    Message payload;
+    bool control;
+    std::uint64_t id;
+    bool delivered = false;
+    bool acked = false;
+    std::int32_t inFlight = 0;
+  };
+
+  void schedule(double time, Kind kind, std::size_t flight,
+                std::int32_t attempt) {
+    queue_.push({time, nextSeq_++, kind, flight, attempt});
+    if (kind != Kind::Attempt) {
+      mostInFlight = std::max(mostInFlight, ++flights_[flight].inFlight);
+    }
+  }
+  const LatencyConfig& latency(const Flight& flight) const {
+    for (const LinkLatencyOverride& o : config_.latencyOverrides) {
+      if (std::minmax(o.endpointA, o.endpointB) ==
+          std::minmax(flight.from, flight.to)) {
+        return o.latency;
+      }
+    }
+    return config_.latency;
+  }
+  double timeout(const Flight& flight) const {
+    if (config_.retransmitTimeout > 0) return config_.retransmitTimeout;
+    const LatencyConfig& link = latency(flight);
+    return 2 * latencyUpperBound(link) + link.base;
+  }
+  bool chance(double probability, const Flight& flight, std::int32_t attempt,
+              std::uint64_t salt) const {
+    return probability > 0 &&
+           unitInterval(keyedHash(seed_, flight.id,
+                                  static_cast<std::uint64_t>(attempt),
+                                  salt)) < probability;
+  }
+  double delay(const Flight& flight, std::int32_t attempt,
+               std::uint64_t salt) const {
+    return sampleLatency(
+        latency(flight),
+        unitInterval(keyedHash(seed_, flight.id,
+                               static_cast<std::uint64_t>(attempt), salt)));
+  }
+
+  AsyncLinkConfig config_;
+  std::uint64_t seed_;
+  std::uint64_t nextPacketId_ = 0;
+  std::uint64_t nextSeq_ = 0;
+  std::vector<Flight> flights_;
+  std::priority_queue<Event, std::vector<Event>, EventAfter> queue_;
+};
+
+/// Bit-for-bit: every counter, the endpoint loads, the clock and the
+/// delivery log in order.
+void expectSameWire(const AsyncNetwork& net, const GlobalQueueNetwork& ref) {
+  EXPECT_EQ(net.now(), ref.now);
+  EXPECT_EQ(net.transmissions(), ref.transmissions);
+  EXPECT_EQ(net.markerTransmissions(), ref.markerTransmissions);
+  EXPECT_EQ(net.retransmissions(), ref.retransmissions);
+  EXPECT_EQ(net.drops(), ref.drops);
+  EXPECT_EQ(net.duplicates(), ref.duplicates);
+  EXPECT_EQ(net.endpointLoad(), ref.endpointLoad);
+  ASSERT_EQ(net.deliveries().size(), ref.log.size());
+  for (std::size_t i = 0; i < ref.log.size(); ++i) {
+    const PhysicalDelivery& got = net.deliveries()[i];
+    const PhysicalDelivery& want = ref.log[i];
+    EXPECT_EQ(std::tuple(got.from, got.to, got.payload.kind,
+                         got.payload.from, got.payload.instance,
+                         got.payload.value),
+              std::tuple(want.from, want.to, want.payload.kind,
+                         want.payload.from, want.payload.instance,
+                         want.payload.value))
+        << "delivery " << i;
+  }
+}
+
+/// Several send / flush / advanceTime cycles of under `maxPackets` random
+/// packets each (a third of them control) between `endpoints` endpoints,
+/// compared after every flush and every clock advance; the log is drained
+/// every other cycle. Returns the reference's most copies and acks of one
+/// packet in flight.
+std::int32_t runBothWires(const AsyncLinkConfig& link, std::int32_t endpoints,
+                          std::uint64_t seed, std::uint64_t maxPackets = 20) {
+  AsyncNetwork net(endpoints, link, seed);
+  GlobalQueueNetwork ref(endpoints, link, seed);
+  Rng rng(seed);
+  for (int cycle = 0; cycle < 4; ++cycle) {
+    const auto packets = rng.nextBounded(maxPackets);
+    for (std::uint64_t i = 0; i < packets; ++i) {
+      const auto from = static_cast<std::int32_t>(rng.nextBounded(
+          static_cast<std::uint64_t>(endpoints)));
+      const auto to = static_cast<std::int32_t>(
+          (from + 1 + static_cast<std::int32_t>(rng.nextBounded(
+                          static_cast<std::uint64_t>(endpoints - 1)))) %
+          endpoints);
+      const Message payload{MessageKind::MisActive, from,
+                            static_cast<InstanceId>(i), 0.5 * cycle};
+      const bool control = rng.nextBounded(3) == 0;
+      net.send(from, to, payload, control);
+      ref.send(from, to, payload, control);
+    }
+    EXPECT_EQ(net.flush(), ref.flush());
+    expectSameWire(net, ref);
+    const double gap = std::array{0.0, 0.25, 3.0}[rng.nextBounded(3)];
+    net.advanceTime(gap);
+    ref.now += gap;
+    expectSameWire(net, ref);
+    if (cycle % 2 == 1) {
+      net.drainDeliveries();
+      ref.log.clear();
+    }
+  }
+  return ref.mostInFlight;
+}
+
+LatencyConfig randomLatency(Rng& rng) {
+  LatencyConfig latency;
+  latency.model = std::array{LatencyModel::Fixed, LatencyModel::Uniform,
+                             LatencyModel::HeavyTail}[rng.nextBounded(3)];
+  latency.base = std::array{0.5, 1.0, 2.0, 4.0}[rng.nextBounded(4)];
+  latency.spread = 3.0;
+  latency.tailShape = 1.5;
+  latency.tailCap = std::array{4.0, 64.0}[rng.nextBounded(2)];
+  return latency;
+}
+
+TEST(AsyncNetworkTimelines, MatchOneGlobalEventQueue) {
+  constexpr std::int32_t kEndpoints = 6;
+  for (std::uint64_t trial = 0; trial < 120; ++trial) {
+    Rng rng(1000 + trial);
+    AsyncLinkConfig link;
+    link.latency = randomLatency(rng);
+    link.dropProbability =
+        std::array{0.0, 0.05, 0.5, 0.9}[rng.nextBounded(4)];
+    link.duplicateProbability = rng.nextBool() ? 0.3 : 0.0;
+    double slowestBase = link.latency.base;
+    const auto overrides = rng.nextBounded(3);
+    for (std::int32_t k = 1; k <= static_cast<std::int32_t>(overrides); ++k) {
+      LinkLatencyOverride entry;
+      entry.endpointA = k;
+      entry.endpointB = k - 1;
+      entry.latency = randomLatency(rng);
+      slowestBase = std::max(slowestBase, entry.latency.base);
+      link.latencyOverrides.push_back(entry);
+    }
+    // Auto per-link timeouts; the slowest base, so a timer ties with the
+    // arrivals of a Fixed link; or hotspot_async's explicit 16.
+    link.retransmitTimeout =
+        std::array{0.0, slowestBase, 16.0}[rng.nextBounded(3)];
+    SCOPED_TRACE(::testing::Message() << "trial " << trial);
+    runBothWires(link, kEndpoints, trial);
+  }
+}
+
+TEST(AsyncNetworkTimelines, TiesBreakInScheduleOrder) {
+  // Fixed links whose timers land exactly on arrivals: a timeout equal to
+  // the base (the ack beats the timer it ties with), a timeout twice the
+  // base (the timer beats the ack), and auto timeouts of bases 1 and 4,
+  // whose deliveries tie across links with different timer chains.
+  AsyncLinkConfig link = losslessLink();
+  link.dropProbability = 0.5;
+  link.retransmitTimeout = 1.0;
+  for (std::uint64_t seed = 0; seed < 8; ++seed) runBothWires(link, 4, seed);
+  LinkLatencyOverride slow;
+  slow.endpointA = 0;
+  slow.endpointB = 1;
+  slow.latency.base = 2.0;
+  link.latencyOverrides.push_back(slow);
+  link.retransmitTimeout = 2.0;
+  for (std::uint64_t seed = 0; seed < 8; ++seed) runBothWires(link, 4, seed);
+  link.latencyOverrides[0].latency.base = 4.0;
+  link.retransmitTimeout = 0;
+  for (std::uint64_t seed = 0; seed < 8; ++seed) runBothWires(link, 4, seed);
+
+  // Equal delivery times where the lower attempt ran later: attempt 3 on
+  // the Fixed base-49 link (a timer every 147) runs at 441 and arrives at
+  // 490; attempt 4 on a heavy-tail base-10 link capped at 50 (a timer
+  // every 110) runs at 440 and, capped, arrives at 490 too — first.
+  AsyncLinkConfig mixed;
+  mixed.latency.model = LatencyModel::HeavyTail;
+  mixed.latency.base = 10.0;
+  mixed.latency.tailShape = 0.5;
+  mixed.latency.tailCap = 5.0;
+  mixed.dropProbability = 0.5;
+  LinkLatencyOverride fixed;
+  fixed.endpointA = 0;
+  fixed.endpointB = 1;
+  fixed.latency.base = 49.0;
+  mixed.latencyOverrides.push_back(fixed);
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    runBothWires(mixed, 3, seed, 400);
+  }
+}
+
+TEST(AsyncNetworkTimelines, ManyAttemptsOutstandingOnOnePacket) {
+  // hotspot_async's link with a heavier tail (Pareto shape 0.5, not 1.5)
+  // and a timeout of one base: a slow packet is retransmitted every time
+  // unit while the copies and acks of its earlier attempts are still on
+  // the wire. Without duplicates each attempt has at most one of them in
+  // flight, so more than 8 in flight is more than 8 attempts outstanding.
+  AsyncLinkConfig link;
+  link.latency.model = LatencyModel::HeavyTail;
+  link.latency.base = 1.0;
+  link.latency.tailShape = 0.5;
+  link.latency.tailCap = 64.0;
+  link.dropProbability = 0.05;
+  link.retransmitTimeout = 1.0;
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    EXPECT_GT(runBothWires(link, 5, seed), 8) << "seed " << seed;
+  }
 }
 
 // ---- AlphaSynchronizer as a Transport ----
