@@ -114,7 +114,10 @@ int main(int argc, char** argv) {
   MetricsRegistry metrics;
   // Decision provenance (obs/ledger.hpp) and per-epoch time series
   // (obs/timeseries.hpp): both read-only observers of the incremental
-  // engine — attaching them changes zero bits of any epoch outcome.
+  // engine — attaching them changes zero bits of any epoch outcome. The
+  // ledger is attached on every run, because its monitors publish the
+  // obs.alert.* counters the series reports; --ledger only names the
+  // file it is written to.
   ProvenanceLedger ledger(&metrics);
   EpochSeries series(metrics, pattern + "/" + flags.getString("transport"));
 
@@ -126,9 +129,7 @@ int main(int argc, char** argv) {
   config.solver.threads = static_cast<std::int32_t>(flags.getInt("threads"));
   config.solver.tracer = sink != nullptr ? &tracer : nullptr;
   config.solver.metrics = &metrics;
-  if (!flags.getString("ledger").empty()) {
-    config.solver.ledger = &ledger;
-  }
+  config.solver.ledger = &ledger;
   if (!flags.getString("series").empty()) {
     config.solver.series = &series;
   }

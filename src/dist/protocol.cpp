@@ -88,7 +88,8 @@ class ProtocolEngine {
       : u_(universe),
         lay_(layering),
         opt_(options),
-        tracing_(options.tracer, options.metrics, options.observer),
+        tracing_(options.tracer, options.metrics, options.ledger,
+                 options.observer),
         obs_(options.observer != nullptr ? options.observer : &nullObserver_),
         net_(transport),
         runner_(std::max<std::int32_t>(1, options.threads)),
@@ -100,9 +101,10 @@ class ProtocolEngine {
         persistentContexts_(!persistent.empty()),
         groundDual_(universe),
         groundLhs_(lhs) {
-    // With a tracer or a registry attached, the adapter becomes the
-    // engine's observer (forwarding to the caller's). Without either it
-    // is bypassed entirely — the telemetry-off path is the seed path.
+    // With a tracer, a registry or an enabled ledger attached, the
+    // adapter becomes the engine's observer (forwarding to the caller's).
+    // Without any it is bypassed entirely — the telemetry-off path is the
+    // seed path.
     if (tracing_.active()) {
       obs_ = &tracing_;
     }
@@ -441,7 +443,7 @@ class ProtocolEngine {
     net_.endSilentRounds(rounds);
   }
 
-  /// Reports crash-stop faults taking effect: fires onCrash once per
+  /// Reports crash-stop faults taking effect: one Crash record per
   /// crashed processor (ascending) the first time the schedule reaches a
   /// tuple at which they are dead. Phase 2 announces with
   /// tuple == scheduledSteps_ (the first pop) and `phase2` set, because
@@ -455,14 +457,8 @@ class ProtocolEngine {
     crashAnnounced_ = true;
     for (DemandId p = 0; p < numProc_; ++p) {
       if (crashed_[static_cast<std::size_t>(p)] != 0) {
-        obs_->onCrash(p, tuple);
-        if (ledgerOn_) {
-          LedgerEvent ev;
-          ev.demand = p;
-          ev.kind = LedgerEventKind::Crash;
-          ev.tuple = tuple;
-          opt_.ledger->record(ev);
-        }
+        obs_->onEvent(
+            {.demand = p, .kind = LedgerEventKind::Crash, .tuple = tuple});
       }
     }
   }
@@ -658,17 +654,12 @@ class ProtocolEngine {
           {p, i, amounts.alphaIncrement, amounts.betaIncrement});
       raiseLog_.push_back(
           {tuple, i, amounts.alphaIncrement, amounts.betaIncrement});
-      obs_->onRaise(tuple, i, amounts.alphaIncrement);
-      if (ledgerOn_) {
-        LedgerEvent ev;
-        ev.demand = p;
-        ev.kind = LedgerEventKind::DualRaise;
-        ev.instance = i;
-        ev.tuple = tuple;
-        ev.alphaIncrement = amounts.alphaIncrement;
-        ev.betaIncrement = amounts.betaIncrement;
-        opt_.ledger->record(ev);
-      }
+      obs_->onEvent({.demand = p,
+                     .kind = LedgerEventKind::DualRaise,
+                     .instance = i,
+                     .tuple = tuple,
+                     .alphaIncrement = amounts.alphaIncrement,
+                     .betaIncrement = amounts.betaIncrement});
       ++raises_;
       // Ground truth, applied in the centralized engine's order.
       applyRaise(groundDual_, u_, i, critical, amounts);
@@ -781,22 +772,20 @@ class ProtocolEngine {
     std::int64_t rejects = 0;
     std::vector<std::uint8_t> demandUsed(static_cast<std::size_t>(numProc_),
                                          0);
-    // Decision provenance: the certificate book exists only for an
+    // Decision provenance: the certificate book is kept only for an
     // ENABLED ledger, so a null or disabled one keeps the pop on the
-    // allocation-free path (tests/provenance_test.cpp). Verdicts are
-    // recorded in pop order; slackness is already measured, so every
-    // rejection is certified as it happens.
+    // allocation-free path (tests/provenance_test.cpp) and its rejections
+    // name no blocker. Slackness is already measured, so every rejection
+    // is certified as it happens.
     CertificateBook book;
     if (ledgerOn_) book.reset(u_);
+    const auto lhsOf = [&](InstanceId k) { return groundLhs(k); };
     const auto reject = [&](std::int64_t t, InstanceId i,
                             RejectReason reason) {
-      obs_->onReject(t, i, reason);
+      LedgerEvent ev = book.rejection(u_, i, t, reason);
+      book.certify(u_, lhsOf, lambdaMeasured_, ev);
+      obs_->onEvent(ev);
       ++rejects;
-      if (!ledgerOn_) return;
-      book.reject(u_, i, t, reason);
-      book.flush(
-          u_, [&](InstanceId k) { return groundLhs(k); },
-          lambdaMeasured_, *opt_.ledger);
     };
 
     // The raise log is the phase-1 stack: one tuple's raises are
@@ -835,16 +824,11 @@ class ProtocolEngine {
         demandUsed[static_cast<std::size_t>(p)] = 1;
         context.addLoad(u_, i);
         net_.broadcast({MessageKind::Accept, p, i, 0.0});
-        obs_->onAccept(t, i);
-        if (ledgerOn_) {
-          book.admit(u_, i);
-          LedgerEvent ev;
-          ev.demand = p;
-          ev.kind = LedgerEventKind::Admitted;
-          ev.instance = i;
-          ev.tuple = t;
-          opt_.ledger->record(ev);
-        }
+        if (ledgerOn_) book.admit(u_, i);
+        obs_->onEvent({.demand = p,
+                       .kind = LedgerEventKind::Admitted,
+                       .instance = i,
+                       .tuple = t});
         ++accepts;
         acceptOrder_.push_back(i);
         profit_ += u_.instance(i).profit;
@@ -894,7 +878,7 @@ class ProtocolEngine {
   std::vector<DemandId> touchedProcs_;
   std::vector<double> lhsLocal_;
 
-  bool ledgerOn_ = false;  ///< decision provenance: enabled ledger set
+  bool ledgerOn_ = false;  ///< enabled ledger set: keep a CertificateBook
 
   // Ground truth for the audit and the reported dual objective.
   DualState groundDual_;
@@ -903,7 +887,7 @@ class ProtocolEngine {
   // Faults (uint8, not vector<bool>: read concurrently from shards).
   std::vector<std::uint8_t> crashed_;
   std::int32_t crashedCount_ = 0;
-  bool crashAnnounced_ = false;  ///< onCrash fired (once per run)
+  bool crashAnnounced_ = false;  ///< Crash records sent (once per run)
 
   // Per-step scratch, reused across steps to keep the hot loop
   // allocation-free after warmup.

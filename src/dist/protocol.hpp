@@ -91,10 +91,11 @@ struct ExecutionConfig {
   Tracer* tracer = nullptr;
   MetricsRegistry* metrics = nullptr;
   /// Decision provenance ledger (obs/ledger.hpp): when set AND enabled,
-  /// the engine records dual raises, phase-2 verdicts (rejections carry
-  /// the blocking dual certificate) and crash events. Same read-only
-  /// contract as the tracer; a disabled sink costs nothing
-  /// (tests/provenance_test.cpp gates both).
+  /// the TracingObserver also hands it the engine's decision records —
+  /// dual raises, phase-2 verdicts (rejections carry the blocking dual
+  /// certificate) and crash events. Same read-only contract as the
+  /// tracer; a disabled sink costs nothing (tests/provenance_test.cpp
+  /// gates both).
   LedgerSink* ledger = nullptr;
 };
 

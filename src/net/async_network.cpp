@@ -147,8 +147,7 @@ void AsyncNetwork::send(std::int32_t from, std::int32_t to,
   flights_.push_back(flight);
 }
 
-double AsyncNetwork::runFlight(std::uint32_t index, double start) {
-  const Flight& flight = flights_[index];
+double AsyncNetwork::runFlight(const Flight& flight, double start) {
   const double timeout = timeoutFor(flight);
   // The one pending retransmit timer: attempt `attempt` at `timerAt`,
   // scheduled `timerSeq`-th on this timeline. Each attempt re-arms it.
@@ -202,7 +201,7 @@ double AsyncNetwork::runFlight(std::uint32_t index, double start) {
       delivered = true;
       ++endpointLoad_[static_cast<std::size_t>(flight.to)];
       if (!flight.control) {
-        firstDeliveries_.push_back({arrival.time, arrival.attempt, index});
+        log_.push_back({flight.from, flight.to, flight.payload});
       }
       // Duplicating-link fault: the same packet arrives once more a
       // little later; the dedup branch below absorbs it.
@@ -229,49 +228,10 @@ double AsyncNetwork::runFlight(std::uint32_t index, double start) {
   return last;
 }
 
-bool AsyncNetwork::deliveredBefore(const FirstDelivery& a,
-                                   const FirstDelivery& b,
-                                   double start) const {
-  if (a.time != b.time) return a.time < b.time;
-  // A global queue pops equal times in schedule order, i.e. in the order
-  // it ran the two delivering attempts: by their times, then again by
-  // what scheduled them, back to the first attempts, which send() queued
-  // at `start` in send order.
-  const double timeoutA = timeoutFor(flights_[a.flight]);
-  const double timeoutB = timeoutFor(flights_[b.flight]);
-  if (timeoutA != timeoutB) {
-    // Attempt m runs at start + m timeouts, summed one at a time.
-    const auto attemptTimes = [start](std::int32_t attempt, double timeout) {
-      std::vector<double> times(static_cast<std::size_t>(attempt) + 1, start);
-      for (std::size_t m = 1; m < times.size(); ++m) {
-        times[m] = times[m - 1] + timeout;
-      }
-      return times;
-    };
-    const std::vector<double> timesA = attemptTimes(a.attempt, timeoutA);
-    const std::vector<double> timesB = attemptTimes(b.attempt, timeoutB);
-    for (auto i = timesA.size(), j = timesB.size(); i > 0 && j > 0; --i, --j) {
-      if (timesA[i - 1] != timesB[j - 1]) return timesA[i - 1] < timesB[j - 1];
-    }
-  }
-  // On one timer chain (or two that agree back to `start`) the lower
-  // attempt ran first; the same attempt ran in send order.
-  return std::pair(a.attempt, a.flight) < std::pair(b.attempt, b.flight);
-}
-
 double AsyncNetwork::flush() {
   const double start = now_;
-  firstDeliveries_.clear();
-  for (std::uint32_t i = 0; i < flights_.size(); ++i) {
-    now_ = std::max(now_, runFlight(i, start));
-  }
-  std::sort(firstDeliveries_.begin(), firstDeliveries_.end(),
-            [&](const FirstDelivery& a, const FirstDelivery& b) {
-              return deliveredBefore(a, b, start);
-            });
-  for (const FirstDelivery& first : firstDeliveries_) {
-    const Flight& flight = flights_[first.flight];
-    log_.push_back({flight.from, flight.to, flight.payload});
+  for (const Flight& flight : flights_) {
+    now_ = std::max(now_, runFlight(flight, start));
   }
   flights_.clear();
   return now_;

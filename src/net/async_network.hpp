@@ -26,15 +26,16 @@
 // flush() runs each packet's own timeline — its attempts, deliveries,
 // duplicate deliveries and acks, in (time, the packet's schedule order)
 // — one packet after another on a small reused queue, and merges only
-// the sums, the latest event time and the delivery order. That is
-// exactly what one global event queue over every packet produces
-// (tests/net_test.cpp keeps such a queue as the reference). A link model
-// with contention would couple the packets and need the global queue.
+// the sums and the latest event time. Those are exactly what one global
+// event queue over every packet produces (tests/net_test.cpp keeps such
+// a queue as the reference). A link model with contention would couple
+// the packets and need the global queue.
 //
 // Delivered application packets accumulate in one flat append-only log,
-// in arrival order; `deliveries()` is a zero-copy span of it. There is no
-// per-endpoint collation: the synchronizer stages each packet straight
-// into the MessagePlane, which builds the per-demand inboxes.
+// in send order; `deliveries()` is a zero-copy span of it. Nothing reads
+// the arrival order: the synchronizer stages each packet straight into
+// the MessagePlane, which sorts every inbox into canonical order
+// (dist/message.hpp), so there is no per-endpoint collation either.
 #pragma once
 
 #include <cstdint>
@@ -112,8 +113,7 @@ class AsyncNetwork {
   double now() const { return now_; }
 
   /// Application packets delivered since the last drain, to every
-  /// endpoint, in arrival order (equal times in the order a global event
-  /// queue pops them). A zero-copy span into the delivery log,
+  /// endpoint, in send order. A zero-copy span into the delivery log,
   /// invalidated by the next flush()/drainDeliveries().
   std::span<const PhysicalDelivery> deliveries() const { return log_; }
   void drainDeliveries() { log_.clear(); }
@@ -162,21 +162,9 @@ class AsyncNetwork {
     }
   };
 
-  /// An application packet's first delivery, held until the flush
-  /// orders the log.
-  struct FirstDelivery {
-    double time = 0;
-    std::int32_t attempt = 0;  ///< the delivering attempt
-    std::uint32_t flight = 0;  ///< index into flights_: send order
-  };
-
-  /// Runs one flight's timeline from `start`; returns its last event
-  /// time.
-  double runFlight(std::uint32_t index, double start);
-  /// The order in which a global event queue would hand out two first
-  /// deliveries of one flush that started at `start`.
-  bool deliveredBefore(const FirstDelivery& a, const FirstDelivery& b,
-                       double start) const;
+  /// Runs one flight's timeline from `start`, appending its first
+  /// delivery to the log; returns its last event time.
+  double runFlight(const Flight& flight, double start);
   bool chance(double probability, std::uint64_t packetId, std::int32_t attempt,
               std::uint64_t salt) const;
   double delay(const Flight& flight, std::int32_t attempt,
@@ -197,9 +185,8 @@ class AsyncNetwork {
   std::vector<Flight> flights_;  ///< sent since the last flush
   /// The running flight's pending arrivals (a heap), reused per flight.
   std::vector<Arrival> arrivals_;
-  std::vector<FirstDelivery> firstDeliveries_;  ///< this flush's, unordered
 
-  std::vector<PhysicalDelivery> log_;  ///< arrival order, since last drain
+  std::vector<PhysicalDelivery> log_;  ///< send order, since last drain
 
   std::vector<std::int64_t> endpointLoad_;
   std::int64_t transmissions_ = 0;

@@ -22,8 +22,8 @@ std::span<const std::int32_t> PlaneTransport::neighbors(std::int32_t p) const {
   return adjacency_[static_cast<std::size_t>(p)];
 }
 
-void PlaneTransport::connectDemand(std::int32_t p,
-                                   std::span<const std::int32_t> neighbors) {
+std::int32_t PlaneTransport::connectDemand(
+    std::int32_t p, std::span<const std::int32_t> neighbors) {
   checkIndex(p, numProcessors(), "PlaneTransport::connectDemand");
   checkThat(!plane_.hasStaged(), "topology mutation only between rounds",
             __FILE__, __LINE__);
@@ -48,6 +48,7 @@ void PlaneTransport::connectDemand(std::int32_t p,
               "connectDemand edge already present", __FILE__, __LINE__);
     theirs.insert(pos, p);
   }
+  return -1;
 }
 
 void PlaneTransport::disconnectDemand(std::int32_t p) {

@@ -16,7 +16,7 @@
 //    row (a rejected call changes nothing), and disconnectDemand removes
 //    both sides of every edge;
 //  * the online path's placement hooks (rebalanceShards,
-//    setDemandWeight, attachLedger, recordPlacementLoad);
+//    setDemandWeight, recordPlacementLoad);
 //  * the inboxes (inbox, appendActiveInboxes, attachRunner);
 //  * the round accounting: NetworkStats plus the net.{rounds,busy_rounds,
 //    messages,silent_rounds} counters and the "deliver" instant of
@@ -29,12 +29,12 @@
 
 #include "dist/message.hpp"
 #include "engine/message_plane.hpp"
+#include "net/shard.hpp"
 #include "net/transport.hpp"
 
 namespace treesched {
 
 class Counter;
-class LedgerSink;
 
 /// Knobs of the epoch-boundary hot-shard rebalancer (live sharded
 /// placements only). Rebalancing moves hosted demands between physical
@@ -49,11 +49,12 @@ struct ShardRebalanceConfig {
   std::uint64_t seed = 1;
 };
 
-/// What one rebalance call did. Variances are per-processor live-load
-/// population variances; before == after when nothing moved.
+/// What one rebalance call did: the demand moves it applied, in order.
+/// Variances are per-processor live-load population variances; before ==
+/// after when nothing moved.
 struct RebalanceOutcome {
+  std::vector<ShardPlacement::Migration> moves;
   std::int32_t networksMoved = 0;
-  std::int32_t demandsMoved = 0;
   double loadVarianceBefore = 0;
   double loadVarianceAfter = 0;
 };
@@ -103,8 +104,10 @@ class PlaneTransport : public Transport {
 
   /// Attaches demand `p` (currently isolated) with the given sorted,
   /// duplicate-free neighbour list; every neighbour's list gains `p`.
-  virtual void connectDemand(std::int32_t p,
-                             std::span<const std::int32_t> neighbors);
+  /// Returns the processor a live placement chose for `p`, or -1 when
+  /// nothing placed it.
+  virtual std::int32_t connectDemand(std::int32_t p,
+                                     std::span<const std::int32_t> neighbors);
 
   /// Detaches demand `p`: removes every edge of `p` (both sides). The
   /// processor stays addressable — it simply has no neighbours, exactly
@@ -134,14 +137,6 @@ class PlaneTransport : public Transport {
   /// schedule.
   virtual void setDemandWeight(std::int32_t /*demand*/,
                                std::int64_t /*weight*/) {}
-
-  /// Attaches the decision provenance ledger (obs/ledger.hpp): a
-  /// transport owning live shard placement records the demand lifecycle
-  /// events it alone can see — placement on arrival, migration at
-  /// rebalance. nullptr (or a disabled sink) detaches. Same read-only,
-  /// bit-identity-preserving contract as attachTelemetry. The sink must
-  /// stay alive until detached.
-  virtual void attachLedger(LedgerSink* /*ledger*/) {}
 
   /// Publishes the current placement load into the attached metrics
   /// registry (net.shard_hosted_demands histogram +

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <utility>
 
-#include "obs/ledger.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
@@ -58,7 +58,7 @@ void AlphaSynchronizer::rebuildRemoteProcs(std::int32_t d) {
   remote.erase(std::unique(remote.begin(), remote.end()), remote.end());
 }
 
-void AlphaSynchronizer::connectDemand(
+std::int32_t AlphaSynchronizer::connectDemand(
     std::int32_t d, std::span<const std::int32_t> neighbors) {
   checkThat(pendingPayload_ == 0, "topology mutation only between rounds",
             __FILE__, __LINE__);
@@ -67,16 +67,15 @@ void AlphaSynchronizer::connectDemand(
   // still-isolated neighbour, in list order — deterministic. The core
   // has accepted the list, so a rejected connect places nothing.
   const auto place = [&](std::int32_t x) {
-    if (placement_.live && !placement_.isPlaced(x)) {
-      const std::int32_t proc = placement_.placeDemand(x);
-      if (ledgerOn_) ledgerPlacement(x, proc);
-    }
+    if (!placement_.live || placement_.isPlaced(x)) return -1;
+    return placement_.placeDemand(x);
   };
-  place(d);
+  const std::int32_t placed = place(d);
   for (const std::int32_t n : neighbors) place(n);
   // Remote-processor sets rebuilt only for the touched demands.
   rebuildRemoteProcs(d);
   for (const std::int32_t n : neighbors) rebuildRemoteProcs(n);
+  return placed;
 }
 
 void AlphaSynchronizer::disconnectDemand(std::int32_t d) {
@@ -176,7 +175,7 @@ void AlphaSynchronizer::endRound() {
   }
   pendingPayload_ = 0;
 
-  // Stage the fan-out of every wire packet, in arrival order, to the
+  // Stage the fan-out of every wire packet, in send order, to the
   // sender's neighbours hosted on the receiving processor; the plane then
   // builds all demand-level inboxes (local deliveries were staged at
   // broadcast time) and sorts them into canonical order.
@@ -250,19 +249,6 @@ void AlphaSynchronizer::attachTelemetry(Tracer* tracer,
   loadVarianceGauge_ = live ? gauge("net.shard_load_variance") : nullptr;
 }
 
-void AlphaSynchronizer::attachLedger(LedgerSink* ledger) {
-  ledger_ = ledger;
-  ledgerOn_ = ledger != nullptr && ledger->enabled();
-}
-
-void AlphaSynchronizer::ledgerPlacement(DemandId d, std::int32_t processor) {
-  LedgerEvent ev;
-  ev.demand = d;
-  ev.kind = LedgerEventKind::Placement;
-  ev.toProcessor = processor;
-  ledger_->record(ev);
-}
-
 void AlphaSynchronizer::publishLoadTelemetry() {
   if (loadVarianceGauge_ == nullptr || !placement_.live) {
     return;
@@ -283,23 +269,14 @@ RebalanceOutcome AlphaSynchronizer::rebalanceShards(
     return outcome;
   }
   const std::int64_t begin = trace_ ? tracer_->now() : 0;
-  const ShardPlacement::RebalancePlan plan = placement_.planRebalance(
+  ShardPlacement::RebalancePlan plan = placement_.planRebalance(
       kRebalanceThreshold, config.seed, kRebalanceMaxMoves);
   outcome.networksMoved = plan.networksMoved;
-  outcome.demandsMoved = static_cast<std::int32_t>(plan.moves.size());
   outcome.loadVarianceBefore = plan.varianceBefore;
   outcome.loadVarianceAfter = plan.varianceAfter;
 
   touchedScratch_.clear();
   for (const ShardPlacement::Migration& move : plan.moves) {
-    if (ledgerOn_) {
-      LedgerEvent ev;
-      ev.demand = move.demand;
-      ev.kind = LedgerEventKind::Migration;
-      ev.fromProcessor = move.from;
-      ev.toProcessor = move.to;
-      ledger_->record(ev);
-    }
     placement_.migrateDemand(move.demand, move.to);
     const std::span<const std::int32_t> moved = adjacencyOf(move.demand);
     touchedScratch_.insert(touchedScratch_.end(), moved.begin(), moved.end());
@@ -320,9 +297,10 @@ RebalanceOutcome AlphaSynchronizer::rebalanceShards(
 
   if (trace_) {
     tracer_->span("rebalance", "net", 0, begin,
-                  {{"demands_moved", outcome.demandsMoved},
+                  {{"demands_moved", std::ssize(plan.moves)},
                    {"networks_moved", outcome.networksMoved}});
   }
+  outcome.moves = std::move(plan.moves);
   return outcome;
 }
 

@@ -89,11 +89,6 @@ class AlphaSynchronizer : public PlaneTransport {
   /// messages} counters and "deliver" instants.
   void attachTelemetry(Tracer* tracer, MetricsRegistry* metrics) override;
 
-  /// Records the placement (connectDemand on a live placement) and
-  /// migration (rebalanceShards) events of the decision provenance
-  /// ledger — the lifecycle steps only the wire layer can see.
-  void attachLedger(LedgerSink* ledger) override;
-
   /// Publishes the net.shard_hosted_demands histogram +
   /// net.shard_load_variance gauge from the current live placement (the
   /// online solver's once-per-epoch call; no-op without an attached
@@ -106,9 +101,10 @@ class AlphaSynchronizer : public PlaneTransport {
 
   /// The core's connect (which checks the whole list first); then, on a
   /// live placement, `d` and any still-unplaced neighbour are placed
-  /// locality-aware, in list order.
-  void connectDemand(std::int32_t d,
-                     std::span<const std::int32_t> neighbors) override;
+  /// locality-aware, in list order. Returns d's new processor, or -1
+  /// when it was not placed here.
+  std::int32_t connectDemand(std::int32_t d,
+                             std::span<const std::int32_t> neighbors) override;
 
   /// The core's disconnect; on a live placement the demand is then
   /// tombstoned out of its shard.
@@ -118,7 +114,8 @@ class AlphaSynchronizer : public PlaneTransport {
   /// processor; everything else reports current variance and moves
   /// nothing). Applies the deterministic ShardPlacement::planRebalance
   /// plan, then rebuilds the remote-processor sets of every touched
-  /// demand (movers and their neighbours), as connect/disconnect do.
+  /// demand (movers and their neighbours), as connect/disconnect do, and
+  /// returns the plan's moves.
   /// Placement is wire accounting only: the schedule is bit-identical
   /// with or without rebalancing (tests/rebalance_test.cpp). Emits a
   /// "rebalance" span when a tracer is live; the load telemetry itself
@@ -173,13 +170,6 @@ class AlphaSynchronizer : public PlaneTransport {
   Gauge* duplicatesGauge_ = nullptr;
   Histogram* hostedHist_ = nullptr;   ///< net.shard_hosted_demands
   Gauge* loadVarianceGauge_ = nullptr;  ///< net.shard_load_variance
-
-  // Decision provenance ledger (null or disabled when detached).
-  LedgerSink* ledger_ = nullptr;
-  bool ledgerOn_ = false;
-
-  /// Emits one Placement event for a freshly placed demand.
-  void ledgerPlacement(DemandId d, std::int32_t processor);
 
   /// Records the per-processor live loads + variance (live placements;
   /// refreshed at every recordPlacementLoad call — the online solver's

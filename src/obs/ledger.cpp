@@ -52,7 +52,7 @@ ProvenanceLedger::ProvenanceLedger(MetricsRegistry* metrics) {
   }
 }
 
-void ProvenanceLedger::record(const LedgerEvent& event) {
+void ProvenanceLedger::onEvent(const LedgerEvent& event) {
   LedgerEvent stamped = event;
   stamped.epoch = epoch_;
   stamped.seq = nextSeq_++;

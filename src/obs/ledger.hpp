@@ -1,12 +1,14 @@
 // Decision provenance ledger: the "why" to the telemetry plane's
 // "how much".
 //
-// A LedgerSink receives per-demand lifecycle events — arrival, shard
+// A LedgerSink is a ProtocolObserver (dist/observer.hpp) that receives
+// per-demand lifecycle records through onEvent — arrival, shard
 // placement, migration, every dual raise that touched the demand,
 // admission or rejection (with the blocking dual certificate), purge/
-// departure, crash — emitted through the same wiring that carries the
-// tracer and the metrics registry (dist/protocol, net/synchronizer,
-// online/incremental). The paper's primal-dual structure makes every
+// departure, crash. The protocol's decisions reach it through the same
+// adapter that feeds the tracer and the metrics registry
+// (obs/observer_adapter.hpp); the online solver (online/incremental)
+// records the rest. The paper's primal-dual structure makes every
 // admission decision certifiable: a rejection's certificate names the
 // already-admitted instance whose dual LHS blocks the pop, together
 // with that LHS and the lambda * profit threshold it clears — replaying
@@ -34,21 +36,6 @@ namespace treesched {
 class Counter;
 class MetricsRegistry;
 
-/// The ledger event vocabulary. The enumerator order is the canonical
-/// within-(epoch, demand) salt: a demand arrives before it is placed,
-/// placement precedes migration, raises precede the phase-2 verdict,
-/// and departure is terminal.
-enum class LedgerEventKind : std::uint8_t {
-  Arrival,    ///< demand entered the live pool this epoch
-  Placement,  ///< live sharding placed the demand on a processor
-  Migration,  ///< epoch-boundary rebalancing moved the demand
-  Crash,      ///< crash-stop fault took the owning processor
-  DualRaise,  ///< phase 1 made one of the demand's instances tight
-  Rejected,   ///< phase 2 popped an instance and rejected it
-  Admitted,   ///< phase 2 (or online re-admission) admitted an instance
-  Departure,  ///< demand left the pool; its raises were purged
-};
-
 /// Stable lowercase name ("arrival", "dual_raise", ...): the JSONL
 /// `event` field and the vocabulary tools/ledger_validate.py checks.
 const char* ledgerEventKindName(LedgerEventKind kind);
@@ -57,43 +44,14 @@ const char* ledgerEventKindName(LedgerEventKind kind);
 /// "demand_satisfied", "capacity_exceeded").
 const char* rejectReasonName(RejectReason reason);
 
-/// One ledger entry. `epoch` and `seq` are stamped by the sink
-/// (ProvenanceLedger::beginEpoch sets the epoch; emission sites fill
-/// only the fields their kind owns, the rest keep their defaults).
-struct LedgerEvent {
-  std::int64_t epoch = 0;
-  std::int64_t seq = 0;  ///< emission order; ties within (epoch, demand, salt)
-  DemandId demand = -1;
-  LedgerEventKind kind = LedgerEventKind::Arrival;
-  InstanceId instance = kNoInstance;  ///< DualRaise / Rejected / Admitted
-  std::int64_t tuple = -1;            ///< schedule tuple (one-shot protocol)
-  double alphaIncrement = 0;          ///< DualRaise
-  double betaIncrement = 0;           ///< DualRaise
-  RejectReason reason = RejectReason::OwnerCrashed;  ///< Rejected
-  /// Rejected: the admitted instance whose load blocks this pop
-  /// (kNoInstance when the owner crashed — there is no blocker).
-  InstanceId certInstance = kNoInstance;
-  double certLhs = 0;        ///< blocker's dual LHS at rejection time
-  double certThreshold = 0;  ///< lambdaMeasured * profit(certInstance)
-  std::int32_t fromProcessor = -1;  ///< Migration
-  std::int32_t toProcessor = -1;    ///< Placement / Migration
-  std::int64_t latencyEpochs = -1;  ///< Admitted (online; -1 one-shot)
-  bool admitted = false;            ///< Departure: had been admitted
-};
-
-/// Receiver interface. Emission sites guard on enabled() and skip all
-/// event assembly when it is false, so a disabled sink costs nothing.
-class LedgerSink {
+/// Receiver interface: a ProtocolObserver whose onEvent takes every
+/// record.
+class LedgerSink : public ProtocolObserver {
  public:
-  virtual ~LedgerSink() = default;
-
-  /// False => record() is never called and emission sites skip their
-  /// bookkeeping entirely (the allocation-free disabled path).
+  /// False => onEvent() is never called: the adapter and the online
+  /// solver drop the sink and skip the bookkeeping only a ledger needs
+  /// (the certificate book), the allocation-free disabled path.
   virtual bool enabled() const { return true; }
-
-  /// Receives one event. Called only from serial sections, in
-  /// deterministic order.
-  virtual void record(const LedgerEvent& event) = 0;
 
   /// Stamps `epoch` on subsequent events (the online solver calls this
   /// at every epoch boundary; one-shot runs stay at epoch 0).
@@ -106,15 +64,15 @@ class LedgerSink {
 class NullLedger final : public LedgerSink {
  public:
   bool enabled() const override { return false; }
-  void record(const LedgerEvent& /*event*/) override {}
 };
 
 /// The one certificate book behind the ledger's phase-2 verdicts, used by
 /// the distributed one-shot pop and the centralized popStack alike. It
 /// mirrors the admissions (each demand's admitted instance, each edge's
-/// first loader and load) so a rejection can name its blocker, and holds
-/// rejections until the caller knows the lambda they are certified
-/// against. Templated on the universe type.
+/// first loader and load) so a rejection can name its blocker, builds the
+/// Rejected record and certifies it against lambda: at once when lambda
+/// is known, or once the caller has measured it. Templated on the
+/// universe type.
 class CertificateBook {
  public:
   /// Sizes the book for the universe's demand and edge id spaces and
@@ -151,21 +109,21 @@ class CertificateBook {
                : RejectReason::CapacityExceeded;
   }
 
-  /// Queues the Rejected event for popping `i` at `tuple`, naming its
-  /// blocker: the demand's admitted instance, or the first loader of the
-  /// first saturated edge on i's path (the booked loads are global, so
-  /// they dominate any local view and a blocker always exists). A
-  /// crashed owner has none.
+  /// The Rejected record for popping `i` at `tuple`, naming its blocker:
+  /// the demand's admitted instance, or the first loader of the first
+  /// saturated edge on i's path (the booked loads are global, so they
+  /// dominate any local view and a blocker always exists). A crashed
+  /// owner has no blocker, and neither has a book that was never reset.
   template <class U>
-  void reject(const U& universe, InstanceId i, std::int64_t tuple,
-              RejectReason reason) {
+  LedgerEvent rejection(const U& universe, InstanceId i, std::int64_t tuple,
+                        RejectReason reason) const {
     const auto& rec = universe.instance(i);
-    LedgerEvent ev;
-    ev.demand = rec.demand;
-    ev.kind = LedgerEventKind::Rejected;
-    ev.instance = i;
-    ev.tuple = tuple;
-    ev.reason = reason;
+    LedgerEvent ev{.demand = rec.demand,
+                   .kind = LedgerEventKind::Rejected,
+                   .instance = i,
+                   .tuple = tuple,
+                   .reason = reason};
+    if (admittedOf_.empty()) return ev;
     if (reason == RejectReason::DemandSatisfied) {
       ev.certInstance = admittedOf_[static_cast<std::size_t>(rec.demand)];
     } else if (reason == RejectReason::CapacityExceeded) {
@@ -177,21 +135,36 @@ class CertificateBook {
         }
       }
     }
-    pending_.push_back(ev);
+    return ev;
   }
 
-  /// Records the queued rejections into `sink`, certified against
-  /// `lambda`: the blocker's LHS `lhsOf(blocker)` clears lambda * profit
-  /// (tests/provenance_test.cpp replays both).
+  /// Certifies a rejection against `lambda`: its blocker's LHS
+  /// `lhsOf(blocker)` clears lambda * profit (tests/provenance_test.cpp
+  /// replays both).
+  template <class U, class LhsOf>
+  static void certify(const U& universe, LhsOf lhsOf, double lambda,
+                      LedgerEvent& ev) {
+    if (ev.certInstance == kNoInstance) return;
+    ev.certLhs = lhsOf(ev.certInstance);
+    ev.certThreshold = lambda * universe.instance(ev.certInstance).profit;
+  }
+
+  /// Queues the rejection of `i` at `tuple`, its blocker named now, until
+  /// the caller knows the lambda it is certified against.
+  template <class U>
+  void reject(const U& universe, InstanceId i, std::int64_t tuple,
+              RejectReason reason) {
+    pending_.push_back(rejection(universe, i, tuple, reason));
+  }
+
+  /// Certifies the queued rejections against `lambda` and hands them to
+  /// `sink` in pop order.
   template <class U, class LhsOf>
   void flush(const U& universe, LhsOf lhsOf, double lambda,
-             LedgerSink& sink) {
+             ProtocolObserver& sink) {
     for (LedgerEvent& ev : pending_) {
-      if (ev.certInstance != kNoInstance) {
-        ev.certLhs = lhsOf(ev.certInstance);
-        ev.certThreshold = lambda * universe.instance(ev.certInstance).profit;
-      }
-      sink.record(ev);
+      certify(universe, lhsOf, lambda, ev);
+      sink.onEvent(ev);
     }
     pending_.clear();
   }
@@ -220,7 +193,7 @@ class ProvenanceLedger final : public LedgerSink {
 
   explicit ProvenanceLedger(MetricsRegistry* metrics = nullptr);
 
-  void record(const LedgerEvent& event) override;
+  void onEvent(const LedgerEvent& event) override;
   void beginEpoch(std::int64_t epoch) override { epoch_ = epoch; }
 
   /// Events in raw emission (causal) order — the order certificate

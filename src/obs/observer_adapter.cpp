@@ -19,9 +19,10 @@ constexpr std::array<double, 33> kLubyBuckets = {
 }  // namespace
 
 TracingObserver::TracingObserver(Tracer* tracer, MetricsRegistry* metrics,
-                                 ProtocolObserver* next)
+                                 LedgerSink* ledger, ProtocolObserver* next)
     : tracer_(tracer),
       trace_(tracer != nullptr && tracer->enabled()),
+      ledger_(ledger != nullptr && ledger->enabled() ? ledger : nullptr),
       next_(next) {
   if (metrics != nullptr) {
     epochs_ = &metrics->counter("protocol.epochs");
@@ -123,23 +124,49 @@ void TracingObserver::onMisComplete(std::int64_t tuple, std::int32_t lubyRounds,
   if (next_ != nullptr) next_->onMisComplete(tuple, lubyRounds, misSize);
 }
 
-void TracingObserver::onRaise(std::int64_t tuple, InstanceId instance,
-                              double delta) {
-  if (raises_ != nullptr) raises_->add(1);
-  if (trace_) {
-    tracer_->instant("raise", "protocol", 0,
-                     {{"tuple", tuple}, {"instance", instance}});
+void TracingObserver::onEvent(const LedgerEvent& event) {
+  const std::int64_t tuple = event.tuple;
+  const InstanceId instance = event.instance;
+  switch (event.kind) {
+    case LedgerEventKind::DualRaise:
+      if (raises_ != nullptr) raises_->add(1);
+      if (trace_) {
+        tracer_->instant("raise", "protocol", 0,
+                         {{"tuple", tuple}, {"instance", instance}});
+      }
+      break;
+    case LedgerEventKind::Crash:
+      if (crashes_ != nullptr) crashes_->add(1);
+      if (trace_) {
+        tracer_->instant("crash", "protocol", 0,
+                         {{"processor", event.demand}, {"tuple", tuple}});
+      }
+      break;
+    case LedgerEventKind::Admitted:
+      if (accepts_ != nullptr) accepts_->add(1);
+      if (trace_) {
+        tracer_->instant("accept", "protocol", 0,
+                         {{"tuple", tuple}, {"instance", instance}});
+      }
+      break;
+    case LedgerEventKind::Rejected: {
+      const auto reason = static_cast<std::size_t>(event.reason);
+      if (rejects_ != nullptr) {
+        rejects_->add(1);
+        rejectsByReason_[reason]->add(1);
+      }
+      if (trace_) {
+        tracer_->instant("reject", "protocol", 0,
+                         {{"tuple", tuple}, {"instance", instance},
+                          {"reason", static_cast<std::int64_t>(reason)}});
+      }
+      break;
+    }
+    default:
+      break;
   }
-  if (next_ != nullptr) next_->onRaise(tuple, instance, delta);
-}
-
-void TracingObserver::onCrash(DemandId processor, std::int64_t tuple) {
-  if (crashes_ != nullptr) crashes_->add(1);
-  if (trace_) {
-    tracer_->instant("crash", "protocol", 0,
-                     {{"processor", processor}, {"tuple", tuple}});
-  }
-  if (next_ != nullptr) next_->onCrash(processor, tuple);
+  if (ledger_ != nullptr) ledger_->onEvent(event);
+  if (next_ != nullptr) next_->onEvent(event);
 }
 
 void TracingObserver::onPhase1Complete(std::int64_t activeSteps,
@@ -158,29 +185,6 @@ void TracingObserver::onPhase1Complete(std::int64_t activeSteps,
     phase2Begin_ = tracer_->now();
   }
   if (next_ != nullptr) next_->onPhase1Complete(activeSteps, raises);
-}
-
-void TracingObserver::onAccept(std::int64_t tuple, InstanceId instance) {
-  if (accepts_ != nullptr) accepts_->add(1);
-  if (trace_) {
-    tracer_->instant("accept", "protocol", 0,
-                     {{"tuple", tuple}, {"instance", instance}});
-  }
-  if (next_ != nullptr) next_->onAccept(tuple, instance);
-}
-
-void TracingObserver::onReject(std::int64_t tuple, InstanceId instance,
-                               RejectReason reason) {
-  if (rejects_ != nullptr) {
-    rejects_->add(1);
-    rejectsByReason_[static_cast<std::size_t>(reason)]->add(1);
-  }
-  if (trace_) {
-    tracer_->instant("reject", "protocol", 0,
-                     {{"tuple", tuple}, {"instance", instance},
-                      {"reason", static_cast<std::int64_t>(reason)}});
-  }
-  if (next_ != nullptr) next_->onReject(tuple, instance, reason);
 }
 
 void TracingObserver::onPhase2Complete(std::int64_t accepts,

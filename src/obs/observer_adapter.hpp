@@ -1,10 +1,12 @@
 // ProtocolObserver → telemetry-plane adapter.
 //
-// TracingObserver is how the protocol's event hooks feed the tracer and
-// the metrics registry: the engine wraps the caller's observer in one of
-// these whenever DistributedOptions carries a tracer or a registry, so
-// the observer remains the single event mechanism — tracing is an
-// adapter over it, not a parallel instrumentation path.
+// TracingObserver is how the protocol's event hooks feed the tracer, the
+// metrics registry and the provenance ledger: the engine wraps the
+// caller's observer in one of these whenever DistributedOptions carries a
+// tracer, a registry or an enabled ledger, so the observer remains the
+// single event mechanism — tracing and provenance are adapters over it,
+// not parallel instrumentation paths. Each decision record feeds all
+// three, then the caller's observer.
 //
 // Span structure (all on tid 0, nested by construction):
 //   phase1 ⊃ epoch ⊃ stage ⊃ step ⊃ mis, then phase2 (which also
@@ -28,6 +30,7 @@
 #include <cstdint>
 
 #include "dist/observer.hpp"
+#include "obs/ledger.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -35,14 +38,17 @@ namespace treesched {
 
 class TracingObserver final : public ProtocolObserver {
  public:
-  /// Any argument may be null; `next` (the caller's observer) still sees
-  /// every event. With all three null the adapter is inactive and the
-  /// engine bypasses it entirely.
-  TracingObserver(Tracer* tracer, MetricsRegistry* metrics,
+  /// Any argument may be null, and a disabled ledger counts as null;
+  /// `next` (the caller's observer) still sees every event. With all four
+  /// null the adapter is inactive and the engine bypasses it entirely.
+  TracingObserver(Tracer* tracer, MetricsRegistry* metrics, LedgerSink* ledger,
                   ProtocolObserver* next);
 
-  /// True when the adapter has a live tracer or a registry to feed.
-  bool active() const { return trace_ || epochs_ != nullptr; }
+  /// True when the adapter has a live tracer, a registry or an enabled
+  /// ledger to feed.
+  bool active() const {
+    return trace_ || epochs_ != nullptr || ledger_ != nullptr;
+  }
 
   void onEpochBegin(std::int32_t epoch, std::int32_t groupMembers) override;
   void onStageBegin(std::int32_t epoch, std::int32_t stage,
@@ -51,12 +57,8 @@ class TracingObserver final : public ProtocolObserver {
                    std::int32_t participants) override;
   void onMisComplete(std::int64_t tuple, std::int32_t lubyRounds,
                      std::int32_t misSize) override;
-  void onRaise(std::int64_t tuple, InstanceId instance, double delta) override;
-  void onCrash(DemandId processor, std::int64_t tuple) override;
+  void onEvent(const LedgerEvent& event) override;
   void onPhase1Complete(std::int64_t activeSteps, std::int64_t raises) override;
-  void onAccept(std::int64_t tuple, InstanceId instance) override;
-  void onReject(std::int64_t tuple, InstanceId instance,
-                RejectReason reason) override;
   void onPhase2Complete(std::int64_t accepts, std::int64_t rejects) override;
 
  private:
@@ -66,6 +68,7 @@ class TracingObserver final : public ProtocolObserver {
 
   Tracer* tracer_ = nullptr;
   bool trace_ = false;        ///< tracer present and enabled
+  LedgerSink* ledger_ = nullptr;  ///< null unless enabled
   ProtocolObserver* next_ = nullptr;
 
   // Registry instruments (null when no registry attached).

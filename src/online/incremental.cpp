@@ -66,15 +66,13 @@ IncrementalSolver::IncrementalSolver(DynamicUniverse& universe,
     gcInstancesCtr_ = &cfg_.metrics->counter("universe.gc_instances");
   }
   prevStats_ = u_.stats();
-  // Decision provenance: with an ENABLED ledger the solver books every
-  // admission verdict (CertificateBook) and hands the sink to the
-  // transport (placement/migration events). All of it is guarded
-  // so a null or disabled ledger leaves the epoch loop on the exact
-  // seed path (the zero-allocation gate in tests/provenance_test.cpp).
+  // Decision provenance: with an ENABLED ledger the solver records the
+  // lifecycle (arrival, placement, migration, admission, rejection,
+  // departure) and books every admission verdict (CertificateBook). All
+  // of it is guarded so a null or disabled ledger leaves the epoch loop
+  // on the exact seed path (the zero-allocation gate in
+  // tests/provenance_test.cpp).
   ledgerOn_ = cfg_.ledger != nullptr && cfg_.ledger->enabled();
-  if (ledgerOn_) {
-    bus_.attachLedger(cfg_.ledger);
-  }
   checkThat(u_.numDemands() > 0, "online solver needs a demand pool",
             __FILE__, __LINE__);
   checkThat(u_.numLiveDemands() == 0,
@@ -135,7 +133,12 @@ void IncrementalSolver::activate(DemandId d) {
   std::sort(newNeighbors_.begin(), newNeighbors_.end());
   newNeighbors_.erase(std::unique(newNeighbors_.begin(), newNeighbors_.end()),
                       newNeighbors_.end());
-  bus_.connectDemand(d, newNeighbors_);
+  const std::int32_t processor = bus_.connectDemand(d, newNeighbors_);
+  if (ledgerOn_ && processor >= 0) {
+    cfg_.ledger->onEvent({.demand = d,
+                          .kind = LedgerEventKind::Placement,
+                          .toProcessor = processor});
+  }
 }
 
 void IncrementalSolver::deactivate(DemandId d) {
@@ -260,12 +263,10 @@ void IncrementalSolver::recordAdmissions(EpochOutcome& outcome) {
       latencyRegHist_->record(static_cast<double>(latency));
     }
     if (ledgerOn_) {
-      LedgerEvent ev;
-      ev.demand = d;
-      ev.kind = LedgerEventKind::Admitted;
-      ev.instance = i;
-      ev.latencyEpochs = latency;
-      cfg_.ledger->record(ev);
+      cfg_.ledger->onEvent({.demand = d,
+                            .kind = LedgerEventKind::Admitted,
+                            .instance = i,
+                            .latencyEpochs = latency});
     }
     ++outcome.newlyAdmittedDemands;
   }
@@ -326,7 +327,7 @@ EpochOutcome IncrementalSolver::applyEpoch(
   const bool trace = tracer != nullptr && tracer->enabled();
   const std::int64_t epochBegin = trace ? tracer->now() : 0;
   // Epoch stamp first: every event below (including the rebalance
-  // block's migrations, emitted by the transport) belongs to this epoch.
+  // block's migrations) belongs to this epoch.
   if (ledgerOn_) cfg_.ledger->beginEpoch(epoch_);
   if (epochsCtr_ != nullptr) {
     epochsCtr_->add(1);
@@ -352,7 +353,15 @@ EpochOutcome IncrementalSolver::applyEpoch(
     const RebalanceOutcome moved = bus_.rebalanceShards(rb);
     outcome.loadVarianceBefore = moved.loadVarianceBefore;
     outcome.loadVarianceAfter = moved.loadVarianceAfter;
-    outcome.demandsMigrated = moved.demandsMoved;
+    outcome.demandsMigrated = static_cast<std::int32_t>(moved.moves.size());
+    if (ledgerOn_) {
+      for (const ShardPlacement::Migration& move : moved.moves) {
+        cfg_.ledger->onEvent({.demand = move.demand,
+                              .kind = LedgerEventKind::Migration,
+                              .fromProcessor = move.from,
+                              .toProcessor = move.to});
+      }
+    }
   }
 
   // Zero-churn epoch: nothing changed, so the previous epoch's
@@ -406,11 +415,10 @@ EpochOutcome IncrementalSolver::applyEpoch(
     if (ledgerOn_) {
       // Emitted before the purge so the raw-order certificate replay
       // subtracts the demand's raises exactly where the solver does.
-      LedgerEvent ev;
-      ev.demand = d;
-      ev.kind = LedgerEventKind::Departure;
-      ev.admitted = admittedEpoch_[static_cast<std::size_t>(d)] >= 0;
-      cfg_.ledger->record(ev);
+      const bool admitted = admittedEpoch_[static_cast<std::size_t>(d)] >= 0;
+      cfg_.ledger->onEvent({.demand = d,
+                            .kind = LedgerEventKind::Departure,
+                            .admitted = admitted});
     }
     purgeRaisesOf(d);
     deactivate(d);
@@ -420,10 +428,7 @@ EpochOutcome IncrementalSolver::applyEpoch(
   }
   for (const DemandId d : arrivals) {
     if (ledgerOn_) {
-      LedgerEvent ev;
-      ev.demand = d;
-      ev.kind = LedgerEventKind::Arrival;
-      cfg_.ledger->record(ev);
+      cfg_.ledger->onEvent({.demand = d, .kind = LedgerEventKind::Arrival});
     }
     activate(d);
   }

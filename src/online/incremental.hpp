@@ -97,11 +97,13 @@ class EpochSeries;
 ///  * `observer` sees phase 1's events; admission is the centralized
 ///    pop, which reports no accept or reject;
 ///  * `ledger`, when set AND enabled, records the full per-demand
-///    lifecycle — arrival, placement/migration (via
-///    PlaneTransport::attachLedger), every dual raise (recorded by phase 1),
-///    admission (first only, with latency) and rejection (from the
-///    admission pop, with the blocking dual certificate finalized against
-///    the epoch's measured lambda), and departure;
+///    lifecycle — arrival, placement (the processor connectDemand
+///    reports) and migration (the moves rebalanceShards reports), every
+///    dual raise (phase 1's records), admission (first only, with
+///    latency) and rejection (from the admission pop, with the blocking
+///    dual certificate finalized against the epoch's measured lambda),
+///    and departure. Only the dual raises pass through `observer`; the
+///    solver hands the rest to the ledger alone;
 ///  * `crashProcessors` must stay empty: the online path has no fault
 ///    injection, and the constructor rejects a crash list.
 /// All hooks are strictly read-only: attaching any never changes an

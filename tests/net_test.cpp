@@ -1,7 +1,8 @@
 // Unit tests of the net/ building blocks: latency models, the lossy
 // AsyncNetwork (per-packet timelines, gated bit for bit against a global
-// event queue), and the alpha-synchronizer's Transport behaviour
-// (mirroring the SimNetwork tests in dist_test.cpp).
+// event queue, with the delivery log in send order), and the
+// alpha-synchronizer's Transport behaviour (mirroring the SimNetwork
+// tests in dist_test.cpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -91,7 +92,7 @@ AsyncLinkConfig losslessLink() {
   return link;
 }
 
-// Packets delivered to `endpoint` since the last drain, in arrival order:
+// Packets delivered to `endpoint` since the last drain, in send order:
 // the network's delivery log filtered by receiving endpoint.
 std::vector<PhysicalDelivery> deliveredTo(const AsyncNetwork& net,
                                           std::int32_t endpoint) {
@@ -416,7 +417,8 @@ class GlobalQueueNetwork {
             flight.delivered = true;
             ++endpointLoad[static_cast<std::size_t>(flight.to)];
             if (!flight.control) {
-              log.push_back({flight.from, flight.to, flight.payload});
+              log.push_back(
+                  {flight.id, {flight.from, flight.to, flight.payload}});
             }
             if (event.kind == Kind::Deliver &&
                 chance(config_.duplicateProbability, flight, event.attempt,
@@ -444,7 +446,8 @@ class GlobalQueueNetwork {
   }
 
   double now = 0;
-  std::vector<PhysicalDelivery> log;
+  /// Deliveries in the order the queue popped them, with their packet ids.
+  std::vector<std::pair<std::uint64_t, PhysicalDelivery>> log;
   std::vector<std::int64_t> endpointLoad;
   std::int64_t transmissions = 0;
   std::int64_t markerTransmissions = 0;
@@ -523,8 +526,8 @@ class GlobalQueueNetwork {
   std::priority_queue<Event, std::vector<Event>, EventAfter> queue_;
 };
 
-/// Bit-for-bit: every counter, the endpoint loads, the clock and the
-/// delivery log in order.
+/// Bit-for-bit: every counter, the endpoint loads and the clock; the
+/// delivery log element for element, in send (packet id) order.
 void expectSameWire(const AsyncNetwork& net, const GlobalQueueNetwork& ref) {
   EXPECT_EQ(net.now(), ref.now);
   EXPECT_EQ(net.transmissions(), ref.transmissions);
@@ -533,10 +536,13 @@ void expectSameWire(const AsyncNetwork& net, const GlobalQueueNetwork& ref) {
   EXPECT_EQ(net.drops(), ref.drops);
   EXPECT_EQ(net.duplicates(), ref.duplicates);
   EXPECT_EQ(net.endpointLoad(), ref.endpointLoad);
-  ASSERT_EQ(net.deliveries().size(), ref.log.size());
-  for (std::size_t i = 0; i < ref.log.size(); ++i) {
+  auto sent = ref.log;
+  std::sort(sent.begin(), sent.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  ASSERT_EQ(net.deliveries().size(), sent.size());
+  for (std::size_t i = 0; i < sent.size(); ++i) {
     const PhysicalDelivery& got = net.deliveries()[i];
-    const PhysicalDelivery& want = ref.log[i];
+    const PhysicalDelivery& want = sent[i].second;
     EXPECT_EQ(std::tuple(got.from, got.to, got.payload.kind,
                          got.payload.from, got.payload.instance,
                          got.payload.value),
@@ -628,8 +634,7 @@ TEST(AsyncNetworkTimelines, MatchOneGlobalEventQueue) {
 TEST(AsyncNetworkTimelines, TiesBreakInScheduleOrder) {
   // Fixed links whose timers land exactly on arrivals: a timeout equal to
   // the base (the ack beats the timer it ties with), a timeout twice the
-  // base (the timer beats the ack), and auto timeouts of bases 1 and 4,
-  // whose deliveries tie across links with different timer chains.
+  // base (the timer beats the ack), and auto timeouts of bases 1 and 4.
   AsyncLinkConfig link = losslessLink();
   link.dropProbability = 0.5;
   link.retransmitTimeout = 1.0;
@@ -645,10 +650,10 @@ TEST(AsyncNetworkTimelines, TiesBreakInScheduleOrder) {
   link.retransmitTimeout = 0;
   for (std::uint64_t seed = 0; seed < 8; ++seed) runBothWires(link, 4, seed);
 
-  // Equal delivery times where the lower attempt ran later: attempt 3 on
-  // the Fixed base-49 link (a timer every 147) runs at 441 and arrives at
-  // 490; attempt 4 on a heavy-tail base-10 link capped at 50 (a timer
-  // every 110) runs at 440 and, capped, arrives at 490 too — first.
+  // Two packets on different timer chains that arrive at the same time:
+  // attempt 3 on the Fixed base-49 link (a timer every 147) runs at 441,
+  // attempt 4 on a heavy-tail base-10 link capped at 50 (a timer every
+  // 110) runs at 440, and both arrive at 490.
   AsyncLinkConfig mixed;
   mixed.latency.model = LatencyModel::HeavyTail;
   mixed.latency.base = 10.0;

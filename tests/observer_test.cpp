@@ -44,21 +44,26 @@ class CountingObserver : public ProtocolObserver {
     EXPECT_GE(lubyRounds, 0);
     EXPECT_GE(tuple, 0);
   }
-  void onRaise(std::int64_t /*tuple*/, InstanceId instance,
-               double delta) override {
-    raises.push_back(instance);
-    EXPECT_GT(delta, 0) << "unit-rule alpha increments are positive";
-  }
-  void onAccept(std::int64_t /*tuple*/, InstanceId instance) override {
-    accepts.push_back(instance);
-  }
-  void onReject(std::int64_t /*tuple*/, InstanceId instance,
-                RejectReason reason) override {
-    rejects.push_back(instance);
-    ++rejectsByReason[static_cast<std::size_t>(reason)];
-  }
-  void onCrash(DemandId processor, std::int64_t tuple) override {
-    crashes.emplace_back(processor, tuple);
+  void onEvent(const LedgerEvent& event) override {
+    switch (event.kind) {
+      case LedgerEventKind::DualRaise:
+        raises.push_back(event.instance);
+        EXPECT_GT(event.alphaIncrement, 0)
+            << "unit-rule alpha increments are positive";
+        break;
+      case LedgerEventKind::Admitted:
+        accepts.push_back(event.instance);
+        break;
+      case LedgerEventKind::Rejected:
+        rejects.push_back(event.instance);
+        ++rejectsByReason[static_cast<std::size_t>(event.reason)];
+        break;
+      case LedgerEventKind::Crash:
+        crashes.emplace_back(event.demand, event.tuple);
+        break;
+      default:
+        break;
+    }
   }
   void onPhase1Complete(std::int64_t activeSteps,
                         std::int64_t raiseCount) override {

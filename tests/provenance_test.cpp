@@ -2,9 +2,11 @@
 // observer: attaching one changes zero bits of any schedule, the
 // NullLedger path adds zero hot-loop heap allocations, every recorded
 // rejection carries a dual certificate that replays bit-for-bit from
-// the ledger's own dual_raise events, and the lifecycle invariants
+// the ledger's own dual_raise events, the protocol's observer and the
+// ledger read the same decision records, and the lifecycle invariants
 // (exactly one admission per admitted demand, departures matching the
-// solver's SLA books) hold on every run.
+// solver's SLA books, placements and migrations in causal order) hold on
+// every run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +16,7 @@
 #include <map>
 #include <new>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/universe.hpp"
@@ -323,6 +326,61 @@ TEST(Provenance, OneShotCrashEventsCarryNoCertificate) {
                     {});
 }
 
+/// Keeps every decision record the protocol hands its observer.
+class RecordingObserver final : public ProtocolObserver {
+ public:
+  void onEvent(const LedgerEvent& event) override { events.push_back(event); }
+
+  std::vector<LedgerEvent> events;
+};
+
+/// Every field of a record but the ledger's (epoch, seq) stamp.
+auto decisionFields(const LedgerEvent& e) {
+  return std::tuple(e.demand, e.kind, e.instance, e.tuple, e.alphaIncrement,
+                    e.betaIncrement, e.reason, e.certInstance, e.certLhs,
+                    e.certThreshold, e.fromProcessor, e.toProcessor,
+                    e.latencyEpochs, e.admitted);
+}
+
+TEST(Provenance, ObserverAndLedgerReadOneEmission) {
+  const TreeProblem tree = testTree(74);
+  for (const std::int32_t threads : {1, 8}) {
+    PreparedRun run = prepareUnitTreeRun(tree);
+    SimNetwork bus(std::move(run.adjacency));
+    ProvenanceLedger ledger;
+    RecordingObserver observer;
+    DistributedOptions opt;
+    opt.seed = 75;
+    opt.threads = threads;
+    opt.ledger = &ledger;
+    opt.observer = &observer;
+    opt.crashProcessors = {0, 5, 9};
+    opt.crashAtTuple = 3;
+    runDistributedOverTransport(run.universe, run.layering, bus, opt);
+
+    // The run exercises every decision kind, certified rejections too.
+    std::map<LedgerEventKind, std::int64_t> kinds;
+    std::int64_t certified = 0;
+    for (const LedgerEvent& ev : ledger.events()) {
+      ++kinds[ev.kind];
+      if (ev.certInstance != kNoInstance) ++certified;
+    }
+    EXPECT_GT(kinds[LedgerEventKind::Crash], 0);
+    EXPECT_GT(kinds[LedgerEventKind::DualRaise], 0);
+    EXPECT_GT(kinds[LedgerEventKind::Admitted], 0);
+    EXPECT_GT(kinds[LedgerEventKind::Rejected], 0);
+    EXPECT_GT(certified, 0);
+
+    ASSERT_EQ(observer.events.size(), ledger.events().size())
+        << "threads " << threads;
+    for (std::size_t k = 0; k < observer.events.size(); ++k) {
+      EXPECT_EQ(decisionFields(observer.events[k]),
+                decisionFields(ledger.events()[k]))
+          << "record " << k << ", threads " << threads;
+    }
+  }
+}
+
 // ---- Online churn ------------------------------------------------------
 
 ChurnEngineConfig churnConfig(std::uint64_t seed, std::int32_t threads) {
@@ -471,16 +529,30 @@ TEST(Provenance, ShardedPlacementAndMigrationEvents) {
   EXPECT_EQ(fingerprintOf(result), before)
       << "the sharded wire's ledger attachment is schedule-neutral";
 
+  // Raw emission order: the solver places an arrival as it connects it,
+  // and rebalances at the epoch boundary, before any other event.
   std::int64_t placements = 0;
   std::int64_t migrations = 0;
   std::map<DemandId, std::int64_t> migrationsPerDemand;
   std::int64_t expectedThrash = 0;
-  for (const LedgerEvent& ev : ledger.events()) {
+  std::int64_t lastNonMigrationEpoch = -1;
+  const std::vector<LedgerEvent>& events = ledger.events();
+  for (std::size_t k = 0; k < events.size(); ++k) {
+    const LedgerEvent& ev = events[k];
+    if (ev.kind != LedgerEventKind::Migration) {
+      lastNonMigrationEpoch = ev.epoch;
+    }
     if (ev.kind == LedgerEventKind::Placement) {
       ++placements;
       EXPECT_GE(ev.toProcessor, 0);
+      ASSERT_GT(k, 0u);
+      EXPECT_EQ(events[k - 1].kind, LedgerEventKind::Arrival)
+          << "a placement directly follows its arrival (record " << k << ")";
+      EXPECT_EQ(events[k - 1].demand, ev.demand) << "record " << k;
     }
     if (ev.kind == LedgerEventKind::Migration) {
+      EXPECT_NE(lastNonMigrationEpoch, ev.epoch)
+          << "epoch " << ev.epoch << "'s migrations precede its other events";
       ++migrations;
       EXPECT_GE(ev.fromProcessor, 0);
       EXPECT_GE(ev.toProcessor, 0);

@@ -431,9 +431,19 @@ class SpanTally final : public TraceSink {
 /// Counts the protocol's raises and phase-2 pops (accepts + rejects).
 class RaiseCounter final : public ProtocolObserver {
  public:
-  void onRaise(std::int64_t, InstanceId, double) override { ++raises; }
-  void onAccept(std::int64_t, InstanceId) override { ++pops; }
-  void onReject(std::int64_t, InstanceId, RejectReason) override { ++pops; }
+  void onEvent(const LedgerEvent& event) override {
+    switch (event.kind) {
+      case LedgerEventKind::DualRaise:
+        ++raises;
+        break;
+      case LedgerEventKind::Admitted:
+      case LedgerEventKind::Rejected:
+        ++pops;
+        break;
+      default:
+        break;
+    }
+  }
 
   std::int64_t raises = 0;
   std::int64_t pops = 0;
